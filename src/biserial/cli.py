@@ -316,6 +316,17 @@ def cmd_sweep(args) -> dict:
     return payload
 
 
+def string_length(text: str) -> int:
+    """A --max-len value: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="biserial",
@@ -357,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strings", help="enumerate canonical strings")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--max-len", type=string_length, default=12)
     p.set_defaults(func=cmd_strings)
 
     p = sub.add_parser("bricks", help="orthogonal stable brick system checks")
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated string words")
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--max-len", type=string_length, default=12)
     p.set_defaults(func=cmd_bricks)
 
     p = sub.add_parser("nodes", help="detect (and split) nodes")
@@ -388,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the full invariant suite on a file")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--max-len", type=string_length, default=12)
     p.set_defaults(func=cmd_sweep)
     return ap
 

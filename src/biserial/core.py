@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import RowSpace, det, row_nullspace
+from .linalg import Echelon, det, row_nullspace, transpose
 
 
 class PresentationError(Exception):
@@ -170,6 +170,8 @@ class AlgebraElement:
 
 _MAX_REWRITE_STEPS = 200_000
 
+NOT_COMPUTED = object()   # marks a table cache whose computed value may be None
+
 
 class AlgebraTable:
     """Finite basis of nonzero path classes with exact structure constants."""
@@ -187,6 +189,13 @@ class AlgebraTable:
         self._build_basis()
         self._socle = None
         self._socle_spaces = None
+        # caches filled on first use by the functions named
+        self._symmetry_report = None     # check_selfinjective_symmetric
+        self._frobenius = NOT_COMPUTED   # frobenius_form, which may be None
+        self._projective_cache = {}      # reps.projective: vertex -> module
+        self._op_table = None            # reps.opposite_table
+        self._sb_selfinjective = None    # translate.require_selfinjective_sb
+        self._landmark_words = None      # translate._landmarks
 
     # -- rule compilation ------------------------------------------------
 
@@ -486,31 +495,15 @@ class AlgebraTable:
         """Per-vertex basis of soc(e_v A), as vectors over the e_v A fiber."""
         if self._socle is not None:
             return self._socle
-        f = self.field
         out = {}
         spaces = {}
         for v in self.quiver.vertices:
             fiber = self.by_source[v]
-            stacked = []
-            width = 0
-            mats = []
-            for a in self.quiver.arrows:
-                m = self._right_mult_matrix(v, a)
-                mats.append(m)
-                width += len(fiber)
+            mats = [self._right_mult_matrix(v, a) for a in self.quiver.arrows]
             stacked = [list(itertools.chain.from_iterable(m[r] for m in mats))
                        for r in range(len(fiber))]
-            if not fiber:
-                out[v] = []
-                spaces[v] = RowSpace([], 0, f)
-                continue
-            if not stacked or not stacked[0]:
-                null = [[f.one if i == j else f.zero for j in range(len(fiber))]
-                        for i in range(len(fiber))]
-            else:
-                null = row_nullspace(stacked, f)
-            out[v] = null
-            spaces[v] = RowSpace(null, len(fiber), f)
+            out[v] = row_nullspace(stacked, self.field)
+            spaces[v] = Echelon(self.field, out[v])
         self._socle = out
         self._socle_spaces = spaces
         return out
@@ -527,12 +520,8 @@ class AlgebraTable:
         for i, c in vec.items():
             by_v.setdefault(self.basis[i].source, {})[i] = c
         for v, part in by_v.items():
-            fiber = self.by_source[v]
-            pos = {b: t for t, b in enumerate(fiber)}
-            row = [self.field.zero] * len(fiber)
-            for i, c in part.items():
-                row[pos[i]] = c
-            if not self._socle_spaces[v].contains(row):
+            pos = {b: t for t, b in enumerate(self.by_source[v])}
+            if self._socle_spaces[v].reduce({pos[i]: c for i, c in part.items()}):
                 return False
         return True
 
@@ -629,7 +618,6 @@ def _candidate_forms(table: AlgebraTable, symmetric: bool):
                     constraints.append(row)
     if constraints:
         # solutions of constraints . t == 0
-        from .linalg import transpose
         sols = row_nullspace(transpose(constraints), f)
     else:
         sols = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
@@ -653,12 +641,9 @@ def _gram_nonsingular(table: AlgebraTable, phi: dict) -> bool:
 
 def check_selfinjective_symmetric(table: AlgebraTable) -> SymmetryReport:
     """Classify the table as not-selfinjective, selfinjective, or symmetric."""
-    cached = getattr(table, "_symmetry_report", None)
-    if cached is not None:
-        return cached
-    report = _classify_symmetry(table)
-    table._symmetry_report = report
-    return report
+    if table._symmetry_report is None:
+        table._symmetry_report = _classify_symmetry(table)
+    return table._symmetry_report
 
 
 def _classify_symmetry(table: AlgebraTable) -> SymmetryReport:

@@ -1,8 +1,12 @@
 """Exact scalar arithmetic over the rationals or a prime field F_p.
 
-Scalars are plain ``fractions.Fraction`` objects in characteristic 0 and
-integers in ``range(p)`` in characteristic p.  No floating point is used
-anywhere in the package.
+Scalars are integers in ``range(p)`` in characteristic p.  In
+characteristic 0 they are ints or ``fractions.Fraction`` objects, which
+compare, hash and print alike when equal: ``of`` and ``inv`` return an
+int for an integral rational, and the arithmetic keeps ints where Python
+does.  In every field ``zero`` and ``one`` are the ints 0 and 1, and the
+zero scalar is the only falsy one, so callers may test a scalar by its
+truth value.  No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -46,18 +50,18 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return 1
 
     def of(self, value) -> object:
         """Coerce an int, Fraction or 'n/d' string into a field scalar."""
         if isinstance(value, str):
             value = Fraction(value)
         if self.char == 0:
-            return Fraction(value)
+            return _integral(Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator % self.char == 0:
                 raise ZeroDivisionError(f"{value} has no image in F_{self.char}")
@@ -81,7 +85,7 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.char == 0 else pow(a, -1, self.char)
+        return _integral(1 / Fraction(a)) if self.char == 0 else pow(a, -1, self.char)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -96,11 +100,11 @@ class Field:
             root_num = _int_nth_root(a.numerator, n)
             root_den = _int_nth_root(a.denominator, n)
             if root_num is not None and root_den is not None:
-                return Fraction(root_num, root_den)
+                return _integral(Fraction(root_num, root_den))
             if n % 2 == 1 and a < 0:
                 root_num = _int_nth_root(-a.numerator, n)
                 if root_num is not None and root_den is not None:
-                    return Fraction(-root_num, root_den)
+                    return _integral(Fraction(-root_num, root_den))
             return None
         for x in range(1, self.char):
             if pow(x, n, self.char) == a:
@@ -109,6 +113,11 @@ class Field:
 
     def format(self, a) -> str:
         return str(a)
+
+
+def _integral(q: Fraction):
+    """q as an int when it is one."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _int_nth_root(m: int, n: int):

@@ -1,8 +1,15 @@
-"""Dense exact linear algebra over an exact field.
+"""Exact linear algebra over an exact field, on one elimination engine.
 
 Matrices are lists of row lists.  Row vectors act on the left: a module
 element x at the source vertex maps to x @ mat at the target vertex, so
 kernels of module maps are row nullspaces.
+
+All row elimination happens in ``Echelon``, which keeps sparse rows
+``{column: coeff}`` in reduced row echelon form with leftmost pivots.
+That form is unique, so every basis read off it (nullspaces, submodule
+bases, quotient coordinates, free-variables-zero solutions) is
+canonical.  Scalars are tested by truth value: the zero of every field
+is the only falsy scalar.
 """
 
 from __future__ import annotations
@@ -11,15 +18,11 @@ from .fields import Field
 
 
 def zeros(rows: int, cols: int, field: Field):
-    z = field.zero
-    return [[z] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(n: int, field: Field):
-    m = zeros(n, n, field)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b, field: Field, cols: int | None = None):
@@ -37,11 +40,11 @@ def mat_mul(a, b, field: Field, cols: int | None = None):
         oi = out[i]
         for t in range(k):
             c = ai[t]
-            if c == field.zero:
+            if not c:
                 continue
             bt = b[t]
             for j in range(cols):
-                if bt[j] != field.zero:
+                if bt[j]:
                     oi[j] = field.add(oi[j], field.mul(c, bt[j]))
     return out
 
@@ -61,275 +64,219 @@ def transpose(a):
 
 
 def is_zero_matrix(a, field: Field) -> bool:
-    return all(x == field.zero for row in a for x in row)
+    return not any(x for row in a for x in row)
 
 
 def row_vec_mul(v, a, field: Field, cols: int | None = None):
     """v @ a; pass cols when a may have zero rows (shape (0, cols))."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    out = [field.zero] * cols
+    out = [0] * cols
     for t, c in enumerate(v):
-        if c == field.zero:
+        if not c:
             continue
         at = a[t]
         for j in range(cols):
-            if at[j] != field.zero:
+            if at[j]:
                 out[j] = field.add(out[j], field.mul(c, at[j]))
     return out
 
 
+def sparse(row) -> dict:
+    """The {column: coeff} form of a dense row."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row: dict, n: int) -> list:
+    """The dense form of a {column: coeff} row of length n."""
+    return [row.get(j, 0) for j in range(n)]
+
+
+class Echelon:
+    """A row space kept in reduced row echelon form.
+
+    Rows are sparse {column: coeff} dicts.  Each stored row has
+    coefficient 1 at its pivot, which is its leftmost nonzero column, and 0
+    at every other pivot.  Columns at or past ``width`` ride along as a
+    right-hand side or a recipe and never pivot.  ``rows`` seeds the space
+    with dense rows.
+    """
+
+    def __init__(self, field: Field, rows=(), width: int | None = None):
+        self.field = field
+        self.width = width
+        self.rows = {}          # pivot column -> stored row
+        for row in rows:
+            self.add(sparse(row))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self.rows)
+
+    def lead(self, row: dict):
+        """The column at which row would pivot, or None."""
+        if self.width is None:
+            return min(row, default=None)
+        return min((j for j in row if j < self.width), default=None)
+
+    def _subtract(self, row: dict, c, other: dict):
+        """row -= c * other, in place."""
+        sub, mul = self.field.sub, self.field.mul
+        for j, x in other.items():
+            y = sub(row.get(j, 0), mul(c, x))
+            if y:
+                row[j] = y
+            else:
+                del row[j]      # c * x is nonzero, so row had column j
+
+    def reduce(self, row: dict) -> dict:
+        """The residue of row modulo the space, as a new dict."""
+        res = {j: x for j, x in row.items() if x}
+        rows = self.rows
+        # stored rows vanish at every other pivot, so one pass clears them all
+        for p in [j for j in res if j in rows]:
+            self._subtract(res, res[p], rows[p])
+        return res
+
+    def add(self, row: dict) -> dict:
+        """Insert row; return its residue modulo the space before insertion.
+
+        The rank grows exactly when the residue has a lead column.
+        """
+        res = self.reduce(row)
+        p = self.lead(res)
+        if p is not None:
+            f = self.field
+            inv = f.inv(res[p])
+            new = {j: f.mul(inv, x) for j, x in res.items()}
+            for other in self.rows.values():
+                c = other.get(p)
+                if c:
+                    self._subtract(other, c, new)
+            self.rows[p] = new
+        return res
+
+
+def _kernel(equations, n: int, field: Field):
+    """Nullspace of {var: coeff} equations: one vector per free variable."""
+    ech = Echelon(field)
+    for eq in equations:
+        ech.add(eq)
+    basis = {j: [0] * n for j in range(n) if j not in ech.rows}
+    for j, vec in basis.items():
+        vec[j] = 1
+    # a stored row is nonzero only at its pivot and at free variables
+    for p, row in ech.rows.items():
+        for j, c in row.items():
+            if j != p:
+                basis[j][p] = field.neg(c)
+    return list(basis.values())
+
+
+def _recipes(rows, width: int, field: Field):
+    """Echelon of the rows, row i carrying a unit recipe column at width + i.
+
+    Also returns whether the rows are independent.
+    """
+    ech = Echelon(field, width=width)
+    independent = True
+    for i, row in enumerate(rows):
+        recipe = sparse(row)
+        recipe[width + i] = 1
+        if ech.lead(ech.add(recipe)) is None:
+            independent = False
+    return ech, independent
+
+
+def _coordinates(v, ech: Echelon, k: int):
+    """Coefficients over the k recipe rows summing to v, or None."""
+    res = ech.reduce(sparse(v))
+    if ech.lead(res) is not None:
+        return None
+    return [ech.field.neg(res.get(ech.width + i, 0)) for i in range(k)]
+
+
 def rref(a, field: Field):
     """Reduced row echelon form. Returns (rows, pivot column indices)."""
-    m = [list(row) for row in a]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m[:r], pivots
+    n_cols = len(a[0]) if a else 0
+    ech = Echelon(field, a)
+    pivots = ech.pivots
+    return [dense(ech.rows[p], n_cols) for p in pivots], pivots
 
 
 def rank(a, field: Field) -> int:
-    return len(rref(a, field)[0])
+    return Echelon(field, a).rank
+
+
+def span_rank(vectors, field: Field) -> int:
+    return rank(vectors, field)
 
 
 def row_nullspace(a, field: Field):
     """Basis of {x : x @ a == 0} as row vectors of length len(a)."""
-    n = len(a)
-    if n == 0:
-        return []
-    reduced, pivots = rref(transpose(a), field)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [field.zero] * n
-        v[j] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(reduced[i][j])
-        basis.append(v)
-    return basis
+    cols = len(a[0]) if a else 0
+    return _kernel(({i: row[j] for i, row in enumerate(a)} for j in range(cols)),
+                   len(a), field)
+
+
+def sparse_nullspace(equations, n_vars: int, field: Field):
+    """Nullspace basis of {var index: coeff} equations, in free-variable order."""
+    return _kernel(equations, n_vars, field)
 
 
 def solve_row(v, a, field: Field):
-    """Solve x @ a == v for a row vector x, or return None."""
-    n = len(a)
-    cols = len(a[0]) if a else len(v)
-    aug = transpose(a) if a else [[] for _ in range(cols)]
-    for i in range(cols):
-        aug[i] = list(aug[i]) + [v[i]]
-    reduced, pivots = rref(aug, field)
-    x = [field.zero] * n
-    for i, p in enumerate(pivots):
-        if p == n:
-            return None
-        x[p] = reduced[i][n]
-    return x
+    """Solve x @ a == v for a row vector x, or return None.
+
+    Rows of a that depend on earlier rows get coefficient 0.
+    """
+    return _coordinates(v, _recipes(a, len(v), field)[0], len(a))
 
 
-def det(a, field: Field):
-    n = len(a)
-    m = [list(row) for row in a]
-    result = field.one
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = field.neg(result)
-        result = field.mul(result, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] != field.zero:
-                f = field.mul(m[i][c], inv)
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[c])]
-    return result
+def express_in_basis(v, basis_rows, field: Field):
+    """Coefficients c with sum(c_i * basis_rows[i]) == v, or None.
+
+    Dependent rows raise ValueError: their coefficients are not unique.
+    """
+    ech, independent = _recipes(basis_rows, len(v), field)
+    if not independent:
+        raise ValueError("basis rows are dependent")
+    return _coordinates(v, ech, len(basis_rows))
 
 
 def inverse(a, field: Field):
     """Inverse of a square matrix, or None if singular."""
     n = len(a)
-    if n == 0:
-        return []
-    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-           for i, row in enumerate(a)]
-    reduced, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)) or len(reduced) < n:
+    if any(len(row) != n for row in a):
         return None
-    return [row[n:] for row in reduced]
+    ech, independent = _recipes(a, n, field)
+    if not independent:
+        return None
+    return [[ech.rows[p].get(n + j, 0) for j in range(n)] for p in range(n)]
+
+
+def det(a, field: Field):
+    """Determinant: the signed product of the residues' lead coefficients."""
+    ech = Echelon(field)
+    result = 1
+    pivots = []
+    for row in a:
+        res = ech.add(sparse(row))
+        if not res:
+            return 0
+        p = min(res)
+        pivots.append(p)
+        result = field.mul(result, res[p])
+    inversions = sum(q < p for i, p in enumerate(pivots) for q in pivots[i + 1:])
+    return field.neg(result) if inversions % 2 else result
 
 
 def is_invertible(a, field: Field) -> bool:
     n = len(a)
-    if n == 0:
-        return True
-    if len(a[0]) != n:
+    if any(len(row) != n for row in a):
         return False
-    return rank(a, field) == n
-
-
-def sparse_nullspace(equations, n_vars: int, field: Field):
-    """Nullspace basis of a sparse homogeneous system.
-
-    Equations are {var index: coeff} dicts; sparse Gauss-Jordan keeps the
-    pivot rows fully reduced, so free columns read off directly.  Returns
-    dense solution vectors in free-variable order.
-    """
-    f = field
-    pivots = {}        # pivot var -> normalized row dict
-    containing = {}    # var -> set of pivot vars whose rows touch it
-
-    def subtract(row, coeff, other):
-        for v, c in other.items():
-            s = f.sub(row.get(v, f.zero), f.mul(coeff, c))
-            if s == f.zero:
-                row.pop(v, None)
-            else:
-                row[v] = s
-
-    for eq in equations:
-        r = {v: c for v, c in eq.items() if c != f.zero}
-        while True:
-            hit = None
-            for v in r:
-                if v in pivots:
-                    hit = v if hit is None or v < hit else hit
-            if hit is None:
-                break
-            subtract(r, r[hit], pivots[hit])
-        if not r:
-            continue
-        p = min(r)
-        inv = f.inv(r[p])
-        r = {v: f.mul(inv, c) for v, c in r.items()}
-        for q in list(containing.get(p, ())):
-            row_q = pivots[q]
-            c = row_q.get(p)
-            if c is None:
-                continue
-            before = set(row_q)
-            subtract(row_q, c, r)
-            for v in before - set(row_q):
-                containing.get(v, set()).discard(q)
-            for v in set(row_q) - before:
-                containing.setdefault(v, set()).add(q)
-        pivots[p] = r
-        for v in r:
-            containing.setdefault(v, set()).add(p)
-    free = [v for v in range(n_vars) if v not in pivots]
-    basis = []
-    for fv in free:
-        vec = [f.zero] * n_vars
-        vec[fv] = f.one
-        for p, row in pivots.items():
-            c = row.get(fv)
-            if c is not None:
-                vec[p] = f.neg(c)
-        basis.append(vec)
-    return basis
-
-
-class RowSpace:
-    """A subspace of k^n kept in reduced row echelon form."""
-
-    def __init__(self, rows, n: int, field: Field):
-        self.field = field
-        self.n = n
-        self.rows, self.pivots = rref(rows, field) if rows else ([], [])
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v):
-        """Reduce v modulo the subspace; zero iff v is a member."""
-        v = list(v)
-        f = self.field
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != f.zero:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
-
-    def contains(self, v) -> bool:
-        return all(x == self.field.zero for x in self.reduce(v))
-
-    def quotient_coords(self, v):
-        """Coordinates of v + W in the complement spanned by non-pivot axes."""
-        red = self.reduce(v)
-        return [red[j] for j in range(self.n) if j not in set(self.pivots)]
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.n - self.dim
-
-
-def span_rank(vectors, field: Field) -> int:
-    if not vectors:
-        return 0
-    return rank(vectors, field)
-
-
-def express_in_basis(v, basis_rows, field: Field):
-    """Coefficients c with sum(c_i * basis_rows[i]) == v, or None."""
-    if not basis_rows:
-        return [] if all(x == field.zero for x in v) else None
-    return solve_row(v, basis_rows, field)
-
-
-class BasisExpander:
-    """Repeated coordinate computations against one fixed row basis."""
-
-    def __init__(self, basis_rows, field: Field):
-        self.field = field
-        self.k = len(basis_rows)
-        self.n = len(basis_rows[0]) if basis_rows else 0
-        # row-reduce [B | I] so each reduced row remembers its recipe
-        aug = [list(row) + [field.one if i == j else field.zero
-                            for j in range(self.k)]
-               for i, row in enumerate(basis_rows)]
-        self.reduced, pivots = rref(aug, field)
-        self.pivots = [p for p in pivots if p < self.n]
-        if len(self.reduced) != self.k:
-            raise ValueError("basis rows are dependent")
-
-    def coords(self, v):
-        """Coefficients over the basis, or None if v lies outside the span."""
-        f = self.field
-        v = list(v)
-        out = [f.zero] * self.k
-        for row, p in zip(self.reduced, self.pivots):
-            c = v[p]
-            if c == f.zero:
-                continue
-            for j in range(self.n):
-                v[j] = f.sub(v[j], f.mul(c, row[j]))
-            for j in range(self.k):
-                out[j] = f.add(out[j], f.mul(c, row[self.n + j]))
-        if any(x != f.zero for x in v):
-            return None
-        return out
+    ech = Echelon(field)
+    return all(ech.add(sparse(row)) for row in a)

@@ -2,8 +2,8 @@
 
 Representations assign a dimension to each vertex and a matrix to each
 arrow; row vectors at the source map to row vectors at the target, so
-x . mat is the action.  Everything here is plain Gaussian elimination
-over the exact field; dimensions stay at desk scale.
+x . mat is the action.  All elimination runs on ``linalg.Echelon`` over
+the exact field; dimensions stay at desk scale.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg as la
-from .core import (AlgebraTable, EqualityRelation, SocleDeformation,
-                   ZeroRelation, build_table, opposite_presentation)
-from .linalg import RowSpace
-
-
-class NotSelfinjective(Exception):
-    pass
+from .checks import NotSelfinjective
+from .core import (NOT_COMPUTED, AlgebraTable, EqualityRelation,
+                   SocleDeformation, ZeroRelation, build_table,
+                   opposite_presentation)
 
 
 class ModuleRep:
@@ -149,9 +146,7 @@ def direct_sum(*reps: ModuleRep) -> ModuleRep:
 
 def projective(table: AlgebraTable, vertex: str) -> ModuleRep:
     """The right regular summand e_v A with its path basis (cached)."""
-    cache = getattr(table, "_projective_cache", None)
-    if cache is None:
-        cache = table._projective_cache = {}
+    cache = table._projective_cache
     if vertex in cache:
         return cache[vertex]
     fiber = table.by_source[vertex]
@@ -232,25 +227,23 @@ def sub_rep(N: ModuleRep, rows_per_vertex: dict):
     """
     table = N.table
     f = N.field
-    bases = {v: RowSpace(rows_per_vertex.get(v, []), N.dims[v], f).rows
-             for v in table.quiver.vertices}
+    spaces = {v: la.Echelon(f, rows_per_vertex.get(v, []))
+              for v in table.quiver.vertices}
+    # the reduced rows are the basis, so a member's coordinates are its
+    # entries at the pivots
+    bases = {v: [la.dense(space.rows[p], N.dims[v]) for p in space.pivots]
+             for v, space in spaces.items()}
     dims = {v: len(bases[v]) for v in bases}
-    expanders = {v: la.BasisExpander(bases[v], f) if bases[v] else None
-                 for v in bases}
     mats = {}
     for a in table.quiver.arrows:
+        target = spaces[a.target]
+        pivots = target.pivots
         m = []
         for row in bases[a.source]:
-            img = la.row_vec_mul(row, N.mats[a.name], f) if N.dims[a.target] else []
-            if expanders[a.target] is None:
-                coords = [] if all(x == f.zero for x in img) else None
-            else:
-                coords = expanders[a.target].coords(img)
-            if coords is None:
+            img = la.row_vec_mul(row, N.mats[a.name], f, cols=N.dims[a.target])
+            if target.reduce(la.sparse(img)):
                 raise ValueError("rows do not span a submodule")
-            m.append(coords)
-        if not bases[a.source]:
-            m = la.zeros(0, dims[a.target], f)
+            m.append([img[p] for p in pivots])
         mats[a.name] = m
     inclusion_blocks = {v: [list(r) for r in bases[v]] for v in bases}
     S = ModuleRep(table, dims, mats)
@@ -261,31 +254,25 @@ def quotient_rep(N: ModuleRep, rows_per_vertex: dict):
     """Quotient of N by the submodule spanned by the given rows."""
     table = N.table
     f = N.field
-    spaces = {v: RowSpace(rows_per_vertex.get(v, []), N.dims[v], f)
+    spaces = {v: la.Echelon(f, rows_per_vertex.get(v, []))
               for v in table.quiver.vertices}
-    dims = {v: spaces[v].quotient_dim for v in spaces}
-    reps = {}
-    for v in table.quiver.vertices:
-        pivots = set(spaces[v].pivots)
-        reps[v] = [j for j in range(N.dims[v]) if j not in pivots]
+    # the non-pivot axes span a complement of the submodule
+    reps = {v: [j for j in range(N.dims[v]) if j not in spaces[v].rows]
+            for v in table.quiver.vertices}
+    dims = {v: len(reps[v]) for v in reps}
+
+    def coords(v, row):
+        """Coordinates of row + W_v over the complement's axes."""
+        res = spaces[v].reduce(row)
+        return [res.get(j, 0) for j in reps[v]]
+
     mats = {}
     for a in table.quiver.arrows:
-        m = []
-        for j in reps[a.source]:
-            unit = [f.zero] * N.dims[a.source]
-            unit[j] = f.one
-            img = la.row_vec_mul(unit, N.mats[a.name], f) if N.dims[a.target] else []
-            m.append(spaces[a.target].quotient_coords(img))
-        mats[a.name] = m
+        mats[a.name] = [coords(a.target, la.sparse(N.mats[a.name][j]))
+                        for j in reps[a.source]]
     Q = ModuleRep(table, dims, mats)
-    proj_blocks = {}
-    for v in table.quiver.vertices:
-        block = []
-        for i in range(N.dims[v]):
-            unit = [f.zero] * N.dims[v]
-            unit[i] = f.one
-            block.append(spaces[v].quotient_coords(unit))
-        proj_blocks[v] = block
+    proj_blocks = {v: [coords(v, {i: 1}) for i in range(N.dims[v])]
+                   for v in table.quiver.vertices}
     return Q, RepMap(N, Q, proj_blocks)
 
 
@@ -324,7 +311,7 @@ def radical_rows(M: ModuleRep) -> dict:
 def top_dims(M: ModuleRep) -> dict:
     f = M.field
     rows = radical_rows(M)
-    return {v: M.dims[v] - RowSpace(rows[v], M.dims[v], f).dim
+    return {v: M.dims[v] - la.Echelon(f, rows[v]).rank
             for v in M.table.quiver.vertices}
 
 
@@ -356,8 +343,7 @@ def projective_cover(table: AlgebraTable, M: ModuleRep):
     rad = radical_rows(M)
     summands = []   # (vertex, representative row in M_v)
     for v in table.quiver.vertices:
-        space = RowSpace(rad[v], M.dims[v], f)
-        pivots = set(space.pivots)
+        pivots = la.Echelon(f, rad[v]).rows
         for j in range(M.dims[v]):
             if j not in pivots:
                 unit = [f.zero] * M.dims[v]
@@ -402,12 +388,10 @@ def projective_cover(table: AlgebraTable, M: ModuleRep):
 
 
 def opposite_table(table: AlgebraTable) -> AlgebraTable:
-    cached = getattr(table, "_op_table", None)
-    if cached is None:
-        cached = build_table(opposite_presentation(table.pres))
-        table._op_table = cached
-        cached._op_table = table
-    return cached
+    if table._op_table is None:
+        table._op_table = build_table(opposite_presentation(table.pres))
+        table._op_table._op_table = table
+    return table._op_table
 
 
 def dual_rep(table_op: AlgebraTable, M: ModuleRep) -> ModuleRep:
@@ -463,14 +447,14 @@ def _fast_hom_to_projective(table: AlgebraTable, M: ModuleRep, vertex: str, proj
     cols_by_w = {w: [] for w in table.quiver.vertices}
     for i in table.by_target[vertex]:
         cols_by_w[table.basis[i].source].append(i)
-    gram_inv_t = {}
+    gram_inv = {}
     for w in table.quiver.vertices:
         rows = fiber_rows[w]
         cols = cols_by_w[w]
         if len(rows) != len(cols):
             return None
         if not rows:
-            gram_inv_t[w] = []
+            gram_inv[w] = []
             continue
         g = [[f.zero] * len(cols) for _ in rows]
         for ri, x in enumerate(rows):
@@ -481,9 +465,9 @@ def _fast_hom_to_projective(table: AlgebraTable, M: ModuleRep, vertex: str, proj
                     if p is not None:
                         val = f.add(val, f.mul(c, p))
                 g[ri][ci] = val
-        if not la.is_invertible(g, f):
+        gram_inv[w] = la.inverse(g, f)
+        if gram_inv[w] is None:
             return None
-        gram_inv_t[w] = g
     maps = []
     mv = M.dims[vertex]
     # cache action matrices M(b) for b ending at v
@@ -493,28 +477,14 @@ def _fast_hom_to_projective(table: AlgebraTable, M: ModuleRep, vertex: str, proj
             action[b] = M.path_matrix(table.basis[b].arrows, w)
     for r in range(mv):
         blocks = {}
-        ok = True
         for w in table.quiver.vertices:
-            rows = fiber_rows[w]
-            cols = cols_by_w[w]
-            block = la.zeros(M.dims[w], len(rows), f)
-            for i in range(M.dims[w]):
-                rhs = []
-                for b in cols:
-                    mat = action[b]
-                    val = mat[i][r] if mat and mat[0] else f.zero
-                    rhs.append(val)
-                if rows:
-                    coeffs = la.solve_row(rhs, gram_inv_t[w], f)
-                    if coeffs is None:
-                        ok = False
-                        break
-                    block[i] = coeffs
-            if not ok:
-                break
+            block = la.zeros(M.dims[w], len(fiber_rows[w]), f)
+            if fiber_rows[w]:
+                for i in range(M.dims[w]):
+                    # the coefficients x solve x . g = rhs, so x = rhs . g^-1
+                    rhs = [action[b][i][r] for b in cols_by_w[w]]
+                    block[i] = la.row_vec_mul(rhs, gram_inv[w], f)
             blocks[w] = block
-        if not ok:
-            return None
         maps.append(RepMap(M, proj, blocks))
     return maps
 
@@ -525,7 +495,7 @@ def _factoring_maps(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
     P, cover, _, _ = projective_cover(table, N)
     if P.total_dim == 0:
         return []
-    if not hasattr(table, "_frobenius"):
+    if table._frobenius is NOT_COMPUTED:
         table._frobenius = frobenius_form(table)
     # rebuild the summand list exactly as projective_cover chose it
     tops = top_dims(N)
@@ -577,15 +547,11 @@ def stable_hom_dim(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> int:
 
 def stable_class_is_zero(table: AlgebraTable, fmap: RepMap) -> bool:
     """Does a hom vanish in the stable category?"""
-    vec = fmap.flatten()
-    f = table.field
-    if all(x == f.zero for x in vec):
+    vec = la.sparse(fmap.flatten())
+    if not vec:
         return True
     factoring = [g.flatten() for g in _factoring_maps(table, fmap.source, fmap.target)]
-    factoring = [v for v in factoring if any(x != f.zero for x in v)]
-    if not factoring:
-        return False
-    return la.express_in_basis(vec, factoring, f) is not None
+    return not la.Echelon(table.field, factoring).reduce(vec)
 
 
 def is_isomorphic(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> bool:

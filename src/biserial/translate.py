@@ -35,13 +35,12 @@ class LocalNakayamaExcluded(Exception):
 
 
 def require_selfinjective_sb(table: AlgebraTable):
-    cached = getattr(table, "_sb_selfinjective", None)
-    if cached is None:
+    if table._sb_selfinjective is None:
         report = check_special_biserial(table.pres, table)
         verdict = check_selfinjective_symmetric(table).verdict
-        cached = report.is_special_biserial and verdict != "not-selfinjective"
-        table._sb_selfinjective = cached
-    if not cached:
+        table._sb_selfinjective = (report.is_special_biserial
+                                   and verdict != "not-selfinjective")
+    if not table._sb_selfinjective:
         raise NotSelfinjectiveSB("operation requires a selfinjective special biserial table")
 
 
@@ -86,17 +85,15 @@ def rad_word(table: AlgebraTable, vertex: str) -> StringWord:
 
 
 def _landmarks(table: AlgebraTable):
-    cached = getattr(table, "_landmark_words", None)
-    if cached is None:
+    if table._landmark_words is None:
         q = table.quiver
         quotients = {}
         rads = {}
         for v in q.vertices:
             quotients[word_key(q, canonical_form(q, proj_quotient_word(table, v)))] = v
             rads[word_key(q, canonical_form(q, rad_word(table, v)))] = v
-        cached = (quotients, rads)
-        table._landmark_words = cached
-    return cached
+        table._landmark_words = (quotients, rads)
+    return table._landmark_words
 
 
 def as_proj_quotient(table: AlgebraTable, word: StringWord):

@@ -141,3 +141,13 @@ def test_sweep_small(capsys, algs):
     assert code == 0
     assert "FAIL" not in out
     assert "all_pass: True" in out
+
+
+@pytest.mark.parametrize("command", [["strings"], ["bricks", "--set", "@1"],
+                                     ["sweep"]])
+def test_negative_max_len_is_a_usage_error(capsys, algs, command):
+    argv = ["--json", command[0], algs["n2"], *command[1:], "--max-len", "-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-len: must be nonnegative, got -3" in captured.err

@@ -1,5 +1,8 @@
+import pytest
+
+from biserial.checks import NotSelfinjective
 from biserial.core import build_table
-from biserial.instances import alg_l2, alg_n2, loop_algebra
+from biserial.instances import alg_a3z, alg_l2, alg_n2, loop_algebra
 from biserial.reps import (cokernel_of_map, cosyzygy, decompose_rad_mod_soc,
                            direct_sum, hom, injective_hull, is_isomorphic,
                            kernel_of_map, projective, projective_cover,
@@ -75,6 +78,13 @@ def test_injective_hull_and_cosyzygy():
     S1 = string_module(t, StringWord.trivial("1"))
     assert is_isomorphic(t, cosyzygy(t, syzygy(t, S1)), S1)
     assert cosyzygy(t, projective(t, "1")).is_zero()
+
+
+def test_injective_hull_needs_selfinjective_table():
+    # the class the CLI reports as a domain error (exit 1)
+    t = build_table(alg_a3z())
+    with pytest.raises(NotSelfinjective):
+        injective_hull(t, string_module(t, StringWord.trivial("1")))
 
 
 def test_stable_hom_examples():

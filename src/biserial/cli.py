@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import bricks as bricks_mod
 from . import nodes as nodes_mod
@@ -21,7 +22,7 @@ from .core import (AlgebraPresentation, PresentationError, build_table,
 from .normalizer import (NormalizedOutput, build_from_standard_data, normalize)
 from .presentations import (ParseError, format_presentation,
                             load_presentation)
-from .reps import hom, projective, stable_hom_dim
+from .reps import Undecided, hom, projective, stable_hom_dim
 from .strings import (Letter, StringError, StringWord, enumerate_strings,
                       string_module, validate_string)
 from .translate import (BandInput, LocalNakayamaExcluded, NotSelfinjectiveSB,
@@ -263,28 +264,21 @@ def cmd_normalize(args) -> dict:
 
 def cmd_ssb(args) -> dict:
     pres = _load(args.quiver)
-    pi = {}
-    for tok in args.pi.split(","):
-        if ">" not in tok:
-            raise CliError(f"bad pi entry {tok!r}; expected 'a>b'")
-        a, b = tok.split(">", 1)
-        pi[a.strip()] = b.strip()
+    pi = dict(args.pi)
     mult = {}
     names = set(pres.quiver.arrow_by_name)
-    for tok in args.mult.split(","):
-        if ":" not in tok:
-            raise CliError(f"bad multiplicity entry {tok!r}; expected 'a b:1'")
-        cyc, m = tok.rsplit(":", 1)
+    for cyc, m in args.mult:
         arrows = tuple(cyc.split())
         if len(arrows) == 1 and arrows[0] not in names \
                 and all(ch in names for ch in arrows[0]):
             arrows = tuple(arrows[0])  # compact form for one-letter arrows
-        mult[arrows] = int(m)
+        mult[arrows] = m
     deformations = []
-    if args.deform:
-        for tok in args.deform.split(","):
-            a, c = tok.split(":", 1)
-            deformations.append((a.strip(), pres.field.of(c.strip())))
+    for a, c in args.deform:
+        try:
+            deformations.append((a, pres.field.of(c)))
+        except ZeroDivisionError as exc:
+            raise CliError(f"deformation scalar of {a!r}: {exc}")
     built = build_from_standard_data(pres.quiver, pi, mult, deformations,
                                      pres.field)
     table = build_table(built)
@@ -325,6 +319,37 @@ def string_length(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+def _entries(text: str, sep: str, example: str, parse, what: str) -> list:
+    """Comma-separated 'name<sep>value' entries, each value read by parse."""
+    out = []
+    for tok in text.split(","):
+        name, found, value = tok.rpartition(sep)
+        if not found:
+            raise argparse.ArgumentTypeError(
+                f"expected entries like {example!r}, got {tok!r}")
+        try:
+            out.append((name.strip(), parse(value.strip())))
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {value.strip()!r} in {tok!r}")
+    return out
+
+
+def pi_entries(text: str) -> list:
+    """A --pi value: 'a>b' entries."""
+    return _entries(text, ">", "a>b", str, "an arrow")
+
+
+def mult_entries(text: str) -> list:
+    """A --mult value: 'cycle:m' entries with an integer multiplicity m."""
+    return _entries(text, ":", "a b:1", int, "an integer multiplicity")
+
+
+def deform_entries(text: str) -> list:
+    """A --deform value: 'arrow:c' entries with a scalar c (n or n/d)."""
+    return _entries(text, ":", "a:1", Fraction, "a scalar n or n/d")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ssb", help="build a standard algebra from (Q, pi, m)")
     p.add_argument("--quiver", required=True,
                    help="presentation file providing field and quiver")
-    p.add_argument("--pi", required=True, help="e.g. 'a>b,b>a'")
-    p.add_argument("--mult", required=True, help="e.g. 'a b:1'")
-    p.add_argument("--deform", help="e.g. 'a:1'")
+    p.add_argument("--pi", required=True, type=pi_entries, help="e.g. 'a>b,b>a'")
+    p.add_argument("--mult", required=True, type=mult_entries, help="e.g. 'a b:1'")
+    p.add_argument("--deform", type=deform_entries, default=[], help="e.g. 'a:1'")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_ssb)
 
@@ -406,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 DOMAIN_ERRORS = (PresentationError, ParseError, StringError, CliError,
                  NotSelfinjective, NotSelfinjectiveSB, BandInput,
-                 LocalNakayamaExcluded)
+                 LocalNakayamaExcluded, Undecided)
 
 
 def main(argv=None) -> int:

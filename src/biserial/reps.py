@@ -4,11 +4,20 @@ Representations assign a dimension to each vertex and a matrix to each
 arrow; row vectors at the source map to row vectors at the target, so
 x . mat is the action.  All elimination runs on ``linalg.Echelon`` over
 the exact field; dimensions stay at desk scale.
+
+Isomorphism verdicts are never guesses.  ``find_isomorphism`` returns a
+witness (a hom checked invertible at every vertex), or None only with a
+proof of non-isomorphism, and raises ``Undecided`` otherwise.  The
+proofs are: different dimension vectors; Hom(M, N) = 0; a one-dimensional
+Hom(M, N) spanned by a singular map; dim Hom(M, N), dim End M, dim End N
+and dim Hom(N, M) not all equal; or an identity outside the span of the
+composites M -> N -> M (or N -> M -> N), so that M is not a summand of a
+sum of copies of N (or N of M).  ``is_isomorphic`` is its yes/no form.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass
 
 from . import linalg as la
@@ -554,106 +563,146 @@ def stable_class_is_zero(table: AlgebraTable, fmap: RepMap) -> bool:
     return not la.Echelon(table.field, factoring).reduce(vec)
 
 
-def is_isomorphic(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> bool:
-    """Exact isomorphism test via deterministic combinations of a hom basis."""
+# random combinations of a Hom(M, N) basis tried after the basis maps
+ISO_TRIALS = 64
+
+
+class Undecided(Exception):
+    """Neither an isomorphism nor a proof of non-isomorphism was found."""
+
+
+def _invertible_combination(maps, coeffs):
+    """sum(c * g) over the maps if it is invertible at every vertex, else None.
+
+    Blocks are built and tested one vertex at a time, so a singular vertex
+    stops the work early.
+    """
+    M, N = maps[0].source, maps[0].target
+    f = M.field
+    add, mul = f.add, f.mul
+    terms = [(c, g) for c, g in zip(coeffs, maps) if c]
+    blocks = {}
+    for v in M.table.quiver.vertices:
+        block = la.zeros(M.dims[v], N.dims[v], f)
+        for c, g in terms:
+            for row, grow in zip(block, g.blocks[v]):
+                for j, x in enumerate(grow):
+                    if x:
+                        row[j] = add(row[j], mul(c, x))
+        if M.dims[v] and not la.is_invertible(block, f):
+            return None
+        blocks[v] = block
+    return RepMap(M, N, blocks)
+
+
+def _identity_in_span(out, back) -> bool:
+    """Whether id_X is a combination of the composites X -> Y -> X.
+
+    out and back are bases of Hom(X, Y) and Hom(Y, X), and dim End X is
+    len(out).
+    """
+    X = out[0].source
+    f = X.field
+    span = la.Echelon(f)
+    for g in out:
+        for h in back:
+            span.add(la.sparse(g.compose(h).flatten()))
+        if span.rank == len(out):
+            return True      # the composites span End X
+    identity = RepMap(X, X, {v: la.identity(n, f) for v, n in X.dims.items()})
+    return not span.reduce(la.sparse(identity.flatten()))
+
+
+def find_isomorphism(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
+    """An isomorphism M -> N, None if provably none exists, else Undecided.
+
+    The basis maps of Hom(M, N) are tried first, then ISO_TRIALS random
+    combinations drawn from a generator seeded afresh on every call:
+    uniform coefficients over F_p, and integers from a range wider than
+    8 * dim M over Q, where the determinant of a combination is a nonzero
+    polynomial of degree dim M when M ~ N, so by Schwartz-Zippel one trial
+    misses with probability at most 1/8.  Over a small field a module with
+    many summands can defeat every trial (over F_2 a trial succeeds with
+    probability 2^-s on s pairwise non-isomorphic summands); when no proof
+    of non-isomorphism applies, Undecided is raised.
+    """
     if M.dim_vector() != N.dim_vector():
-        return False
+        return None
+    vertices = table.quiver.vertices
     if M.total_dim == 0:
-        return True
+        return RepMap(M, N, {v: [] for v in vertices})
     maps = hom(table, M, N)
     if not maps:
-        return False
+        return None
     f = table.field
-
-    def invertible(fmap):
-        return all(la.is_invertible(fmap.blocks[v], f)
-                   for v in table.quiver.vertices if M.dims[v])
-
-    for fmap in maps:
-        if invertible(fmap):
-            return True
+    for g in maps:
+        if all(la.is_invertible(g.blocks[v], f) for v in vertices if M.dims[v]):
+            return g
     r = len(maps)
     if r == 1:
-        return False
-    bound = min(M.total_dim + 2, 8) if f.char == 0 else f.char
-    values = [f.of(v) for v in range(bound)]
-    attempts = 0
-    for combo in itertools.product(values, repeat=r):
-        attempts += 1
-        if attempts > 6000:
-            break
-        if all(c == f.zero for c in combo):
-            continue
-        blocks = {v: la.zeros(M.dims[v], N.dims[v], f) for v in table.quiver.vertices}
-        for c, fmap in zip(combo, maps):
-            if c == f.zero:
-                continue
-            for v in table.quiver.vertices:
-                for i in range(M.dims[v]):
-                    for j in range(N.dims[v]):
-                        blocks[v][i][j] = f.add(blocks[v][i][j], f.mul(c, fmap.blocks[v][i][j]))
-        if all(la.is_invertible(blocks[v], f) for v in table.quiver.vertices if M.dims[v]):
-            return True
-    return False
+        return None          # every map M -> N is a multiple of a singular one
+    rng = random.Random(0)
+    lo, hi = (0, f.char - 1) if f.char else (-4 * M.total_dim, 4 * M.total_dim)
+    for _ in range(ISO_TRIALS):
+        witness = _invertible_combination(maps, [rng.randint(lo, hi) for _ in maps])
+        if witness is not None:
+            return witness
+    # an isomorphism makes the four hom spaces isomorphic, and puts both
+    # identities in the span of the composites through the other module
+    back = hom(table, N, M)
+    if len(back) != r or any(len(hom(table, X, X)) != r for X in (M, N)):
+        return None
+    if not (_identity_in_span(maps, back) and _identity_in_span(back, maps)):
+        return None
+    raise Undecided(f"no isomorphism among the {r} basis maps and {ISO_TRIALS} "
+                    f"random combinations of Hom(M, N), and no invariant "
+                    f"separates the modules (dimension vector {M.dims})")
 
 
-def _split_one_projective(table: AlgebraTable, C: ModuleRep):
-    """Find a split projective summand; return the complement or None.
-
-    A summand P_v splits off iff some basis pair u: P_v -> C, p: C -> P_v
-    has invertible composite (the unit parts pair bilinearly, so basis
-    pairs suffice over a local endomorphism ring).
-    """
-    f = table.field
-    for v in table.quiver.vertices:
-        P = projective(table, v)
-        if P.total_dim > C.total_dim:
-            continue
-        ups = hom(table, P, C)
-        downs = hom(table, C, P)
-        for u in ups:
-            for p in downs:
-                phi = u.compose(p)
-                if all(la.is_invertible(phi.blocks[w], f)
-                       for w in table.quiver.vertices if P.dims[w]):
-                    inv_blocks = {w: la.inverse(phi.blocks[w], f) or []
-                                  for w in table.quiver.vertices}
-                    phi_inv = RepMap(P, P, inv_blocks)
-                    e = p.compose(phi_inv).compose(u)   # idempotent on C
-                    rows = {}
-                    for w in table.quiver.vertices:
-                        ident = la.identity(C.dims[w], f)
-                        rows[w] = [[f.sub(x, y) for x, y in zip(ri, re)]
-                                   for ri, re in zip(ident, e.blocks[w])]
-                    complement, _ = sub_rep(C, rows)
-                    return complement, v
-    return None
+def is_isomorphic(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> bool:
+    """Whether M ~ N; raises Undecided as find_isomorphism does."""
+    return find_isomorphism(table, M, N) is not None
 
 
 def strip_projectives(table: AlgebraTable, C: ModuleRep):
-    """Split off projective direct summands; return (reduced, vertices)."""
-    stripped = []
-    current = C
-    while True:
-        hit = _split_one_projective(table, current)
-        if hit is None:
-            return current, stripped
-        current, v = hit
-        stripped.append(v)
+    """Split off every projective summand in one step; return (reduced, vertices).
+
+    Hom(P_v, C) ~ C_v, and a composite P_v -> C -> P_v is invertible iff
+    its coefficient at e_v is nonzero (e_v A e_v is local with residue
+    field k).  So the multiplicity of P_v in C is the rank of the pairing
+    C_v x Hom(C, P_v) -> k, x, g |-> coefficient of e_v in g(x), and the
+    Hom(C, P_v) basis maps with independent pairing columns, stacked over
+    all vertices, give G: C -> (+) P_v^{m_v} whose composite with the
+    matching maps out of the projectives is invertible modulo the radical.
+    G is then a split epimorphism, and ker G is the projective-free
+    complement.
+    """
+    f = table.field
+    chosen, stripped = [], []
+    for v in table.quiver.vertices:
+        P = projective(table, v)
+        if not C.dims[v] or P.total_dim > C.total_dim:
+            continue
+        top = next(t for t, i in enumerate(P.projective_basis[v])
+                   if not table.basis[i].length)
+        pairing = la.Echelon(f)
+        for g in hom(table, C, P):
+            column = {i: row[top] for i, row in enumerate(g.blocks[v]) if row[top]}
+            if pairing.add(column):
+                chosen.append(g)
+                stripped.append(v)
+    if not chosen:
+        return C, []
+    reduced, _ = kernel_of_map(stack_maps(*chosen))
+    return reduced, stripped
 
 
-def stack_maps(f1: RepMap, f2: RepMap) -> RepMap:
-    """(f1, f2): M -> N1 (+) N2 from maps with a common source."""
-    M = f1.source
-    T = direct_sum(f1.target, f2.target)
-    f = M.field
-    blocks = {}
-    for v in M.table.quiver.vertices:
-        b = la.zeros(M.dims[v], T.dims[v], f)
-        for i in range(M.dims[v]):
-            b[i] = list(f1.blocks[v][i]) + list(f2.blocks[v][i])
-        blocks[v] = b
-    return RepMap(M, T, blocks)
+def stack_maps(*maps: RepMap) -> RepMap:
+    """(f1, ..., fn): M -> N1 (+) ... (+) Nn from maps with a common source."""
+    M = maps[0].source
+    blocks = {v: [[x for m in maps for x in m.blocks[v][i]] for i in range(n)]
+              for v, n in M.dims.items()}
+    return RepMap(M, direct_sum(*[m.target for m in maps]), blocks)
 
 
 def vstack_maps(maps, target: ModuleRep) -> RepMap:

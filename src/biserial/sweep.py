@@ -50,19 +50,34 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
 
     words = enumerate_strings(table, max_len)
     record("strings-enumerated", True, f"{len(words)} up to length {max_len}")
-    record("canonical-idempotent",
-           all(canonical_form(q, canonical_form(q, w)) == canonical_form(q, w)
-               and words_equal(q, w, reverse_word(w)) for w in words))
-    dims_ok = True
-    rev_ok = True
-    for w in words:
-        M = string_module_fn(table, w)
-        if M.total_dim != w.length + 1:
-            dims_ok = False
-        if not is_isomorphic(table, M, string_module_fn(table, reverse_word(w))):
-            rev_ok = False
-    record("string-dimension", dims_ok)
-    record("string-reverse-isomorphism", rev_ok)
+
+    def check_words(name, holds, listed=True):
+        """Record whether holds(w) for every word.
+
+        An exception fails only its word and is reported with it, so an
+        Undecided oracle verdict or a bug cannot abort the sweep.  Listed
+        checks report every failing word; the others only the exceptions.
+        """
+        bad, errors = [], []
+        for w in words:
+            try:
+                if not holds(w):
+                    bad.append(str(w))
+            except Exception as exc:
+                errors.append(f"{w}: {exc!r}")
+        record(name, not bad and not errors,
+               bad + errors if listed else "; ".join(errors))
+
+    check_words("canonical-idempotent",
+                lambda w: canonical_form(q, canonical_form(q, w)) == canonical_form(q, w)
+                and words_equal(q, w, reverse_word(w)), listed=False)
+    check_words("string-dimension",
+                lambda w: string_module_fn(table, w).total_dim == w.length + 1,
+                listed=False)
+    check_words("string-reverse-isomorphism",
+                lambda w: is_isomorphic(table, string_module_fn(table, w),
+                                        string_module_fn(table, reverse_word(w))),
+                listed=False)
 
     selfinj_sb = (report.is_special_biserial
                   and sym.verdict != "not-selfinjective")
@@ -75,39 +90,32 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
     if selfinj_sb and not is_local_nakayama(table) and q.is_connected():
         per = check_tau_period_one_exclusions(table)
         record("tau-period-exclusions", per["all_pass"])
-        rt = all(words_equal(q, tau_inv(table, tau(table, w)), canonical_form(q, w))
-                 for w in words)
-        record("tau-roundtrip", rt)
+        check_words("tau-roundtrip",
+                    lambda w: words_equal(q, tau_inv(table, tau(table, w)),
+                                          canonical_form(q, w)), listed=False)
         if sym.verdict == "symmetric":
-            bad = []
-            for w in words:
+            def tau_is_syzygy_squared(w):
                 M = string_module_fn(table, w)
                 O2 = syzygy(table, syzygy(table, M))
-                if not is_isomorphic(table, string_module_fn(table, tau(table, w)), O2):
-                    bad.append(str(w))
-            record("tau-syzygy-oracle", not bad, bad)
+                return is_isomorphic(table, string_module_fn(table, tau(table, w)), O2)
+            check_words("tau-syzygy-oracle", tau_is_syzygy_squared)
         else:
             skip("tau-syzygy-oracle", "table not symmetric")
-        ar_bad = []
-        for w in words:
+
+        def ar_exact(w):
             seq, g = ar_right_map(table, w)
             K, _ = kernel_of_map(g)
-            if not (g.is_surjective()
-                    and is_isomorphic(table, K,
-                                      string_module_fn(table, tau(table, w)))):
-                ar_bad.append(str(w))
-        record("ar-sequence-exactness", not ar_bad, ar_bad)
-        cone_bad = []
-        for w in words:
+            return g.is_surjective() and is_isomorphic(
+                table, K, string_module_fn(table, tau(table, w)))
+        check_words("ar-sequence-exactness", ar_exact)
+
+        def cone_matches(w):
             cm = canonical_map_to_tau_inv(table, w)
             cone = cone_of_canonical_map(table, w)
-            cone_rep = mapping_cone_rep(table, cm.rep_map)
-            reduced, _ = strip_projectives(table, cone_rep)
-            expected = direct_sum(*[string_module_fn(table, s)
-                                    for s in cone.summands])
-            if not is_isomorphic(table, reduced, expected):
-                cone_bad.append(str(w))
-        record("cone-oracle", not cone_bad, cone_bad)
+            reduced, _ = strip_projectives(table, mapping_cone_rep(table, cm.rep_map))
+            expected = direct_sum(*[string_module_fn(table, s) for s in cone.summands])
+            return is_isomorphic(table, reduced, expected)
+        check_words("cone-oracle", cone_matches)
 
         simples = [canonical_form(q, w) for w in words if w.is_trivial()]
         sys_ok, violation = check_orthogonal_system(table, simples)

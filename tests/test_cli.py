@@ -151,3 +151,53 @@ def test_negative_max_len_is_a_usage_error(capsys, algs, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-len: must be nonnegative, got -3" in captured.err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--deform", "a", "argument --deform: expected entries like 'a:1', got 'a'"),
+    ("--mult", "a b:x", "argument --mult: expected an integer multiplicity, got 'x'"),
+    ("--deform", "a:zz", "argument --deform: expected a scalar n or n/d, got 'zz'"),
+])
+def test_malformed_ssb_option_is_a_usage_error(capsys, algs, option, value, message):
+    options = {"--pi": "a>b,b>a", "--mult": "a b:1", option: value}
+    argv = ["--json", "ssb", "--quiver", algs["l2"]]
+    for name, text in options.items():
+        argv += [name, text]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_undecided_oracle_fails_one_sweep_check(capsys, algs, monkeypatch):
+    from biserial.reps import Undecided
+
+    def undecided(*args):
+        raise Undecided("no witness and no proof")
+
+    code, out = run(capsys, "--json", "sweep", algs["l2"], "--max-len", "3")
+    assert code == 0
+    checks = [r["check"] for r in json.loads(out)["results"]]
+    monkeypatch.setattr("biserial.sweep.is_isomorphic", undecided)
+    code, out = run(capsys, "--json", "sweep", algs["l2"], "--max-len", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert not payload["all_pass"]
+    assert [r["check"] for r in payload["results"]] == checks
+    result = {r["check"]: r for r in payload["results"]}
+    rev = result["string-reverse-isomorphism"]
+    assert not rev["pass"]
+    assert "@1: Undecided('no witness and no proof')" in rev["detail"]
+    assert not result["cone-oracle"]["pass"]
+    assert result["tau-roundtrip"]["pass"]
+
+
+def test_undecided_oracle_is_a_domain_error(capsys, algs, monkeypatch):
+    from biserial.reps import Undecided
+
+    def undecided(*args):
+        raise Undecided("no witness and no proof")
+
+    monkeypatch.setattr("biserial.bricks.check_orthogonal_system", undecided)
+    assert main(["bricks", algs["n2"], "--set", "@1,@2"]) == 1
+    assert "error: no witness and no proof" in capsys.readouterr().err

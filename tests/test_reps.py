@@ -1,13 +1,25 @@
+import itertools
+import random
+
 import pytest
 
+import biserial.linalg as la
 from biserial.checks import NotSelfinjective
 from biserial.core import build_table
-from biserial.instances import alg_a3z, alg_l2, alg_n2, loop_algebra
-from biserial.reps import (cokernel_of_map, cosyzygy, decompose_rad_mod_soc,
-                           direct_sum, hom, injective_hull, is_isomorphic,
-                           kernel_of_map, projective, projective_cover,
-                           stable_hom_dim, strip_projectives, syzygy)
-from biserial.strings import Letter, StringWord, string_module
+from biserial.fields import Field
+from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra,
+                                random_standard_data)
+from biserial.normalizer import build_from_standard_data
+from biserial.reps import (ModuleRep, Undecided, cokernel_of_map, cosyzygy,
+                           decompose_rad_mod_soc, direct_sum, find_isomorphism,
+                           hom, injective_hull, is_isomorphic, kernel_of_map,
+                           projective, projective_cover, stable_hom_dim,
+                           strip_projectives, syzygy)
+from biserial.strings import Letter, StringWord, enumerate_strings, string_module
+from biserial.sweep import run_sweep
+
+FIELDS = [Field(0), Field(2), Field(3), Field(5)]
+FIXTURES = {"n2": alg_n2, "l2d": alg_l2d, "a3z": alg_a3z}
 
 
 def word(*toks):
@@ -167,3 +179,92 @@ def test_kernel_cokernel_roundtrip():
     assert is_isomorphic(t, Q, string_module(t, word("b")))
     K2, _ = kernel_of_map(cover)
     assert is_isomorphic(t, K2, K)
+
+
+def change_of_basis(M: ModuleRep, rng: random.Random) -> ModuleRep:
+    """M with every vertex space in a seeded random basis: N_a = T_s M_a T_t^-1."""
+    f = M.field
+    T = {}
+    for v, n in M.dims.items():
+        while True:
+            m = [[f.of(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
+            if la.is_invertible(m, f):
+                T[v] = m
+                break
+    mats = {}
+    for a in M.table.quiver.arrows:
+        cols = M.dims[a.target]
+        moved = la.mat_mul(T[a.source], M.mats[a.name], f, cols=cols)
+        mats[a.name] = la.mat_mul(moved, la.inverse(T[a.target], f), f, cols=cols)
+    return ModuleRep(M.table, M.dims, mats)
+
+
+@pytest.mark.parametrize("seed, field, max_len", [(15, Field(3), 4), (78, Field(0), 3)])
+def test_sweep_passes_where_a_capped_search_gave_up(seed, field, max_len):
+    pres = build_from_standard_data(*random_standard_data(seed), [], field)
+    payload = run_sweep(pres, max_len)
+    assert payload["all_pass"], [r for r in payload["results"] if not r["pass"]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("name", FIXTURES)
+def test_witness_for_a_change_of_basis(name, field):
+    t = build_table(FIXTURES[name](field))
+    words = enumerate_strings(t, 3)
+    for seed in range(8):
+        rng = random.Random(seed)
+        M = direct_sum(*[string_module(t, rng.choice(words))
+                         for _ in range(rng.randint(2, 4))])
+        N = change_of_basis(M, rng)
+        g = find_isomorphism(t, M, N)
+        assert g is not None and g.source is M and g.target is N
+        assert g.intertwines()
+        assert all(la.is_invertible(g.blocks[v], field)
+                   for v in t.quiver.vertices if M.dims[v])
+
+
+def test_many_summands_over_f2_are_never_called_non_isomorphic():
+    # six pairwise non-isomorphic string summands: a random combination of
+    # Hom(M, N) is invertible with probability 2^-6 only
+    t = build_table(alg_l2d(Field(2)))
+    M = direct_sum(*[string_module(t, w) for w in enumerate_strings(t, 3)[:6]])
+    assert len(hom(t, M, M)) == 82
+    for seed in range(6):
+        N = change_of_basis(M, random.Random(seed))
+        try:
+            assert is_isomorphic(t, M, N)
+        except Undecided:
+            pass
+
+
+@pytest.mark.parametrize("field", [Field(0), Field(3)], ids=repr)
+def test_strip_projectives_splits_every_projective_summand(field):
+    t = build_table(alg_n2(field))
+    rng = random.Random(4)
+    X = direct_sum(string_module(t, word("a")), string_module(t, StringWord.trivial("2")))
+    C = direct_sum(projective(t, "2"), X, projective(t, "1"), projective(t, "2"))
+    reduced, stripped = strip_projectives(t, change_of_basis(C, rng))
+    assert stripped == ["1", "2", "2"]
+    g = find_isomorphism(t, reduced, X)
+    assert g is not None and g.intertwines()
+    # a module with no projective summand comes back whole
+    reduced, stripped = strip_projectives(t, X)
+    assert stripped == [] and reduced is X
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_non_isomorphic_modules_with_equal_dimension_vectors(field):
+    pairs = 0
+    for alg in (alg_n2, alg_l2, alg_l2d, alg_a3z):
+        t = build_table(alg(field))
+        words = enumerate_strings(t, 3)
+        # distinct canonical strings give non-isomorphic string modules
+        mods = [string_module(t, w) for w in words]
+        sums = [direct_sum(mods[i], mods[j])
+                for i, j in itertools.combinations_with_replacement(range(len(mods)), 2)]
+        for family in (mods, sums):
+            for M, N in itertools.combinations(family, 2):
+                if M.dim_vector() == N.dim_vector():
+                    pairs += 1
+                    assert find_isomorphism(t, M, N) is None
+    assert pairs > 50

@@ -19,14 +19,17 @@ from .checks import (NotSelfinjective, check_arrow_bound, check_one_in_one_out,
                      check_special_biserial)
 from .core import (AlgebraPresentation, PresentationError, build_table,
                    check_selfinjective_symmetric)
-from .normalizer import (NormalizedOutput, build_from_standard_data, normalize)
+from .normalizer import (ExcludedLocalCase, InvalidDeformation,
+                         InvalidPermutation, MultiplicityMismatch,
+                         NormalizedOutput, NotStablyBiserial, NotSymmetric,
+                         RootNotInField, build_from_standard_data, normalize)
 from .presentations import (ParseError, format_presentation,
                             load_presentation)
 from .reps import Undecided, hom, projective, stable_hom_dim
 from .strings import (Letter, StringError, StringWord, enumerate_strings,
                       string_module, validate_string)
 from .translate import (BandInput, LocalNakayamaExcluded, NotSelfinjectiveSB,
-                        ar_sequence, canonical_map_to_tau_inv,
+                        ProjectiveInput, ar_sequence, canonical_map_to_tau_inv,
                         cone_of_canonical_map, tau, tau_inv)
 
 
@@ -431,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 DOMAIN_ERRORS = (PresentationError, ParseError, StringError, CliError,
                  NotSelfinjective, NotSelfinjectiveSB, BandInput,
-                 LocalNakayamaExcluded, Undecided)
+                 ProjectiveInput, LocalNakayamaExcluded, Undecided,
+                 NotSymmetric, NotStablyBiserial, ExcludedLocalCase,
+                 MultiplicityMismatch, RootNotInField, InvalidPermutation,
+                 InvalidDeformation, ValueError)
 
 
 def main(argv=None) -> int:
@@ -445,16 +451,6 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # normalizer errors and friends
-        from . import normalizer
-        domain = (normalizer.NotSymmetric, normalizer.NotStablyBiserial,
-                  normalizer.ExcludedLocalCase, normalizer.MultiplicityMismatch,
-                  normalizer.RootNotInField, normalizer.InvalidPermutation,
-                  normalizer.InvalidDeformation, ValueError)
-        if isinstance(exc, domain):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        raise
     _emit(payload, args.json)
     return 0 if payload.get("all_pass", True) else 1
 

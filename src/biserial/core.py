@@ -141,9 +141,6 @@ class AlgebraPresentation:
     quiver: Quiver
     relations: list
 
-    def max_multiplicity(self) -> int:
-        return 8
-
 
 class AlgebraElement:
     """A formal linear combination of paths with exact coefficients."""
@@ -169,8 +166,7 @@ class AlgebraElement:
 
 
 _MAX_REWRITE_STEPS = 200_000
-
-NOT_COMPUTED = object()   # marks a table cache whose computed value may be None
+_MAX_MULTIPLICITY = 8     # scales the cap on basis path length
 
 
 class AlgebraTable:
@@ -191,7 +187,6 @@ class AlgebraTable:
         self._socle_spaces = None
         # caches filled on first use by the functions named
         self._symmetry_report = None     # check_selfinjective_symmetric
-        self._frobenius = NOT_COMPUTED   # frobenius_form, which may be None
         self._projective_cache = {}      # reps.projective: vertex -> module
         self._op_table = None            # reps.opposite_table
         self._sb_selfinjective = None    # translate.require_selfinjective_sb
@@ -321,7 +316,7 @@ class AlgebraTable:
 
     def _build_basis(self):
         q = self.quiver
-        cap = 4 * max(1, len(q.arrows)) * self.pres.max_multiplicity()
+        cap = 4 * max(1, len(q.arrows)) * _MAX_MULTIPLICITY
         basis_paths = []
         frontier = []
         for v in q.vertices:
@@ -361,10 +356,6 @@ class AlgebraTable:
                           for v in q.vertices}
         self.loewy_length = max((p.length for p in basis_paths), default=0) + 1
         self._verify_relations()
-
-    def path_index(self, path: Path):
-        key = path.arrows if path.length else ("e", path.source)
-        return self.index.get(key)
 
     def nf_vector(self, arrows, source=None) -> dict:
         """Normal form of a path as {basis index: coeff}."""
@@ -690,8 +681,8 @@ def _small_combos(r: int, f: Field):
 def frobenius_form(table: AlgebraTable):
     """A socle-supported functional with nonsingular Gram matrix, or None.
 
-    For symmetric tables this is the symmetrizing form; otherwise any
-    Frobenius form works for hom-space bookkeeping.
+    For symmetric tables this is the symmetrizing form.  The library no
+    longer calls it; the benchmark's tracer (perfbench/tracer.py) binds it.
     """
     report = check_selfinjective_symmetric(table)
     if report.form is not None:

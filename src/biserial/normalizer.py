@@ -58,12 +58,6 @@ class PiData:
     sc: dict                    # arrow -> socle path (tuple of arrows)
     case_trace: dict = field(default_factory=dict)
 
-    def cycle_of(self, arrow: str):
-        for cyc in self.cycles:
-            if arrow in cyc:
-                return cyc
-        raise KeyError(arrow)
-
 
 @dataclass
 class Substitution:

@@ -13,6 +13,9 @@ Hom(M, N) spanned by a singular map; dim Hom(M, N), dim End M, dim End N
 and dim Hom(N, M) not all equal; or an identity outside the span of the
 composites M -> N -> M (or N -> M -> N), so that M is not a summand of a
 sum of copies of N (or N of M).  ``is_isomorphic`` is its yes/no form.
+
+Stable Hom is Hom(M, N) modulo the span of the composites of Hom(M, e_v A)
+with the generator maps e_v A -> N of the projective cover of N.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .checks import NotSelfinjective
-from .core import (NOT_COMPUTED, AlgebraTable, EqualityRelation,
-                   SocleDeformation, ZeroRelation, build_table,
-                   opposite_presentation)
+from .core import (AlgebraTable, EqualityRelation, SocleDeformation,
+                   ZeroRelation, build_table, opposite_presentation)
 
 
 class ModuleRep:
@@ -125,10 +127,6 @@ class RepMap:
 
 def zero_rep(table: AlgebraTable) -> ModuleRep:
     return ModuleRep(table, {}, {})
-
-
-def simple_rep(table: AlgebraTable, vertex: str) -> ModuleRep:
-    return ModuleRep(table, {vertex: 1}, {})
 
 
 def direct_sum(*reps: ModuleRep) -> ModuleRep:
@@ -288,15 +286,8 @@ def quotient_rep(N: ModuleRep, rows_per_vertex: dict):
 def kernel_of_map(fmap: RepMap):
     """Kernel submodule of a hom, with its inclusion."""
     M = fmap.source
-    rows = {}
-    for v in M.table.quiver.vertices:
-        block = fmap.blocks[v]
-        if M.dims[v] == 0:
-            rows[v] = []
-        elif not block or not block[0]:
-            rows[v] = [r for r in la.identity(M.dims[v], M.field)]
-        else:
-            rows[v] = la.row_nullspace(block, M.field)
+    rows = {v: la.row_nullspace(fmap.blocks[v], M.field)
+            for v in M.table.quiver.vertices}
     return sub_rep(M, rows)
 
 
@@ -317,83 +308,60 @@ def radical_rows(M: ModuleRep) -> dict:
     return rows
 
 
+def _top_generators(M: ModuleRep):
+    """(vertex, unit row) for each generator of the top of M.
+
+    Vertex order, then the non-pivot axes of rad(M) at that vertex.
+    """
+    rad = radical_rows(M)
+    gens = []
+    for v in M.table.quiver.vertices:
+        pivots = la.Echelon(M.field, rad[v]).rows
+        gens.extend((v, [int(j == k) for k in range(M.dims[v])])
+                    for j in range(M.dims[v]) if j not in pivots)
+    return gens
+
+
 def top_dims(M: ModuleRep) -> dict:
-    f = M.field
-    rows = radical_rows(M)
-    return {v: M.dims[v] - la.Echelon(f, rows[v]).rank
-            for v in M.table.quiver.vertices}
+    tops = {v: 0 for v in M.table.quiver.vertices}
+    for v, _ in _top_generators(M):
+        tops[v] += 1
+    return tops
 
 
-def socle_rows(M: ModuleRep) -> dict:
-    """Per-vertex basis rows of soc(M) = joint kernel of all arrows."""
-    f = M.field
-    table = M.table
-    out = {}
-    for v in table.quiver.vertices:
-        if M.dims[v] == 0:
-            out[v] = []
-            continue
-        stacked = []
-        for i in range(M.dims[v]):
-            row = []
-            for a in table.quiver.out_arrows[v]:
-                row.extend(M.mats[a.name][i])
-            stacked.append(row)
-        if not stacked[0]:
-            out[v] = [r for r in la.identity(M.dims[v], f)]
+def _generator_map(table: AlgebraTable, M: ModuleRep, v: str, row) -> RepMap:
+    """The map e_v A -> M sending e_v to row, so each basis path b to row . b.
+
+    The basis is prefix-closed and in length order, so every image is built
+    from its parent path's.
+    """
+    f = table.field
+    blocks = {w: [] for w in table.quiver.vertices}
+    images = {}
+    for i in table.by_source[v]:
+        path = table.basis[i]
+        if path.length:
+            last = path.arrows[-1]
+            image = la.row_vec_mul(images[path.arrows[:-1]], M.mats[last], f,
+                                   cols=M.dims[path.target])
         else:
-            out[v] = la.row_nullspace(stacked, f)
-    return out
+            image = list(row)
+        images[path.arrows] = image
+        blocks[path.target].append(image)
+    return RepMap(projective(table, v), M, blocks)
 
 
 def projective_cover(table: AlgebraTable, M: ModuleRep):
-    """Minimal projective cover (P, cover map, kernel inclusion)."""
-    f = table.field
-    rad = radical_rows(M)
-    summands = []   # (vertex, representative row in M_v)
-    for v in table.quiver.vertices:
-        pivots = la.Echelon(f, rad[v]).rows
-        for j in range(M.dims[v]):
-            if j not in pivots:
-                unit = [f.zero] * M.dims[v]
-                unit[j] = f.one
-                summands.append((v, unit))
-    if not summands:
-        if M.total_dim != 0:
-            raise ValueError("nonzero module with zero top")
-        P = zero_rep(table)
-        zero_map = RepMap(P, M, {v: [] for v in table.quiver.vertices})
-        K, incl = kernel_of_map(zero_map)
-        return P, zero_map, K, incl
-    projs = [projective(table, v) for v, _ in summands]
-    P = direct_sum(*projs)
-    # cover blocks: the image of each path-basis element of e_v A is built
-    # incrementally from its parent path (the basis is prefix-closed)
-    blocks = {v: la.zeros(P.dims[v], M.dims[v], f) for v in table.quiver.vertices}
-    offsets = {v: 0 for v in table.quiver.vertices}
-    for (v, gen_row), proj in zip(summands, projs):
-        positions = {}
-        for w in table.quiver.vertices:
-            for t, bidx in enumerate(proj.projective_basis[w]):
-                positions[bidx] = (w, offsets[w] + t)
-        images = {(): list(gen_row)}
-        for bidx in sorted(positions, key=lambda i: table.basis[i].length):
-            path = table.basis[bidx]
-            if path.length == 0:
-                row = images[()]
-            else:
-                parent = images[path.arrows[:-1]]
-                last = path.arrows[-1]
-                row = la.row_vec_mul(parent, M.mats[last], f,
-                                     cols=M.dims[table.quiver.target(last)])
-                images[path.arrows] = row
-            w, pos = positions[bidx]
-            blocks[w][pos] = row
-        for w in table.quiver.vertices:
-            offsets[w] += proj.dims[w]
-    cover = RepMap(P, M, blocks)
+    """Minimal projective cover (P, cover map, kernel, kernel inclusion).
+
+    One summand e_v A per top generator, in _top_generators order.
+    """
+    gens = _top_generators(M)
+    if not gens and M.total_dim:
+        raise ValueError("nonzero module with zero top")
+    cover = vstack_maps([_generator_map(table, M, v, row) for v, row in gens], M)
     K, incl = kernel_of_map(cover)
-    return P, cover, K, incl
+    return cover.source, cover, K, incl
 
 
 def opposite_table(table: AlgebraTable) -> AlgebraTable:
@@ -443,103 +411,20 @@ def cosyzygy(table: AlgebraTable, M: ModuleRep) -> ModuleRep:
     return injective_hull(table, M)[2]
 
 
-def _fast_hom_to_projective(table: AlgebraTable, M: ModuleRep, vertex: str, proj: ModuleRep):
-    """Basis of Hom(M, e_v A) over a table with a symmetrizing form.
-
-    Uses the perfect pairing phi(x.b) between e_v A and A e_v: a map is
-    determined by the functional m |-> phi(f(m) b) = xi(m.b).
-    """
-    f = table.field
-    phi = table._frobenius
-    fiber_rows = proj.projective_basis  # vertex -> basis indices of e_v A
-    # paths ending at v, grouped by source vertex
-    cols_by_w = {w: [] for w in table.quiver.vertices}
-    for i in table.by_target[vertex]:
-        cols_by_w[table.basis[i].source].append(i)
-    gram_inv = {}
-    for w in table.quiver.vertices:
-        rows = fiber_rows[w]
-        cols = cols_by_w[w]
-        if len(rows) != len(cols):
-            return None
-        if not rows:
-            gram_inv[w] = []
-            continue
-        g = [[f.zero] * len(cols) for _ in rows]
-        for ri, x in enumerate(rows):
-            for ci, b in enumerate(cols):
-                val = f.zero
-                for k, c in table.mult_basis(x, b).items():
-                    p = phi.get(k)
-                    if p is not None:
-                        val = f.add(val, f.mul(c, p))
-                g[ri][ci] = val
-        gram_inv[w] = la.inverse(g, f)
-        if gram_inv[w] is None:
-            return None
-    maps = []
-    mv = M.dims[vertex]
-    # cache action matrices M(b) for b ending at v
-    action = {}
-    for w in table.quiver.vertices:
-        for b in cols_by_w[w]:
-            action[b] = M.path_matrix(table.basis[b].arrows, w)
-    for r in range(mv):
-        blocks = {}
-        for w in table.quiver.vertices:
-            block = la.zeros(M.dims[w], len(fiber_rows[w]), f)
-            if fiber_rows[w]:
-                for i in range(M.dims[w]):
-                    # the coefficients x solve x . g = rhs, so x = rhs . g^-1
-                    rhs = [action[b][i][r] for b in cols_by_w[w]]
-                    block[i] = la.row_vec_mul(rhs, gram_inv[w], f)
-            blocks[w] = block
-        maps.append(RepMap(M, proj, blocks))
-    return maps
-
-
 def _factoring_maps(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
-    """Spanning set of the maps M -> N that factor through a projective."""
-    from .core import frobenius_form
-    P, cover, _, _ = projective_cover(table, N)
-    if P.total_dim == 0:
-        return []
-    if table._frobenius is NOT_COMPUTED:
-        table._frobenius = frobenius_form(table)
-    # rebuild the summand list exactly as projective_cover chose it
-    tops = top_dims(N)
-    vertex_list = []
-    for v in table.quiver.vertices:
-        vertex_list.extend([v] * tops[v])
-    composites = []
-    if table._frobenius is not None:
-        offset = {w: 0 for w in table.quiver.vertices}
-        for v in vertex_list:
-            proj = projective(table, v)
-            fast = _fast_hom_to_projective(table, M, v, proj)
-            if fast is None:
-                composites = None
-                break
-            # restrict the cover to this summand's rows
-            blocks_cover = {}
-            for w in table.quiver.vertices:
-                rows = []
-                base = offset[w]
-                for t in range(proj.dims[w]):
-                    rows.append(cover.blocks[w][base + t])
-                blocks_cover[w] = rows if rows else la.zeros(0, N.dims[w], table.field)
-            cov_piece = RepMap(proj, N, blocks_cover)
-            for fmap in fast:
-                composites.append(fmap.compose(cov_piece))
-            for w in table.quiver.vertices:
-                offset[w] += proj.dims[w]
-        if composites is not None:
-            return composites
-    # fallback: solve Hom(M, P) directly
-    composites = []
-    for fmap in hom(table, M, P):
-        composites.append(fmap.compose(cover))
-    return composites
+    """Spanning set of the maps M -> N that factor through a projective.
+
+    Such a map factors through the projective cover of N, so the composites
+    of Hom(M, e_v A) with the cover's generator maps e_v A -> N span them.
+    """
+    to_projective = {}      # top vertex -> basis of Hom(M, e_v A)
+    maps = []
+    for v, row in _top_generators(N):
+        if v not in to_projective:
+            to_projective[v] = hom(table, M, projective(table, v))
+        g = _generator_map(table, N, v, row)
+        maps.extend(h.compose(g) for h in to_projective[v])
+    return maps
 
 
 def stable_hom_dim(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> int:
@@ -547,11 +432,8 @@ def stable_hom_dim(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> int:
     maps = hom(table, M, N)
     if not maps:
         return 0
-    factoring = _factoring_maps(table, M, N)
-    total = len(maps)
-    vectors = [g.flatten() for g in factoring if any(x != table.field.zero for x in g.flatten())]
-    fact_dim = la.span_rank(vectors, table.field) if vectors else 0
-    return total - fact_dim
+    factoring = [g.flatten() for g in _factoring_maps(table, M, N)]
+    return len(maps) - la.span_rank(factoring, table.field)
 
 
 def stable_class_is_zero(table: AlgebraTable, fmap: RepMap) -> bool:

@@ -3,10 +3,13 @@
 Every check prints one pass/fail line through the CLI; the payload keeps
 machine-readable results.  Checks that do not apply to the given algebra
 (e.g. the translation oracle on a non-symmetric table) are skipped with
-a note rather than failed.
+a note rather than failed.  An exception inside a check fails that check
+with repr(exc) in its detail, and the sweep goes on.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from .bricks import (check_bounded_maximality, check_orthogonal_system,
                      endpoint_multiplicity_check, verify_shape_lemmas)
@@ -31,6 +34,17 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
 
     def skip(name, why):
         results.append({"check": name, "pass": True, "detail": f"skipped: {why}"})
+
+    @contextmanager
+    def guarded(name):
+        """Fail the check name with repr(exc) if the block raises, and go on.
+
+        A block records at most its own check, as its last statement.
+        """
+        try:
+            yield
+        except Exception as exc:
+            record(name, False, repr(exc))
 
     table = build_table(pres)
     q = table.quiver
@@ -82,14 +96,15 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
     selfinj_sb = (report.is_special_biserial
                   and sym.verdict != "not-selfinjective")
     if selfinj_sb:
-        oio, wit = check_one_in_one_out(q, table)
-        record("one-in-one-out", oio, wit)
+        with guarded("one-in-one-out"):
+            record("one-in-one-out", *check_one_in_one_out(q, table))
     else:
         skip("one-in-one-out", "not a selfinjective special biserial table")
 
     if selfinj_sb and not is_local_nakayama(table) and q.is_connected():
-        per = check_tau_period_one_exclusions(table)
-        record("tau-period-exclusions", per["all_pass"])
+        with guarded("tau-period-exclusions"):
+            record("tau-period-exclusions",
+                   check_tau_period_one_exclusions(table)["all_pass"])
         check_words("tau-roundtrip",
                     lambda w: words_equal(q, tau_inv(table, tau(table, w)),
                                           canonical_form(q, w)), listed=False)
@@ -118,62 +133,78 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
         check_words("cone-oracle", cone_matches)
 
         simples = [canonical_form(q, w) for w in words if w.is_trivial()]
-        sys_ok, violation = check_orthogonal_system(table, simples)
-        record("simples-orthogonal-system", sys_ok, violation)
+        sys_ok = False
+        with guarded("simples-orthogonal-system"):
+            sys_ok, violation = check_orthogonal_system(table, simples)
+            record("simples-orthogonal-system", sys_ok, violation)
         if sys_ok:
-            max_ok, witness = check_bounded_maximality(table, simples, max_len)
-            record("simples-bounded-maximality", max_ok, witness)
-            emult_ok, twice, _ = endpoint_multiplicity_check(table, simples)
-            record("endpoint-multiplicity", emult_ok, twice)
-            bound_bad = []
-            for m in simples:
-                Tm = string_module_fn(table, tau_inv(table, m))
-                total = sum(stable_hom_dim(table, Tm, string_module_fn(table, s))
-                            for s in simples)
-                dual = sum(stable_hom_dim(table, string_module_fn(table,
-                                                                  tau_inv(table, s)),
-                                          string_module_fn(table, m))
-                           for s in simples)
-                if total > 2 or dual > 2:
-                    bound_bad.append((str(m), total, dual))
-            record("stable-hom-bound", not bound_bad, bound_bad)
-            shapes = verify_shape_lemmas(table, simples)
-            record("shape-lemmas",
-                   all(all(r["checks"].values()) for r in shapes),
-                   [r for r in shapes if not all(r["checks"].values())])
+            with guarded("simples-bounded-maximality"):
+                record("simples-bounded-maximality",
+                       *check_bounded_maximality(table, simples, max_len))
+            with guarded("endpoint-multiplicity"):
+                emult_ok, twice, _ = endpoint_multiplicity_check(table, simples)
+                record("endpoint-multiplicity", emult_ok, twice)
+            with guarded("stable-hom-bound"):
+                bound_bad = []
+                for m in simples:
+                    Tm = string_module_fn(table, tau_inv(table, m))
+                    total = sum(stable_hom_dim(table, Tm, string_module_fn(table, s))
+                                for s in simples)
+                    dual = sum(stable_hom_dim(table,
+                                              string_module_fn(table, tau_inv(table, s)),
+                                              string_module_fn(table, m))
+                               for s in simples)
+                    if total > 2 or dual > 2:
+                        bound_bad.append((str(m), total, dual))
+                record("stable-hom-bound", not bound_bad, bound_bad)
+            with guarded("shape-lemmas"):
+                shapes = verify_shape_lemmas(table, simples)
+                record("shape-lemmas",
+                       all(all(r["checks"].values()) for r in shapes),
+                       [r for r in shapes if not all(r["checks"].values())])
     else:
         skip("translation-suite", "needs a connected selfinjective special "
                                   "biserial table that is not local Nakayama")
 
-    node_rep = detect_nodes(pres, table)
-    record("node-detection", True, node_rep.nodes)
-    if node_rep.nodes:
-        split = split_nodes(pres)
-        split_table = build_table(split)
-        record("split-removes-nodes",
-               not detect_nodes(split, split_table).nodes)
-        record("split-preserves-count",
-               nonprojective_simple_count(split_table)
-               == nonprojective_simple_count(table))
-        if report.is_special_biserial:
-            record("split-preserves-special-biserial",
-                   check_special_biserial(split, split_table).is_special_biserial)
+    nodes = []
+    with guarded("node-detection"):
+        nodes = detect_nodes(pres, table).nodes
+        record("node-detection", True, nodes)
+    if nodes:
+        split_table = None
+        with guarded("split-removes-nodes"):
+            split = split_nodes(pres)
+            split_table = build_table(split)
+            record("split-removes-nodes",
+                   not detect_nodes(split, split_table).nodes)
+        if split_table is not None:
+            with guarded("split-preserves-count"):
+                record("split-preserves-count",
+                       nonprojective_simple_count(split_table)
+                       == nonprojective_simple_count(table))
+            if report.is_special_biserial:
+                with guarded("split-preserves-special-biserial"):
+                    record("split-preserves-special-biserial",
+                           check_special_biserial(split, split_table)
+                           .is_special_biserial)
 
     if sym.verdict == "symmetric" and report.is_stably_biserial \
             and not is_local_nakayama(table):
         from .normalizer import normalize
-        try:
+        out = None
+        with guarded("normalizer-isomorphism"):
             out = normalize(pres, table)
             record("normalizer-isomorphism", True,
                    f"{len(out.substitutions)} substitutions, "
                    f"{len(out.deformations)} deformations")
-            base_table = build_table(out.base)
-            record("normalizer-base-special-biserial",
-                   check_special_biserial(out.base, base_table).is_special_biserial)
+        if out is not None:
+            with guarded("normalizer-base-special-biserial"):
+                base_table = build_table(out.base)
+                record("normalizer-base-special-biserial",
+                       check_special_biserial(out.base, base_table)
+                       .is_special_biserial)
             if pres.field.char != 2:
                 record("normalizer-deformation-free", not out.deformations)
-        except Exception as exc:
-            record("normalizer-isomorphism", False, repr(exc))
     else:
         skip("normalizer", "needs a symmetric stably biserial table")
 

@@ -34,6 +34,10 @@ class LocalNakayamaExcluded(Exception):
     pass
 
 
+class ProjectiveInput(Exception):
+    pass
+
+
 def require_selfinjective_sb(table: AlgebraTable):
     if table._sb_selfinjective is None:
         report = check_special_biserial(table.pres, table)
@@ -89,7 +93,8 @@ def _landmarks(table: AlgebraTable):
         q = table.quiver
         quotients = {}
         rads = {}
-        for v in q.vertices:
+        # an arrow-less vertex has a simple projective and no landmarks
+        for v in (v for v in q.vertices if q.out_arrows[v]):
             quotients[word_key(q, canonical_form(q, proj_quotient_word(table, v)))] = v
             rads[word_key(q, canonical_form(q, rad_word(table, v)))] = v
         table._landmark_words = (quotients, rads)
@@ -184,16 +189,25 @@ def _two_sided(table: AlgebraTable, word: StringWord, mode: str):
 
 # -- tau and tau-inverse ---------------------------------------------------
 
-def _band_guard(table, word, cyclic):
+def _require_input(table: AlgebraTable, word: StringWord, cyclic: bool = False):
+    """The precondition shared by tau, tau_inv and the AR and cone maps.
+
+    A selfinjective special biserial table and a valid string that is
+    neither a band (when cyclic) nor a simple projective module.
+    """
+    require_selfinjective_sb(table)
+    validate_string(table, word)
     if cyclic and is_band(table, word):
         raise BandInput("band modules have tau-period one and are excluded")
+    if word.is_trivial() and not table.quiver.out_arrows[word.vertex]:
+        raise ProjectiveInput(f"{word} is the simple projective module at the "
+                              f"arrow-less vertex {word.vertex}; it has no AR "
+                              f"translate")
 
 
 def tau(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> StringWord:
     """AR translate of the string module M_word."""
-    require_selfinjective_sb(table)
-    validate_string(table, word)
-    _band_guard(table, word, cyclic)
+    _require_input(table, word, cyclic)
     v = as_proj_quotient(table, word)
     if v is not None:
         return canonical_form(table.quiver, rad_word(table, v))
@@ -205,9 +219,7 @@ def tau(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> StringWo
 
 def tau_inv(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> StringWord:
     """Inverse AR translate of the string module M_word."""
-    require_selfinjective_sb(table)
-    validate_string(table, word)
-    _band_guard(table, word, cyclic)
+    _require_input(table, word, cyclic)
     v = as_rad_of_projective(table, word)
     if v is not None:
         return canonical_form(table.quiver, proj_quotient_word(table, v))
@@ -227,9 +239,7 @@ class ARSequence:
 
 def ar_sequence(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> ARSequence:
     """The almost split sequence terminating at M_word."""
-    require_selfinjective_sb(table)
-    validate_string(table, word)
-    _band_guard(table, word, cyclic)
+    _require_input(table, word, cyclic)
     q = table.quiver
     v = as_proj_quotient(table, word)
     if v is not None:
@@ -356,9 +366,7 @@ def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
 def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord,
                              cyclic: bool = False) -> CanonicalMap:
     """The diagram-intersection morphism M -> tau^{-1}M with its case tag."""
-    require_selfinjective_sb(table)
-    validate_string(table, word)
-    _band_guard(table, word, cyclic)
+    _require_input(table, word, cyclic)
     from .reps import RepMap
     q = table.quiver
     v = as_rad_of_projective(table, word)
@@ -413,9 +421,7 @@ def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord,
 def cone_of_canonical_map(table: AlgebraTable, word: StringWord,
                           cyclic: bool = False) -> ConeResult:
     """Mapping cone of the canonical map, as two directed string summands."""
-    require_selfinjective_sb(table)
-    validate_string(table, word)
-    _band_guard(table, word, cyclic)
+    _require_input(table, word, cyclic)
     q = table.quiver
     v = as_rad_of_projective(table, word)
     if v is not None:
@@ -450,8 +456,7 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
     Middle summands embed or project onto M_word by node correspondence,
     and a projective middle maps through its path basis.
     """
-    require_selfinjective_sb(table)
-    validate_string(table, word)
+    _require_input(table, word)
     from .reps import RepMap, projective, vstack_maps
     q = table.quiver
     f = table.field

@@ -4,14 +4,19 @@ import pytest
 
 from biserial.cli import main
 from biserial.instances import (ALG_A3Z_TEXT, ALG_L2D_TEXT, ALG_L2_TEXT,
-                                ALG_N2_TEXT)
+                                ALG_N2_TEXT, alg_l2)
+from biserial.sweep import run_sweep
+
+# n2 with an arrow-less vertex 3, whose projective is simple
+ALG_N2_ISOLATED_TEXT = ALG_N2_TEXT.replace("vertex 1 2", "vertex 1 2 3")
 
 
 @pytest.fixture
 def algs(tmp_path):
     paths = {}
     for name, text in (("n2", ALG_N2_TEXT), ("l2", ALG_L2_TEXT),
-                       ("l2d", ALG_L2D_TEXT), ("a3z", ALG_A3Z_TEXT)):
+                       ("l2d", ALG_L2D_TEXT), ("a3z", ALG_A3Z_TEXT),
+                       ("n2_isolated", ALG_N2_ISOLATED_TEXT)):
         p = tmp_path / f"{name}.alg"
         p.write_text(text)
         paths[name] = str(p)
@@ -55,6 +60,24 @@ def test_tau(capsys, algs):
     assert "result: @2" in out
     code, out = run(capsys, "tau", algs["n2"], "--string", "a", "--inverse")
     assert code == 0 and "result: b" in out
+
+
+@pytest.mark.parametrize("command", [["tau"], ["tau", "--inverse"], ["ar"], ["cone"]])
+def test_isolated_vertex_leaves_other_strings_alone(capsys, algs, command):
+    def at_one(alg):
+        return run(capsys, "--json", command[0], alg, *command[1:], "--string", "@1")
+    code, out = at_one(algs["n2_isolated"])
+    assert code == 0
+    assert (code, out) == at_one(algs["n2"])
+
+
+@pytest.mark.parametrize("command", ["tau", "ar", "cone"])
+def test_simple_projective_string_is_a_domain_error(capsys, algs, command):
+    assert main([command, algs["n2_isolated"], "--string", "@3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: @3 is the simple projective module at the "
+                            "arrow-less vertex 3; it has no AR translate\n")
 
 
 def test_hom(capsys, algs):
@@ -201,3 +224,19 @@ def test_undecided_oracle_is_a_domain_error(capsys, algs, monkeypatch):
     monkeypatch.setattr("biserial.bricks.check_orthogonal_system", undecided)
     assert main(["bricks", algs["n2"], "--set", "@1,@2"]) == 1
     assert "error: no witness and no proof" in capsys.readouterr().err
+
+
+def test_sweep_check_exception_fails_only_that_check(monkeypatch):
+    checks = [r["check"] for r in run_sweep(alg_l2(), 3)["results"]]
+
+    def broken(*args):
+        raise ArithmeticError("stable hom broke")
+
+    monkeypatch.setattr("biserial.sweep.stable_hom_dim", broken)
+    payload = run_sweep(alg_l2(), 3)
+    assert not payload["all_pass"]
+    assert [r["check"] for r in payload["results"]] == checks
+    result = {r["check"]: r for r in payload["results"]}
+    assert not result["stable-hom-bound"]["pass"]
+    assert result["stable-hom-bound"]["detail"] == "ArithmeticError('stable hom broke')"
+    assert [r["check"] for r in payload["results"] if not r["pass"]] == ["stable-hom-bound"]

@@ -5,11 +5,12 @@ import pytest
 
 import biserial.linalg as la
 from biserial.checks import NotSelfinjective
-from biserial.core import build_table
+from biserial.core import build_table, check_selfinjective_symmetric
 from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra,
                                 random_standard_data)
 from biserial.normalizer import build_from_standard_data
+from biserial.presentations import parse_presentation
 from biserial.reps import (ModuleRep, Undecided, cokernel_of_map, cosyzygy,
                            decompose_rad_mod_soc, direct_sum, find_isomorphism,
                            hom, injective_hull, is_isomorphic, kernel_of_map,
@@ -112,25 +113,64 @@ def test_stable_hom_examples():
     assert stable_hom_dim(t, Ma, Ma) <= len(hom(t, Ma, Ma))
 
 
-def test_stable_hom_via_injective_side():
-    # the factoring subspace computed through I(M) must agree in dimension
-    t = build_table(alg_l2())
-    import biserial.linalg as la
-    words = [word("a"), word("a", "b-"), StringWord.trivial("1")]
-    for w1 in words:
-        for w2 in words:
-            M = string_module(t, w1)
-            N = string_module(t, w2)
-            direct = stable_hom_dim(t, M, N)
-            I, emb, _, _ = injective_hull(t, M)
-            vecs = []
-            for h in hom(t, I, N):
-                v = emb.compose(h).flatten()
-                if any(x != t.field.zero for x in v):
-                    vecs.append(v)
-            through_inj = len(hom(t, M, N)) - (la.span_rank(vecs, t.field)
-                                               if vecs else 0)
-            assert direct == through_inj
+NAKAYAMA_RAD2_TEXT = """
+field Q
+vertex 1 2
+arrow a : 1 -> 2
+arrow b : 2 -> 1
+rel a b = 0
+rel b a = 0
+"""
+
+# tables per group: the fixtures over every field; the selfinjective but
+# not symmetric Nakayama algebra with rad^2 = 0; seeded standard algebras
+# over F3; and a3z, which is not selfinjective
+STABLE_HOM_TABLES = {
+    "fixtures": lambda: [build_table(alg(f)) for alg in (alg_n2, alg_l2, alg_l2d)
+                         for f in FIELDS],
+    "nakayama-rad2": lambda: [build_table(parse_presentation(NAKAYAMA_RAD2_TEXT))],
+    "standard-f3": lambda: [
+        build_table(build_from_standard_data(*random_standard_data(seed), [], Field(3)))
+        for seed in range(8)],
+    "a3z": lambda: [build_table(alg_a3z())],
+}
+
+
+def factoring_via_injective_hull(t, M):
+    """N -> the composites M -> I(M) -> N."""
+    I, emb, _, _ = injective_hull(t, M)
+    return lambda N: [emb.compose(h) for h in hom(t, I, N)]
+
+
+def factoring_via_whole_cover(t, M):
+    """N -> the composites M -> P -> N through the whole projective cover P of N.
+
+    The reference: one Hom(M, P) over the whole cover instead of one
+    Hom(M, e_v A) per top vertex.
+    """
+    def through_cover(N):
+        P, cover, _, _ = projective_cover(t, N)
+        return [h.compose(cover) for h in hom(t, M, P)]
+    return through_cover
+
+
+@pytest.mark.parametrize("group", STABLE_HOM_TABLES)
+def test_stable_hom_via_injective_side(group):
+    # stable Hom through the cover's generator maps must agree with the
+    # factoring maps through I(M) on selfinjective tables, and with Hom(M, P)
+    # through the whole cover P of N on a3z
+    for t in STABLE_HOM_TABLES[group]():
+        selfinjective = check_selfinjective_symmetric(t).verdict != "not-selfinjective"
+        assert selfinjective == (group != "a3z")
+        modules = [string_module(t, w) for w in enumerate_strings(t, 2)]
+        modules += [projective(t, v) for v in t.quiver.vertices]
+        for M in modules:
+            factoring = (factoring_via_injective_hull if selfinjective
+                         else factoring_via_whole_cover)(t, M)
+            for N in modules:
+                vectors = [g.flatten() for g in factoring(N)]
+                expected = len(hom(t, M, N)) - la.span_rank(vectors, t.field)
+                assert stable_hom_dim(t, M, N) == expected
 
 
 def test_is_isomorphic():

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AlgebraTable
+from .core import AlgebraTable, DomainError
 from .reps import is_isomorphic, projective_cover, stable_hom_dim
 from .strings import (StringWord, canonical_form, directed_runs,
                       enumerate_strings, string_module, word_key, words_equal)
 from .translate import ar_sequence, rad_word, tau, tau_inv
 
 
-class UnclassifiableDiagram(Exception):
+class UnclassifiableDiagram(DomainError):
     pass
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AlgebraPresentation, AlgebraTable, Quiver, check_selfinjective_symmetric
+from .core import (AlgebraPresentation, AlgebraTable, DomainError, Quiver,
+                   check_selfinjective_symmetric)
 
 
-class NotSelfinjective(Exception):
+class NotSelfinjective(DomainError):
     pass
 
 

@@ -15,25 +15,20 @@ from fractions import Fraction
 
 from . import bricks as bricks_mod
 from . import nodes as nodes_mod
-from .checks import (NotSelfinjective, check_arrow_bound, check_one_in_one_out,
+from .checks import (check_arrow_bound, check_one_in_one_out,
                      check_special_biserial)
-from .core import (AlgebraPresentation, PresentationError, build_table,
+from .core import (AlgebraPresentation, DomainError, build_table,
                    check_selfinjective_symmetric)
-from .normalizer import (ExcludedLocalCase, InvalidDeformation,
-                         InvalidPermutation, MultiplicityMismatch,
-                         NormalizedOutput, NotStablyBiserial, NotSymmetric,
-                         RootNotInField, build_from_standard_data, normalize)
-from .presentations import (ParseError, format_presentation,
-                            load_presentation)
-from .reps import Undecided, hom, projective, stable_hom_dim
-from .strings import (Letter, StringError, StringWord, enumerate_strings,
-                      string_module, validate_string)
-from .translate import (BandInput, LocalNakayamaExcluded, NotSelfinjectiveSB,
-                        ProjectiveInput, ar_sequence, canonical_map_to_tau_inv,
+from .normalizer import NormalizedOutput, build_from_standard_data, normalize
+from .presentations import format_presentation, load_presentation
+from .reps import hom, projective, stable_hom_dim
+from .strings import (Letter, StringWord, enumerate_strings, string_module,
+                      validate_string)
+from .translate import (ar_sequence, canonical_map_to_tau_inv,
                         cone_of_canonical_map, tau, tau_inv)
 
 
-class CliError(Exception):
+class CliError(DomainError):
     pass
 
 
@@ -432,12 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-DOMAIN_ERRORS = (PresentationError, ParseError, StringError, CliError,
-                 NotSelfinjective, NotSelfinjectiveSB, BandInput,
-                 ProjectiveInput, LocalNakayamaExcluded, Undecided,
-                 NotSymmetric, NotStablyBiserial, ExcludedLocalCase,
-                 MultiplicityMismatch, RootNotInField, InvalidPermutation,
-                 InvalidDeformation, ValueError)
+# ValueError stays until its raise sites become domain errors
+DOMAIN_ERRORS = (DomainError, ValueError)
 
 
 def main(argv=None) -> int:

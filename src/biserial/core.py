@@ -14,10 +14,14 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Echelon, det, row_nullspace, transpose
+from .linalg import Echelon, row_nullspace, sparse_nullspace
 
 
-class PresentationError(Exception):
+class DomainError(Exception):
+    """Base class for every error the library raises about its input."""
+
+
+class PresentationError(DomainError):
     """Base class for errors raised while building an algebra table."""
 
 
@@ -547,20 +551,6 @@ class AlgebraTable:
             out.append(self.quiver.path(tuple(arrows)))
         return out
 
-    def socle_path_indices(self) -> dict:
-        """Per-vertex socle basis as indices, when the socle is path-spanned."""
-        out = {}
-        for v, rows in self.socle().items():
-            fiber = self.by_source[v]
-            idxs = []
-            for row in rows:
-                support = [fiber[t] for t, c in enumerate(row) if c != self.field.zero]
-                if len(support) != 1:
-                    return {}
-                idxs.append(support[0])
-            out[v] = sorted(idxs)
-        return out
-
 
 def build_table(pres: AlgebraPresentation) -> AlgebraTable:
     return AlgebraTable(pres)
@@ -573,61 +563,8 @@ def multiply(table: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> Algeb
 
 @dataclass
 class SymmetryReport:
-    verdict: str                     # not-selfinjective | selfinjective | symmetric
-    socle_vertex_map: dict | None    # v -> vertex supporting soc(e_v A)
-    form: dict | None                # basis index -> scalar, the functional phi
-
-
-def _candidate_forms(table: AlgebraTable, symmetric: bool):
-    """Socle-supported functionals phi; symmetric ones satisfy phi(xy)=phi(yx)."""
-    f = table.field
-    soc_idx = table.socle_path_indices()
-    if not soc_idx:
-        return None
-    soc_list = sorted(set(itertools.chain.from_iterable(soc_idx.values())))
-    pos = {b: t for t, b in enumerate(soc_list)}
-    n = len(soc_list)
-    if n == 0:
-        return None
-    constraints = []
-    if symmetric:
-        for i in range(table.dim):
-            for j in range(table.dim):
-                xy = table.mult_basis(i, j)
-                yx = table.mult_basis(j, i)
-                row = [f.zero] * n
-                nonzero = False
-                for k, c in xy.items():
-                    if k in pos:
-                        row[pos[k]] = f.add(row[pos[k]], c)
-                        nonzero = True
-                for k, c in yx.items():
-                    if k in pos:
-                        row[pos[k]] = f.sub(row[pos[k]], c)
-                        nonzero = True
-                if nonzero and any(x != f.zero for x in row):
-                    constraints.append(row)
-    if constraints:
-        # solutions of constraints . t == 0
-        sols = row_nullspace(transpose(constraints), f)
-    else:
-        sols = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-    return soc_list, sols
-
-
-def _gram_nonsingular(table: AlgebraTable, phi: dict) -> bool:
-    f = table.field
-    n = table.dim
-    gram = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            val = f.zero
-            for k, c in table.mult_basis(i, j).items():
-                p = phi.get(k)
-                if p is not None:
-                    val = f.add(val, f.mul(c, p))
-            gram[i][j] = val
-    return det(gram, f) != f.zero
+    verdict: str         # not-selfinjective | selfinjective | symmetric
+    form: dict | None    # basis index -> scalar, a symmetrizing functional phi
 
 
 def check_selfinjective_symmetric(table: AlgebraTable) -> SymmetryReport:
@@ -637,70 +574,96 @@ def check_selfinjective_symmetric(table: AlgebraTable) -> SymmetryReport:
     return table._symmetry_report
 
 
-def _classify_symmetry(table: AlgebraTable) -> SymmetryReport:
-    f = table.field
-    soc_dims = table.socle_dims()
-    socle_vertex = {}
-    for v in table.quiver.vertices:
-        if soc_dims[v] != 1:
-            return SymmetryReport("not-selfinjective", None, None)
-        row = table.socle()[v][0]
+def _socle_lines(table: AlgebraTable):
+    """v -> s_v as {basis index: coeff}, or None if not selfinjective.
+
+    Selfinjective means: every soc(e_v A) is a line k s_v inside e_v A e_w
+    for one vertex w = nu(v), and nu permutes the vertices.
+    """
+    lines = {}
+    nu = set()
+    for v, rows in table.socle().items():
+        if len(rows) != 1:
+            return None
         fiber = table.by_source[v]
-        support = {table.basis[fiber[t]].target for t, c in enumerate(row) if c != f.zero}
-        if len(support) != 1:
-            return SymmetryReport("not-selfinjective", None, None)
-        socle_vertex[v] = support.pop()
-    if sorted(socle_vertex.values()) != sorted(table.quiver.vertices):
-        return SymmetryReport("not-selfinjective", None, None)
-
-    cand = _candidate_forms(table, symmetric=True)
-    if cand is not None:
-        soc_list, sols = cand
-        for combo in _small_combos(len(sols), f):
-            t = [f.zero] * len(soc_list)
-            for c, sol in zip(combo, sols):
-                t = [f.add(x, f.mul(c, y)) for x, y in zip(t, sol)]
-            if all(x == f.zero for x in t):
-                continue
-            phi = {b: t[k] for k, b in enumerate(soc_list) if t[k] != f.zero}
-            if len(phi) == len(soc_list) and _gram_nonsingular(table, phi):
-                return SymmetryReport("symmetric", socle_vertex, phi)
-    return SymmetryReport("selfinjective", socle_vertex, None)
+        s = {fiber[t]: c for t, c in enumerate(rows[0]) if c}
+        targets = {table.basis[k].target for k in s}
+        if len(targets) != 1:
+            return None
+        nu |= targets
+        lines[v] = s
+    return lines if len(nu) == len(lines) else None
 
 
-def _small_combos(r: int, f: Field):
-    """Deterministic small coefficient tuples, all-ones first."""
-    if r == 0:
-        return
-    yield tuple(f.one for _ in range(r))
-    values = [f.of(v) for v in (1, 2, 3, 0, -1)]
-    for combo in itertools.islice(itertools.product(values, repeat=r), 1000):
-        yield combo
+def _classify_symmetry(table: AlgebraTable) -> SymmetryReport:
+    """Exact criterion (Skowronski-Yamagata 2011, Frobenius Algebras I).
+
+    On a selfinjective table a functional phi is nondegenerate iff
+    phi(s_v) != 0 at every vertex v.  The symmetric functionals (those
+    vanishing on every commutator) of a symmetric algebra are phi_0(z .)
+    for central z, so their socle values (phi(s_v))_v form one line per
+    connected component, nonzero at each of its vertices.  Hence the table
+    is symmetric iff the sum of the reduced echelon rows of those values is
+    nonzero at every vertex, and the sum's recipe is a symmetrizing form.
+    """
+    lines = _socle_lines(table)
+    if lines is None:
+        return SymmetryReport("not-selfinjective", None)
+    f = table.field
+    commutators = []
+    for i in range(table.dim):
+        for j in range(i + 1, table.dim):
+            eq = dict(table.mult_basis(i, j))
+            for k, c in table.mult_basis(j, i).items():
+                eq[k] = f.sub(eq.get(k, 0), c)
+            if any(eq.values()):
+                commutators.append(eq)
+    functionals = sparse_nullspace(commutators, table.dim, f)
+    width = len(lines)
+    ech = Echelon(f, width=width)
+    for r, phi in enumerate(functionals):
+        values = {col: _apply(f, phi, s) for col, s in enumerate(lines.values())}
+        values[width + r] = 1
+        ech.add(values)
+    total = {}
+    for row in ech.rows.values():
+        for j, c in row.items():
+            total[j] = f.add(total.get(j, 0), c)
+    if not all(total.get(col) for col in range(width)):
+        return SymmetryReport("selfinjective", None)
+    form = {}
+    for r, phi in enumerate(functionals):
+        c = total.get(width + r)
+        if c:
+            for k, x in enumerate(phi):
+                form[k] = f.add(form.get(k, 0), f.mul(c, x))
+    return SymmetryReport("symmetric", {k: x for k, x in form.items() if x})
+
+
+def _apply(f: Field, phi, vec: dict):
+    """phi(vec) for a dense functional and a {basis index: coeff} vector."""
+    val = 0
+    for k, c in vec.items():
+        val = f.add(val, f.mul(phi[k], c))
+    return val
 
 
 def frobenius_form(table: AlgebraTable):
-    """A socle-supported functional with nonsingular Gram matrix, or None.
+    """A nondegenerate functional on the table, or None if not selfinjective.
 
-    For symmetric tables this is the symmetrizing form.  The library no
-    longer calls it; the benchmark's tracer (perfbench/tracer.py) binds it.
+    This is the symmetrizing form when there is one; otherwise phi(s_v) = 1
+    at one basis index per vertex, nondegenerate by the socle criterion of
+    ``_classify_symmetry``.  The library no longer calls it; the
+    benchmark's tracer (perfbench/tracer.py) binds it.
     """
     report = check_selfinjective_symmetric(table)
-    if report.form is not None:
+    if report.verdict != "selfinjective":
         return report.form
-    if report.verdict == "not-selfinjective":
-        return None
-    soc_idx = table.socle_path_indices()
-    if not soc_idx:
-        return None
-    soc_list = sorted(set(itertools.chain.from_iterable(soc_idx.values())))
-    f = table.field
-    for combo in _small_combos(len(soc_list), f):
-        if any(c == f.zero for c in combo):
-            continue
-        phi = {b: c for b, c in zip(soc_list, combo)}
-        if _gram_nonsingular(table, phi):
-            return phi
-    return None
+    form = {}
+    for s in _socle_lines(table).values():
+        k = min(s)
+        form[k] = table.field.inv(s[k])
+    return form
 
 
 def opposite_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:

@@ -14,37 +14,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .checks import _stably_biserial_conditions
-from .core import (AlgebraPresentation, AlgebraTable, EqualityRelation,
-                   Quiver, SocleDeformation, ZeroRelation, build_table,
-                   check_selfinjective_symmetric)
+from .core import (AlgebraPresentation, AlgebraTable, DomainError,
+                   EqualityRelation, Quiver, SocleDeformation, ZeroRelation,
+                   build_table, check_selfinjective_symmetric)
 from .fields import Field
 
 
-class NotSymmetric(Exception):
+class NotSymmetric(DomainError):
     pass
 
 
-class NotStablyBiserial(Exception):
+class NotStablyBiserial(DomainError):
     pass
 
 
-class ExcludedLocalCase(Exception):
+class ExcludedLocalCase(DomainError):
     pass
 
 
-class MultiplicityMismatch(Exception):
+class MultiplicityMismatch(DomainError):
     pass
 
 
-class RootNotInField(Exception):
+class RootNotInField(DomainError):
     pass
 
 
-class InvalidPermutation(Exception):
+class InvalidPermutation(DomainError):
     pass
 
 
-class InvalidDeformation(Exception):
+class InvalidDeformation(DomainError):
     pass
 
 

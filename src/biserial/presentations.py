@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (AlgebraPresentation, EqualityRelation, Quiver,
-                   SocleDeformation, ZeroRelation)
+from .core import (AlgebraPresentation, DomainError, EqualityRelation,
+                   Quiver, SocleDeformation, ZeroRelation)
 from .fields import Field
 
 
-class ParseError(Exception):
+class ParseError(DomainError):
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}" if line_no else message)

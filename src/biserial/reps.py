@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .checks import NotSelfinjective
-from .core import (AlgebraTable, EqualityRelation, SocleDeformation,
-                   ZeroRelation, build_table, opposite_presentation)
+from .core import (AlgebraTable, DomainError, EqualityRelation,
+                   SocleDeformation, ZeroRelation, build_table,
+                   opposite_presentation)
 
 
 class ModuleRep:
@@ -449,7 +450,7 @@ def stable_class_is_zero(table: AlgebraTable, fmap: RepMap) -> bool:
 ISO_TRIALS = 64
 
 
-class Undecided(Exception):
+class Undecided(DomainError):
     """Neither an isomorphism nor a proof of non-isomorphism was found."""
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg as la
-from .core import AlgebraTable, Quiver
+from .core import AlgebraTable, DomainError, Quiver
 
 
-class StringError(Exception):
+class StringError(DomainError):
     pass
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .checks import check_special_biserial
-from .core import AlgebraTable, check_selfinjective_symmetric
+from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
 from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
                       directed_runs, is_band, left_op, letter_source,
                       letter_target, right_op, side_ops, string_module,
@@ -22,19 +22,19 @@ from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
                       words_equal)
 
 
-class BandInput(Exception):
+class BandInput(DomainError):
     pass
 
 
-class NotSelfinjectiveSB(Exception):
+class NotSelfinjectiveSB(DomainError):
     pass
 
 
-class LocalNakayamaExcluded(Exception):
+class LocalNakayamaExcluded(DomainError):
     pass
 
 
-class ProjectiveInput(Exception):
+class ProjectiveInput(DomainError):
     pass
 
 

@@ -9,6 +9,7 @@ from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
                                 loop_algebra)
 from biserial.presentations import parse_presentation
+from biserial.sweep import run_sweep
 
 
 def basis_strings(table):
@@ -58,15 +59,19 @@ def test_multiply_deformed():
     assert list(sq.terms) == [q.path(("a", "b"))]
 
 
+def socle_paths(table, v):
+    """The basis paths in the support of the socle rows of e_v A."""
+    fiber = table.by_source[v]
+    return [str(table.basis[fiber[j]]) for row in table.socle()[v]
+            for j, c in enumerate(row) if c]
+
+
 def test_socle():
     t = build_table(alg_n2())
     assert t.socle_dims() == {"1": 1, "2": 1}
-    idx = t.socle_path_indices()
-    assert [str(t.basis[i]) for i in idx["1"]] == ["a b"]
-    assert [str(t.basis[i]) for i in idx["2"]] == ["b a"]
-    t2 = build_table(alg_l2())
-    soc = t2.socle_path_indices()
-    assert [str(t2.basis[i]) for i in soc["1"]] == ["a b"]
+    assert socle_paths(t, "1") == ["a b"]
+    assert socle_paths(t, "2") == ["b a"]
+    assert socle_paths(build_table(alg_l2()), "1") == ["a b"]
 
 
 def test_selfinjective_symmetric_verdicts():
@@ -176,3 +181,26 @@ def test_every_long_path_dies():
         for j in range(t.dim):
             for k, c in t.mult_basis(i, j).items():
                 assert t.basis[k].length < t.loewy_length
+
+
+# The true quotient is 4-dimensional (x^3 = x y^2 = 0, so y x = 0), but
+# directed rewriting without critical-pair completion keeps 6 classes and a
+# non-associative product.  Only the sweep notices; see README, Limits.
+NON_CONFLUENT_TEXT = """
+field Q
+vertex 1
+arrow x : 1 -> 1
+arrow y : 1 -> 1
+rel x y = 0
+rel x x = y y
+rel y x = x x x
+"""
+
+
+def test_non_confluent_presentation_fails_the_sweep_associativity_check():
+    pres = parse_presentation(NON_CONFLUENT_TEXT)
+    table = build_table(pres)
+    assert table.dim == 6
+    assert not table.verify_associativity()
+    results = {r["check"]: r["pass"] for r in run_sweep(pres, 3)["results"]}
+    assert results["table-built"] and not results["associativity"]

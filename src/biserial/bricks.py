@@ -20,6 +20,10 @@ class UnclassifiableDiagram(DomainError):
     pass
 
 
+class BadSystemMember(DomainError):
+    """A word that is not a member of the system, or has no s-projective cover."""
+
+
 def is_stable_brick(table: AlgebraTable, word: StringWord) -> bool:
     """One-dimensional stable endomorphisms and tau-period > 1."""
     M = string_module(table, word)
@@ -103,10 +107,10 @@ def s_projective(table: AlgebraTable, system, member: StringWord) -> SProjective
     member = canonical_form(q, member)
     keys = {word_key(q, canonical_form(q, w)) for w in system}
     if word_key(q, member) not in keys:
-        raise ValueError(f"{member} is not a system member")
+        raise BadSystemMember(f"{member} is not a system member")
     om = omega_word(table, member)
     if om is None:
-        raise ValueError(f"{member} has projective cover kernel zero")
+        raise BadSystemMember(f"{member} has projective cover kernel zero")
     n_word = tau_inv(table, om)
     seq = ar_sequence(table, n_word)
     return SProjectiveInfo(n_word, member, list(seq.middle_strings))

@@ -80,7 +80,7 @@ def _emit(payload: dict, as_json: bool):
 def _load(path: str) -> AlgebraPresentation:
     try:
         return load_presentation(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(str(exc))
 
 
@@ -273,6 +273,8 @@ def cmd_ssb(args) -> dict:
         mult[arrows] = m
     deformations = []
     for a, c in args.deform:
+        if a not in names:
+            raise CliError(f"unknown arrow {a!r} in --deform")
         try:
             deformations.append((a, pres.field.of(c)))
         except ZeroDivisionError as exc:
@@ -427,10 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# ValueError stays until its raise sites become domain errors
-DOMAIN_ERRORS = (DomainError, ValueError)
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -439,7 +437,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload = args.func(args)
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:     # anything else escaping is a bug
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args.json)

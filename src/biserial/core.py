@@ -13,16 +13,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .fields import Field
 from .linalg import Echelon, row_nullspace, sparse_nullspace
 
 
-class DomainError(Exception):
-    """Base class for every error the library raises about its input."""
-
-
 class PresentationError(DomainError):
     """Base class for errors raised while building an algebra table."""
+
+
+class QuiverError(PresentationError):
+    """A quiver or path that does not match its declarations."""
 
 
 class NonAdmissible(PresentationError):
@@ -51,14 +52,14 @@ class Quiver:
         self.vertices = list(vertices)
         self.arrows = [Arrow(*a) if not isinstance(a, Arrow) else a for a in arrows]
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
+            raise QuiverError("duplicate vertex ids")
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate arrow ids")
+            raise QuiverError("duplicate arrow ids")
         vs = set(self.vertices)
         for a in self.arrows:
             if a.source not in vs or a.target not in vs:
-                raise ValueError(f"arrow {a.name} has undeclared endpoint")
+                raise QuiverError(f"arrow {a.name} has undeclared endpoint")
         self.arrow_by_name = {a.name: a for a in self.arrows}
         self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
         self.out_arrows = {v: [a for a in self.arrows if a.source == v] for v in self.vertices}
@@ -94,11 +95,11 @@ class Quiver:
         arrow_names = tuple(arrow_names)
         if not arrow_names:
             if base_vertex is None or base_vertex not in set(self.vertices):
-                raise ValueError("trivial path needs a declared base vertex")
+                raise QuiverError("trivial path needs a declared base vertex")
             return Path((), base_vertex, base_vertex)
         for a, b in zip(arrow_names, arrow_names[1:]):
             if self.target(a) != self.source(b):
-                raise ValueError(f"arrows {a} and {b} do not compose")
+                raise QuiverError(f"arrows {a} and {b} do not compose")
         return Path(arrow_names, self.source(arrow_names[0]), self.target(arrow_names[-1]))
 
 
@@ -189,12 +190,18 @@ class AlgebraTable:
         self._build_basis()
         self._socle = None
         self._socle_spaces = None
-        # caches filled on first use by the functions named
+        # caches filled on first use by the functions named.  A table does
+        # not change once built, so no entry goes stale; entries are shared
+        # and read-only, and an input that raises is never stored.
         self._symmetry_report = None     # check_selfinjective_symmetric
         self._projective_cache = {}      # reps.projective: vertex -> module
         self._op_table = None            # reps.opposite_table
         self._sb_selfinjective = None    # translate.require_selfinjective_sb
         self._landmark_words = None      # translate._landmarks
+        self._arms = {}                  # arms: vertex -> tuple of paths
+        self._run_verdicts = {}          # strings._run_ok: arrow tuple -> bool
+        self._string_modules = {}        # strings.string_module: word -> module
+        self._translates = {}            # translate.tau/tau_inv: (mode, word, cyclic) -> word
 
     # -- rule compilation ------------------------------------------------
 
@@ -520,12 +527,15 @@ class AlgebraTable:
                 return False
         return True
 
-    def arms(self, vertex: str) -> list:
+    def arms(self, vertex: str) -> tuple:
         """Maximal nonzero paths out of a vertex, one per outgoing arrow.
 
         Continuations prefer the unique non-socle product; once the value
         falls into the socle the path cannot be extended further.
         """
+        cached = self._arms.get(vertex)
+        if cached is not None:
+            return cached
         out = []
         for start in self.quiver.out_arrows[vertex]:
             arrows = [start.name]
@@ -549,7 +559,8 @@ class AlgebraTable:
                 arrows.append(best[0])
                 vec = best[1]
             out.append(self.quiver.path(tuple(arrows)))
-        return out
+        self._arms[vertex] = tuple(out)
+        return self._arms[vertex]
 
 
 def build_table(pres: AlgebraPresentation) -> AlgebraTable:

@@ -13,6 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DomainError
+
+
+class FieldError(DomainError):
+    """A field or field operation asked for with invalid parameters."""
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -30,7 +36,7 @@ class Field:
 
     def __init__(self, characteristic: int = 0):
         if characteristic != 0 and not _is_prime(characteristic):
-            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+            raise FieldError(f"characteristic must be 0 or prime, got {characteristic}")
         self.char = characteristic
 
     @property
@@ -93,7 +99,7 @@ class Field:
     def nth_root(self, a, n: int):
         """An exact n-th root of a, or None if the field has none."""
         if n <= 0:
-            raise ValueError("root order must be positive")
+            raise FieldError("root order must be positive")
         if a == self.zero:
             return self.zero
         if self.char == 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (AlgebraPresentation, AlgebraTable, EqualityRelation,
-                   Quiver, SocleDeformation, ZeroRelation)
+                   Quiver, QuiverError, SocleDeformation, ZeroRelation)
 
 
 @dataclass
@@ -68,16 +68,16 @@ def split_nodes(pres: AlgebraPresentation) -> AlgebraPresentation:
         if isinstance(rel, ZeroRelation):
             try:
                 relations.append(ZeroRelation(rebuild(rel.path)))
-            except ValueError:
+            except QuiverError:
                 continue  # the path ran through a split node and is vacuous
         elif isinstance(rel, (EqualityRelation, SocleDeformation)):
             try:
                 left = rebuild(rel.left)
-            except ValueError:
+            except QuiverError:
                 left = None
             try:
                 right = rebuild(rel.right)
-            except ValueError:
+            except QuiverError:
                 right = None
             if left is not None and right is not None:
                 relations.append(type(rel)(left, rel.coeff, right))

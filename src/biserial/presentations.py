@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (AlgebraPresentation, DomainError, EqualityRelation,
-                   Quiver, SocleDeformation, ZeroRelation)
-from .fields import Field
+                   Quiver, QuiverError, SocleDeformation, ZeroRelation)
+from .fields import Field, FieldError
 
 
 class ParseError(DomainError):
@@ -28,11 +28,11 @@ class ParseError(DomainError):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
 
 
-def _parse_scalar(tok: str) -> Fraction:
+def _parse_scalar(tok: str, line_no: int) -> Fraction:
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad scalar {tok!r}") from exc
+        raise ParseError(f"bad scalar {tok!r}", line_no) from exc
 
 
 def parse_presentation(text: str) -> AlgebraPresentation:
@@ -55,7 +55,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             elif spec.startswith("F") and spec[1:].isdigit():
                 try:
                     field = Field(int(spec[1:]))
-                except ValueError as exc:
+                except FieldError as exc:
                     raise ParseError(str(exc), line_no)
             else:
                 raise ParseError(f"unknown field {spec!r}", line_no)
@@ -85,7 +85,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         raise ParseError("missing vertices")
     try:
         quiver = Quiver(vertices, arrows)
-    except ValueError as exc:
+    except QuiverError as exc:
         raise ParseError(str(exc))
 
     relations = []
@@ -96,7 +96,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
                 raise ParseError(f"unknown arrow {tok!r} in relation", line_no)
         try:
             left = quiver.path(lhs)
-        except ValueError as exc:
+        except QuiverError as exc:
             raise ParseError(str(exc), line_no)
         if rhs == ["0"]:
             relations.append(ZeroRelation(left))
@@ -106,10 +106,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             coeff = Fraction(1)
             path_toks = rhs
         else:
-            try:
-                coeff = _parse_scalar(first)
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no)
+            coeff = _parse_scalar(first, line_no)
             path_toks = rhs[1:]
         if not path_toks:
             raise ParseError("relation right side needs a path", line_no)
@@ -118,13 +115,17 @@ def parse_presentation(text: str) -> AlgebraPresentation:
                 raise ParseError(f"unknown arrow {tok!r} in relation", line_no)
         try:
             right = quiver.path(path_toks)
-        except ValueError as exc:
+        except QuiverError as exc:
+            raise ParseError(str(exc), line_no)
+        try:
+            c = field.of(coeff)
+        except ZeroDivisionError as exc:     # a denominator divisible by p
             raise ParseError(str(exc), line_no)
         if left.length == 2 and right.length >= 2 and left.arrows[0] == right.arrows[0] \
                 and left.arrows != right.arrows:
-            relations.append(SocleDeformation(left, field.of(coeff), right))
+            relations.append(SocleDeformation(left, c, right))
         else:
-            relations.append(EqualityRelation(left, field.of(coeff), right))
+            relations.append(EqualityRelation(left, c, right))
     return AlgebraPresentation(field, quiver, relations)
 
 

@@ -31,7 +31,12 @@ from .core import (AlgebraTable, DomainError, EqualityRelation,
 
 
 class ModuleRep:
-    """A finite-dimensional right module in matrix form."""
+    """A finite-dimensional right module in matrix form.
+
+    Read-only by contract: nothing changes dims or mats after construction,
+    so a module may be shared, as string modules and projectives are
+    through their table's caches, and may cache what is derived from it.
+    """
 
     def __init__(self, table: AlgebraTable, dims: dict, mats: dict):
         self.table = table
@@ -45,6 +50,8 @@ class ModuleRep:
             if m is None or rows == 0 or cols == 0:
                 m = la.zeros(rows, cols, self.field)
             self.mats[a.name] = m
+        # filled on first use by _factoring_maps
+        self._hom_to_projective = {}     # vertex -> basis of Hom(M, e_v A)
 
     @property
     def total_dim(self) -> int:
@@ -417,8 +424,9 @@ def _factoring_maps(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
 
     Such a map factors through the projective cover of N, so the composites
     of Hom(M, e_v A) with the cover's generator maps e_v A -> N span them.
+    Each Hom(M, e_v A) is solved once per module and kept on M.
     """
-    to_projective = {}      # top vertex -> basis of Hom(M, e_v A)
+    to_projective = M._hom_to_projective
     maps = []
     for v, row in _top_generators(N):
         if v not in to_projective:

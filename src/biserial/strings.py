@@ -129,9 +129,13 @@ def run_path_arrows(word: StringWord, start: int, end: int, inverse: bool):
     return tuple(reversed(arrows)) if inverse else tuple(arrows)
 
 
-def _run_ok(table: AlgebraTable, arrows) -> bool:
-    vec = table.nf_vector(arrows)
-    return bool(vec) and not table.in_socle(vec)
+def _run_ok(table: AlgebraTable, arrows: tuple) -> bool:
+    """Is the directed run nonzero and outside the socle?  Memoized per table."""
+    verdict = table._run_verdicts.get(arrows)
+    if verdict is None:
+        vec = table.nf_vector(arrows)
+        verdict = table._run_verdicts[arrows] = bool(vec) and not table.in_socle(vec)
+    return verdict
 
 
 def validate_string(table: AlgebraTable, word: StringWord) -> StringWord:
@@ -197,7 +201,15 @@ def node_vertices(quiver: Quiver, word: StringWord):
 
 
 def string_module(table: AlgebraTable, word: StringWord):
-    """The string module: z_i.a = z_{i-1} if c_i = a^{-1}, z_{i+1} if c_{i+1} = a."""
+    """The string module: z_i.a = z_{i-1} if c_i = a^{-1}, z_{i+1} if c_{i+1} = a.
+
+    Built once per word and table, then shared: every call with the same
+    word returns the same module, which callers must not change.  An
+    invalid word raises on every call.
+    """
+    cached = table._string_modules.get(word)
+    if cached is not None:
+        return cached
     from .reps import ModuleRep
     validate_string(table, word)
     q = table.quiver
@@ -226,6 +238,7 @@ def string_module(table: AlgebraTable, word: StringWord):
             f"string module of {word} violates a relation of the table")
     rep.string_word = word
     rep.node_positions = positions
+    table._string_modules[word] = rep
     return rep
 
 

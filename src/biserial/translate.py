@@ -38,6 +38,10 @@ class ProjectiveInput(DomainError):
     pass
 
 
+class NotDirected(DomainError):
+    """A word that is not a directed string with an injective hull arm."""
+
+
 def require_selfinjective_sb(table: AlgebraTable):
     if table._sb_selfinjective is None:
         report = check_special_biserial(table.pres, table)
@@ -58,7 +62,7 @@ def proj_quotient_word(table: AlgebraTable, vertex: str) -> StringWord:
     """String word of P_v / soc P_v."""
     arms = table.arms(vertex)
     if not arms:
-        raise ValueError(f"vertex {vertex} has no outgoing arrows")
+        raise ProjectiveInput(f"vertex {vertex} has no outgoing arrows")
     if len(arms) == 1:
         arrows = arms[0].arrows[:-1]
         if not arrows:
@@ -74,7 +78,7 @@ def rad_word(table: AlgebraTable, vertex: str) -> StringWord:
     """String word of rad P_v."""
     arms = table.arms(vertex)
     if not arms:
-        raise ValueError(f"vertex {vertex} has no outgoing arrows")
+        raise ProjectiveInput(f"vertex {vertex} has no outgoing arrows")
     if len(arms) == 1:
         arrows = arms[0].arrows[1:]
         if not arrows:
@@ -207,26 +211,41 @@ def _require_input(table: AlgebraTable, word: StringWord, cyclic: bool = False):
 
 def tau(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> StringWord:
     """AR translate of the string module M_word."""
-    _require_input(table, word, cyclic)
-    v = as_proj_quotient(table, word)
-    if v is not None:
-        return canonical_form(table.quiver, rad_word(table, v))
-    res = _two_sided(table, word, "tau")
-    if isinstance(res.word, EmptyWord):
-        raise RuntimeError(f"tau of {word} vanished; module should be P/soc P")
-    return canonical_form(table.quiver, res.word)
+    return _translate(table, "tau", word, cyclic)
 
 
 def tau_inv(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> StringWord:
     """Inverse AR translate of the string module M_word."""
+    return _translate(table, "tauinv", word, cyclic)
+
+
+def _translate(table: AlgebraTable, mode: str, word: StringWord,
+               cyclic: bool) -> StringWord:
+    """tau (mode 'tau') or tau^{-1} (mode 'tauinv'), memoized per table.
+
+    A landmark (P/soc P for tau, rad P for tau^{-1}) goes to its partner;
+    any other string goes through the two-sided surgery.
+    """
+    key = (mode, word, cyclic)
+    out = table._translates.get(key)
+    if out is not None:
+        return out
     _require_input(table, word, cyclic)
-    v = as_rad_of_projective(table, word)
+    if mode == "tau":
+        v, partner = as_proj_quotient(table, word), rad_word
+    else:
+        v, partner = as_rad_of_projective(table, word), proj_quotient_word
     if v is not None:
-        return canonical_form(table.quiver, proj_quotient_word(table, v))
-    res = _two_sided(table, word, "tauinv")
-    if isinstance(res.word, EmptyWord):
-        raise RuntimeError(f"tau-inverse of {word} vanished; module should be rad P")
-    return canonical_form(table.quiver, res.word)
+        out = partner(table, v)
+    else:
+        res = _two_sided(table, word, mode)
+        if isinstance(res.word, EmptyWord):
+            name, landmark = (("tau", "P/soc P") if mode == "tau"
+                              else ("tau-inverse", "rad P"))
+            raise RuntimeError(f"{name} of {word} vanished; module should be {landmark}")
+        out = res.word
+    out = table._translates[key] = canonical_form(table.quiver, out)
+    return out
 
 
 @dataclass
@@ -324,7 +343,7 @@ def _word_as_directed_path(table: AlgebraTable, word: StringWord):
         return (), word.vertex
     dirs = {l.inverse for l in word.letters}
     if len(dirs) != 1:
-        raise ValueError(f"{word} is not a directed string")
+        raise NotDirected(f"{word} is not a directed string")
     if word.letters[0].inverse:
         arrows = tuple(l.arrow for l in reversed(word.letters))
         return arrows, word_source(q, word)
@@ -350,7 +369,7 @@ def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
         if hit:
             break
     if hit is None:
-        raise ValueError(f"no injective hull arm extends {piece}")
+        raise NotDirected(f"no injective hull arm extends {piece}")
     t, idx, arm = hit
     arms = table.arms(t)
     q_len = len(arm.arrows) - k

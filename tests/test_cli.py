@@ -154,6 +154,52 @@ def test_domain_errors_exit_one(capsys, algs, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("vertex 1 2", "vertex 1 2 1"), "duplicate vertex ids"),
+    (lambda text: text + "arrow z : 1 -> 9\n", "arrow z has undeclared endpoint"),
+    (lambda text: text + "rel a = x/2 a\n", "line {last}: bad scalar 'x/2'"),
+    (lambda text: text + "rel a = 1/0 a\n", "line {last}: bad scalar '1/0'"),
+    (lambda text: text.replace("field Q", "field F4"),
+     "line {field}: characteristic must be 0 or prime, got 4"),
+    (lambda text: text.replace("field Q", "field F3") + "rel a b = 1/3 a b\n",
+     "line {last}: 1/3 has no image in F_3"),
+], ids=["duplicate-vertex", "undeclared-endpoint", "bad-scalar", "zero-denominator",
+        "not-a-prime", "no-image-mod-p"])
+def test_malformed_alg_file_is_a_domain_error(capsys, tmp_path, edit, message):
+    text = edit(ALG_N2_TEXT)
+    lines = text.splitlines()
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    field_line = next(i for i, line in enumerate(lines, 1) if line.startswith("field"))
+    assert captured.err == "error: " + message.format(last=len(lines), field=field_line) + "\n"
+
+
+def test_ssb_deformation_of_an_unknown_arrow_is_a_domain_error(capsys, algs):
+    assert main(["ssb", "--quiver", algs["l2"], "--pi", "a>b,b>a", "--mult", "a b:1",
+                 "--deform", "zz:1"]) == 1
+    assert capsys.readouterr().err == "error: unknown arrow 'zz' in --deform\n"
+
+
+def test_undecodable_alg_file_is_a_domain_error(capsys, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"field Q\nvertex 1\xff\n")
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_internal_error_is_not_reported_as_a_domain_error(algs, monkeypatch):
+    """Only DomainError exits 1; a ValueError from inside the library is a bug."""
+    def broken(pres):
+        raise ValueError("rows do not span a submodule")
+
+    monkeypatch.setattr("biserial.cli.build_table", broken)
+    with pytest.raises(ValueError):
+        main(["check", algs["n2"]])
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

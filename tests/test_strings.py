@@ -1,7 +1,8 @@
 import pytest
 
 from biserial.core import build_table
-from biserial.instances import alg_l2, alg_l2d, alg_n2, loop_algebra
+from biserial.fields import Field
+from biserial.instances import alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra
 from biserial.strings import (BadComposition, InverseAdjacent, Letter,
                               StringWord, SubwordInSocleOrZero, canonical_form,
                               enumerate_strings, is_band, is_valid_string,
@@ -155,3 +156,54 @@ def test_reverse_is_involution():
     for word in enumerate_strings(t, 5):
         assert reverse_word(reverse_word(word)) == word
         assert words_equal(t.quiver, word, reverse_word(word))
+
+
+# -- the per-table string-module cache ------------------------------------
+
+@pytest.mark.parametrize("field", [Field(0), Field(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("fixture", [alg_n2, alg_l2, alg_l2d, alg_a3z],
+                         ids=lambda f: f.__name__)
+def test_cached_string_modules_are_never_changed(swept_tables, fixture, field):
+    """After a sweep, each cached module equals one built on a fresh table."""
+    tables = swept_tables(fixture(field), max_len=3)
+    # the string-dimension check built the module of every string
+    assert len(tables[0]._string_modules) >= len(enumerate_strings(tables[0], 3))
+    for t in tables:
+        fresh = build_table(t.pres)
+        for word, M in t._string_modules.items():
+            N = string_module(fresh, word)
+            assert M.dims == N.dims, str(word)
+            assert M.mats == N.mats, str(word)
+            assert M.node_positions == N.node_positions, str(word)
+
+
+def test_string_module_is_shared():
+    t = build_table(alg_l2())
+    for word in enumerate_strings(t, 4):
+        assert string_module(t, word) is string_module(t, word)
+        assert string_module(t, reverse_word(word)) is string_module(t, reverse_word(word))
+    assert string_module(build_table(alg_l2()), w("a")) is not string_module(t, w("a"))
+
+
+def test_invalid_word_raises_on_every_call():
+    t = build_table(alg_n2())
+    invalid = [(w("a", "b"), SubwordInSocleOrZero),     # ab lies in the socle
+               (w("a", "a-"), InverseAdjacent),
+               (w("a", "a"), BadComposition),
+               (w("z"), BadComposition),
+               (StringWord.trivial("9"), BadComposition)]
+
+    def raise_each():
+        for word, error in invalid:
+            for _ in range(2):
+                with pytest.raises(error):
+                    string_module(t, word)
+                with pytest.raises(error):
+                    validate_string(t, word)
+
+    raise_each()
+    for word in enumerate_strings(t, 4):
+        string_module(t, word)
+        string_module(t, reverse_word(word))
+    raise_each()
+    assert all(word not in t._string_modules for word, _ in invalid)

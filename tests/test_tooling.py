@@ -4,9 +4,12 @@ The benchmark's tracer (perfbench/tracer.py) wraps every function its
 SPANNED table names, AlgebraTable.normal_form and the Field arithmetic,
 so each must exist in the library.  The CLI reports every DomainError as
 a domain error (exit 1), so every exception class the library defines
-must derive from it.
+must derive from it.  Table-level caches live in one place: every private
+attribute the library reads or writes on a table is declared in
+AlgebraTable.__init__, and every one on a module in ModuleRep.__init__.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -18,6 +21,7 @@ from biserial.core import AlgebraTable, DomainError
 from biserial.fields import Field
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+LIBRARY = Path(biserial.__file__).resolve().parent
 
 
 def load_tracer():
@@ -46,3 +50,62 @@ def test_every_library_exception_is_a_domain_error():
                     if issubclass(cls, Exception) and cls.__module__ == module.__name__]
     assert len(defined) >= 25
     assert [cls for cls in defined if not issubclass(cls, DomainError)] == []
+
+
+def _declared(tree, cls_name):
+    """Private attributes a class assigns in __init__, and its methods."""
+    cls = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == cls_name)
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    for node in ast.walk(init):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            names.add(node.attr)
+    return names
+
+
+def _private_uses(tree):
+    """(owner, attribute, line) for every private attribute outside self/cls.
+
+    The owner is "table" when the receiver is named table (or is a table
+    attribute itself, as in table._op_table._op_table) and "module"
+    otherwise; receivers bound by an import are skipped.
+    """
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    uses = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            continue
+        receiver = node.value
+        if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls", *imported):
+            continue
+        named = receiver.id if isinstance(receiver, ast.Name) else getattr(receiver, "attr", "")
+        table_attr = (isinstance(receiver, ast.Attribute) and isinstance(receiver.value, ast.Name)
+                      and receiver.value.id == "table")
+        owner = "table" if named == "table" or table_attr else "module"
+        uses.append((owner, node.attr, node.lineno))
+    return uses
+
+
+def test_private_caches_are_declared_in_init():
+    core = ast.parse((LIBRARY / "core.py").read_text(encoding="utf-8"))
+    reps = ast.parse((LIBRARY / "reps.py").read_text(encoding="utf-8"))
+    declared = {"table": _declared(core, "AlgebraTable"),
+                "module": _declared(reps, "ModuleRep")}
+    assert {"_string_modules", "_run_verdicts", "_arms", "_translates"} <= declared["table"]
+    assert "_hom_to_projective" in declared["module"]
+    seen, undeclared = set(), []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for owner, attr, line in _private_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            seen.add((owner, attr))
+            if attr not in declared[owner]:
+                undeclared.append(f"{path.name}:{line} {owner}.{attr}")
+    assert undeclared == []
+    # the scan sees the caches the calculus and the oracle fill
+    assert {("table", "_string_modules"), ("table", "_translates"),
+            ("module", "_hom_to_projective")} <= seen

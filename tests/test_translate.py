@@ -6,9 +6,11 @@ from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
 from biserial.reps import (direct_sum, is_isomorphic, kernel_of_map,
                            mapping_cone_rep, stable_class_is_zero,
                            strip_projectives, syzygy)
-from biserial.strings import (Letter, StringWord, canonical_form,
-                              enumerate_strings, string_module, words_equal)
-from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
+from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero,
+                              canonical_form, enumerate_strings, reverse_word,
+                              string_module, words_equal)
+from biserial.translate import (BandInput, LocalNakayamaExcluded,
+                                NotSelfinjectiveSB,
                                 ar_right_map, ar_sequence,
                                 canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
@@ -189,3 +191,33 @@ def test_ar_right_map_exact_and_almost_split():
             same = xw is not None and words_equal(
                 t.quiver, xw, canonical_form(t.quiver, c))
             assert rank == len(target_maps) - (1 if same else 0), (str(c), xw)
+
+
+# -- the per-table translate cache -----------------------------------------
+
+@pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
+def test_warm_translates_agree_with_a_fresh_table(swept_tables, fixture):
+    """tau and tau_inv after a sweep equal their values on a cold table."""
+    warm = swept_tables(fixture(), max_len=4)[0]
+    assert warm._translates
+    for c in enumerate_strings(warm, 4):
+        for x in (c, reverse_word(c)):
+            for op in (tau, tau_inv):
+                assert op(warm, x) == op(build_table(fixture()), x), (op.__name__, str(x))
+    for (mode, x, cyclic), value in warm._translates.items():
+        op = tau if mode == "tau" else tau_inv
+        assert value == op(build_table(fixture()), x, cyclic)
+
+
+def test_translate_errors_are_never_cached():
+    t = build_table(alg_l2())
+    band = word("a", "b-")
+    for _ in range(2):
+        with pytest.raises(SubwordInSocleOrZero):
+            tau(t, word("a", "b"))
+        with pytest.raises(BandInput):
+            tau_inv(t, band, cyclic=True)
+        # as a string, not a band, the same word has a translate
+        assert tau(t, tau_inv(t, band)) == canonical_form(t.quiver, band)
+    assert ("tauinv", band, True) not in t._translates
+    assert ("tauinv", band, False) in t._translates

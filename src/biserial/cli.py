@@ -87,6 +87,7 @@ def _load(path: str) -> AlgebraPresentation:
 def cmd_check(args) -> dict:
     pres = _load(args.file)
     table = build_table(pres)
+    table.certify()
     sym = check_selfinjective_symmetric(table)
     report = check_special_biserial(pres, table)
     payload = {

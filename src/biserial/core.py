@@ -5,17 +5,20 @@ The table builder turns a presentation with relations of three kinds
 deformations of length-2 products) into an explicit basis of path
 classes with exact structure constants.  Normal forms are computed by a
 directed rewriting discipline; full Groebner machinery is deliberately
-out of scope.
+out of scope.  Rewriting without completion can build a wrong table from
+a non-confluent presentation, so ``AlgebraTable.certify`` checks a built
+table exactly on its right regular representation (``regular_action``,
+the one construction of the e_v A that the socle and ``reps.projective``
+share) and raises ``InconsistentRelations`` unless it is associative.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .fields import Field
-from .linalg import Echelon, row_nullspace, sparse_nullspace
+from .linalg import Echelon, mat_mul, sparse_nullspace
 
 
 class PresentationError(DomainError):
@@ -147,6 +150,45 @@ class AlgebraPresentation:
     relations: list
 
 
+def format_relation(rel, field: Field) -> str:
+    """A relation in the presentation file syntax, without the 'rel' keyword."""
+    if isinstance(rel, ZeroRelation):
+        return f"{rel.path} = 0"
+    c = field.of(rel.coeff)
+    scalar = "" if c == field.one else field.format(c) + " "
+    return f"{rel.left} = {scalar}{rel.right}"
+
+
+def broken_relation(table: "AlgebraTable", mats: dict, dims: dict, relations):
+    """The first (relation, row) at which a representation breaks a relation.
+
+    ``mats`` holds one matrix per arrow and ``dims`` one dimension per
+    vertex; rows act on the left, so a path acts by the product of its
+    arrows' matrices.  The row indexes the basis at the relation's source.
+    Returns None when every relation holds.
+    """
+    f = table.field
+
+    def act(path):
+        m = mats[path.arrows[0]]
+        for a in path.arrows[1:]:
+            m = mat_mul(m, mats[a], f, cols=dims[table.quiver.target(a)])
+        return m
+
+    for rel in relations:
+        if isinstance(rel, ZeroRelation):
+            for r, row in enumerate(act(rel.path)):
+                if any(row):
+                    return rel, r
+        else:
+            c = f.of(rel.coeff)
+            right = act(rel.right)
+            for r, row in enumerate(act(rel.left)):
+                if row != [f.mul(c, x) for x in right[r]]:
+                    return rel, r
+    return None
+
+
 class AlgebraElement:
     """A formal linear combination of paths with exact coefficients."""
 
@@ -193,6 +235,7 @@ class AlgebraTable:
         # caches filled on first use by the functions named.  A table does
         # not change once built, so no entry goes stale; entries are shared
         # and read-only, and an input that raises is never stored.
+        self._regular = {}               # regular_action: vertex -> e_v A
         self._symmetry_report = None     # check_selfinjective_symmetric
         self._projective_cache = {}      # reps.projective: vertex -> module
         self._op_table = None            # reps.opposite_table
@@ -437,74 +480,112 @@ class AlgebraTable:
         f = self.field
         for rel in self.pres.relations:
             if isinstance(rel, ZeroRelation):
-                if self.nf_vector(rel.path.arrows):
-                    raise InconsistentRelations(f"relation {rel.path} = 0 fails in the table")
+                lhs, rhs = self.nf_vector(rel.path.arrows), {}
             else:
-                lhs = self.nf_vector(rel.left.arrows)
-                rhs = self.nf_vector(rel.right.arrows)
                 c = f.of(rel.coeff)
-                scaled = {i: f.mul(c, v) for i, v in rhs.items()}
-                if lhs != scaled:
-                    raise InconsistentRelations(f"relation {rel!r} fails in the table")
+                lhs = self.nf_vector(rel.left.arrows)
+                rhs = {i: y for i, x in self.nf_vector(rel.right.arrows).items()
+                       if (y := f.mul(c, x))}
+            if lhs != rhs:
+                raise InconsistentRelations(
+                    f"relation {format_relation(rel, f)} fails in the table")
 
-    def verify_associativity(self) -> bool:
-        """Exact check of associativity on all basis triples (test hook)."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mult_basis(i, j)
-                for k in range(self.dim):
-                    left = {}
-                    f = self.field
-                    for t, c in ij.items():
-                        for u, d in self.mult_basis(t, k).items():
-                            s = f.add(left.get(u, f.zero), f.mul(c, d))
-                            if s == f.zero:
-                                left.pop(u, None)
-                            else:
-                                left[u] = s
-                    jk = self.mult_basis(j, k)
-                    right = {}
-                    for t, c in jk.items():
-                        for u, d in self.mult_basis(i, t).items():
-                            s = f.add(right.get(u, f.zero), f.mul(c, d))
-                            if s == f.zero:
-                                right.pop(u, None)
-                            else:
-                                right[u] = s
-                    if left != right:
-                        return False
-        return True
+    # -- the right regular representation ------------------------------------
+
+    def regular_action(self, v: str):
+        """e_v A as (vertex -> basis indices, arrow name -> matrix); cached.
+
+        The basis indices at each vertex w are those of the paths from v to
+        w, in fiber order.  Row r of an arrow's matrix is the product of the
+        r-th path at the arrow's source with the arrow, over the paths at
+        its target.
+        """
+        cached = self._regular.get(v)
+        if cached is not None:
+            return cached
+        by_vertex = {w: [] for w in self.quiver.vertices}
+        for i in self.by_source[v]:
+            by_vertex[self.basis[i].target].append(i)
+        pos = {i: t for idxs in by_vertex.values() for t, i in enumerate(idxs)}
+        mats = {}
+        for a in self.quiver.arrows:
+            m = [[0] * len(by_vertex[a.target]) for _ in by_vertex[a.source]]
+            for r, i in enumerate(by_vertex[a.source]):
+                for k, c in self.nf_vector(self.basis[i].arrows + (a.name,)).items():
+                    m[r][pos[k]] = c
+            mats[a.name] = m
+        self._regular[v] = (by_vertex, mats)
+        return self._regular[v]
+
+    def certify(self):
+        """Raise InconsistentRelations unless the table is associative.
+
+        A path p acts on V, the sum of the e_v A, by the product rho(p) of
+        its arrows' matrices (``regular_action``).  Two exact checks:
+
+        - rho kills every relation, on every row of every e_v A;
+        - for each socle deformation x y = c s (c != 0) and each arrow a
+          out of the end of s, rho(s a) = 0.
+
+        Why they imply associativity.  Every step of ``normal_form``
+        replaces a path by terms with the same action: zero, substitution
+        and deformation steps by the first check, and the tail drop
+        x y a -> 0 by the second, since rho(x y a) = c rho(s a).  So
+        rho(p) = rho(nf(p)) for every path p.  The basis is prefix-closed,
+        so a basis path b is e rho(b) for the idempotent e at its source,
+        and b rho(p) = e rho(b p) = e rho(nf(b p)) = nf(b p).  Hence the
+        table's product is x y = x rho(y), with rho(x y) = rho(x) rho(y),
+        and (x y) z = x rho(y) rho(z) = x (y z).  The table is then the
+        quotient of the path algebra by the kernel of rho, which contains
+        the ideal, so it is never larger than A; it is A when every s a
+        lies in the ideal, as it does when s is a socle path.  ``build_table``
+        does not run this check, for its cost.
+        """
+        f = self.field
+        q = self.quiver
+        implied = {}    # the zero relation s a -> the deformation it comes from
+        for rel in self.pres.relations:
+            if isinstance(rel, SocleDeformation) and f.of(rel.coeff):
+                for a in q.out_arrows[rel.right.target]:
+                    implied[ZeroRelation(q.path(rel.right.arrows + (a.name,)))] = rel
+        for v in q.vertices:
+            by_vertex, mats = self.regular_action(v)
+            dims = {w: len(idxs) for w, idxs in by_vertex.items()}
+            failure = broken_relation(self, mats, dims, [*self.pres.relations, *implied])
+            if failure is None:
+                continue
+            rel, r = failure
+            source = rel.path.source if isinstance(rel, ZeroRelation) else rel.left.source
+            text = format_relation(rel, f)
+            if rel in implied:
+                text += f", implied by the socle deformation {format_relation(implied[rel], f)},"
+            raise InconsistentRelations(
+                f"relation {text} fails in the table at basis path "
+                f"{self.basis[by_vertex[source][r]]}")
 
     # -- socle -------------------------------------------------------------
 
-    def _right_mult_matrix(self, v: str, arrow: Arrow):
-        """Matrix of right multiplication by arrow on the e_v A fiber."""
-        rows = self.by_source[v]
-        cols = self.by_source[v]
-        col_pos = {b: t for t, b in enumerate(cols)}
-        f = self.field
-        mat = [[f.zero] * len(cols) for _ in rows]
-        for r, bi in enumerate(rows):
-            if self.basis[bi].target != arrow.source:
-                continue
-            prod = self.nf_vector(self.basis[bi].arrows + (arrow.name,),
-                                  self.basis[bi].source)
-            for k, c in prod.items():
-                mat[r][col_pos[k]] = c
-        return mat
-
     def socle(self) -> dict:
-        """Per-vertex basis of soc(e_v A), as vectors over the e_v A fiber."""
+        """Per-vertex basis of soc(e_v A), as vectors over the e_v A fiber.
+
+        At each vertex w it is the common kernel of the arrows out of w on
+        the paths from v to w.  Each column of an arrow's matrix is one
+        equation on the rows at its source, so one nullspace over the fiber
+        solves every vertex at once.
+        """
         if self._socle is not None:
             return self._socle
         out = {}
         spaces = {}
         for v in self.quiver.vertices:
-            fiber = self.by_source[v]
-            mats = [self._right_mult_matrix(v, a) for a in self.quiver.arrows]
-            stacked = [list(itertools.chain.from_iterable(m[r] for m in mats))
-                       for r in range(len(fiber))]
-            out[v] = row_nullspace(stacked, self.field)
+            by_vertex, mats = self.regular_action(v)
+            pos = {i: t for t, i in enumerate(self.by_source[v])}
+            equations = []
+            for a in self.quiver.arrows:
+                m, rows = mats[a.name], by_vertex[a.source]
+                for k in range(len(by_vertex[a.target])):
+                    equations.append({pos[i]: m[r][k] for r, i in enumerate(rows) if m[r][k]})
+            out[v] = sparse_nullspace(equations, len(pos), self.field)
             spaces[v] = Echelon(self.field, out[v])
         self._socle = out
         self._socle_spaces = spaces

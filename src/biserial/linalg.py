@@ -63,10 +63,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def is_zero_matrix(a, field: Field) -> bool:
-    return not any(x for row in a for x in row)
-
-
 def row_vec_mul(v, a, field: Field, cols: int | None = None):
     """v @ a; pass cols when a may have zero rows (shape (0, cols))."""
     if cols is None:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (AlgebraPresentation, DomainError, EqualityRelation,
-                   Quiver, QuiverError, SocleDeformation, ZeroRelation)
+                   Quiver, QuiverError, SocleDeformation, ZeroRelation,
+                   format_relation)
 from .fields import Field, FieldError
 
 
@@ -142,10 +143,5 @@ def format_presentation(pres: AlgebraPresentation) -> str:
     for a in pres.quiver.arrows:
         lines.append(f"arrow {a.name} : {a.source} -> {a.target}")
     for rel in pres.relations:
-        if isinstance(rel, ZeroRelation):
-            lines.append(f"rel {' '.join(rel.path.arrows)} = 0")
-        else:
-            coeff = f.of(rel.coeff)
-            c = "" if coeff == f.one else f.format(coeff) + " "
-            lines.append(f"rel {' '.join(rel.left.arrows)} = {c}{' '.join(rel.right.arrows)}")
+        lines.append("rel " + format_relation(rel, f))
     return "\n".join(lines) + "\n"

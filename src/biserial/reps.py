@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .checks import NotSelfinjective
-from .core import (AlgebraTable, DomainError, EqualityRelation,
-                   SocleDeformation, ZeroRelation, build_table,
+from .core import (AlgebraTable, DomainError, broken_relation, build_table,
                    opposite_presentation)
 
 
@@ -60,30 +59,9 @@ class ModuleRep:
     def dim_vector(self) -> dict:
         return dict(self.dims)
 
-    def path_matrix(self, arrows, source_vertex=None):
-        """Matrix of the action of a path (product of arrow matrices)."""
-        if not arrows:
-            n = self.dims[source_vertex]
-            return la.identity(n, self.field)
-        q = self.table.quiver
-        m = self.mats[arrows[0]]
-        for a in arrows[1:]:
-            m = la.mat_mul(m, self.mats[a], self.field, cols=self.dims[q.target(a)])
-        return m
-
     def satisfies_relations(self) -> bool:
-        f = self.field
-        for rel in self.table.pres.relations:
-            if isinstance(rel, ZeroRelation):
-                if not la.is_zero_matrix(self.path_matrix(rel.path.arrows), f):
-                    return False
-            elif isinstance(rel, (EqualityRelation, SocleDeformation)):
-                left = self.path_matrix(rel.left.arrows)
-                right = self.path_matrix(rel.right.arrows)
-                c = f.of(rel.coeff)
-                if left != la.mat_scale(right, c, f):
-                    return False
-        return True
+        return broken_relation(self.table, self.mats, self.dims,
+                               self.table.pres.relations) is None
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
@@ -164,26 +142,8 @@ def projective(table: AlgebraTable, vertex: str) -> ModuleRep:
     cache = table._projective_cache
     if vertex in cache:
         return cache[vertex]
-    fiber = table.by_source[vertex]
-    by_vertex = {w: [] for w in table.quiver.vertices}
-    for i in fiber:
-        by_vertex[table.basis[i].target].append(i)
-    pos = {}
-    for w, idxs in by_vertex.items():
-        for t, i in enumerate(idxs):
-            pos[i] = t
-    dims = {w: len(idxs) for w, idxs in by_vertex.items()}
-    f = table.field
-    mats = {}
-    for a in table.quiver.arrows:
-        m = la.zeros(dims[a.source], dims[a.target], f)
-        for i in by_vertex[a.source]:
-            prod = table.nf_vector(table.basis[i].arrows + (a.name,),
-                                   table.basis[i].source)
-            for k, c in prod.items():
-                m[pos[i]][pos[k]] = c
-        mats[a.name] = m
-    rep = ModuleRep(table, dims, mats)
+    by_vertex, mats = table.regular_action(vertex)
+    rep = ModuleRep(table, {w: len(idxs) for w, idxs in by_vertex.items()}, mats)
     rep.projective_basis = by_vertex  # basis indices per vertex, in fiber order
     rep.projective_vertex = vertex
     cache[vertex] = rep

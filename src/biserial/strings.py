@@ -327,23 +327,24 @@ class SideOp:
     segment: tuple
 
 
-def right_cohook(table: AlgebraTable, word: StringWord, exclude=None):
-    """Append one direct letter and a maximal inverse climb, if valid."""
+def _attach(table: AlgebraTable, word: StringWord, inverse: bool, exclude=None):
+    """Append one letter of the given direction and a maximal run of the
+    other, if valid: a co-hook (direct letter, inverse climb) or a hook
+    (inverse letter, direct descent)."""
     q = table.quiver
-    end = word_target(q, word)
-    for a in q.out_arrows[end]:
+    firsts, steps = (q.in_arrows, q.out_arrows) if inverse else (q.out_arrows, q.in_arrows)
+    for a in firsts[word_target(q, word)]:
         if word.is_trivial() and a.name == exclude:
             continue
-        first = Letter(a.name)
+        first = Letter(a.name, inverse)
         if not _can_append(table, word, first):
             continue
         w = append_letter(table, word, first)
         segment = [first]
         while True:
-            cur = word_target(q, w)
             step = None
-            for b in q.in_arrows[cur]:
-                cand = Letter(b.name, True)
+            for b in steps[word_target(q, w)]:
+                cand = Letter(b.name, not inverse)
                 if _can_append(table, w, cand):
                     step = cand
                     break
@@ -351,35 +352,7 @@ def right_cohook(table: AlgebraTable, word: StringWord, exclude=None):
                 break
             w = append_letter(table, w, step)
             segment.append(step)
-        return SideOp(w, "cohook", tuple(segment))
-    return None
-
-
-def right_hook(table: AlgebraTable, word: StringWord, exclude=None):
-    """Append one inverse letter and a maximal direct descent, if valid."""
-    q = table.quiver
-    end = word_target(q, word)
-    for a in q.in_arrows[end]:
-        if word.is_trivial() and a.name == exclude:
-            continue
-        first = Letter(a.name, True)
-        if not _can_append(table, word, first):
-            continue
-        w = append_letter(table, word, first)
-        segment = [first]
-        while True:
-            cur = word_target(q, w)
-            step = None
-            for b in q.out_arrows[cur]:
-                cand = Letter(b.name)
-                if _can_append(table, w, cand):
-                    step = cand
-                    break
-            if step is None:
-                break
-            w = append_letter(table, w, step)
-            segment.append(step)
-        return SideOp(w, "hook", tuple(segment))
+        return SideOp(w, "hook" if inverse else "cohook", tuple(segment))
     return None
 
 
@@ -390,41 +363,29 @@ def _truncate(word: StringWord, quiver: Quiver, keep: int):
     return StringWord(word.letters[:keep])
 
 
-def right_hook_delete(table: AlgebraTable, word: StringWord) -> SideOp:
-    """Remove the trailing direct run and the inverse letter before it."""
-    q = table.quiver
+def _delete(table: AlgebraTable, word: StringWord, inverse: bool) -> SideOp:
+    """Remove the last letter of the given direction and the run after it:
+    a hook (inverse letter, direct run) or a co-hook (direct letter,
+    inverse run)."""
+    kind = "hook-delete" if inverse else "cohook-delete"
     m = None
     for i in range(word.length - 1, -1, -1):
-        if word.letters[i].inverse:
+        if word.letters[i].inverse == inverse:
             m = i
             break
     if m is None:
-        return SideOp(EMPTY, "hook-delete", word.letters)
-    return SideOp(_truncate(word, q, m), "hook-delete", word.letters[m:])
-
-
-def right_cohook_delete(table: AlgebraTable, word: StringWord) -> SideOp:
-    """Remove the trailing inverse run and the direct letter before it."""
-    q = table.quiver
-    m = None
-    for i in range(word.length - 1, -1, -1):
-        if not word.letters[i].inverse:
-            m = i
-            break
-    if m is None:
-        return SideOp(EMPTY, "cohook-delete", word.letters)
-    return SideOp(_truncate(word, q, m), "cohook-delete", word.letters[m:])
+        return SideOp(EMPTY, kind, word.letters)
+    return SideOp(_truncate(word, table.quiver, m), kind, word.letters[m:])
 
 
 def right_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> SideOp:
-    """The (-)^r surgery: mode 'tau' co-hooks, mode 'tauinv' hooks."""
-    if mode == "tau":
-        res = right_cohook(table, word, exclude)
-        return res if res is not None else right_hook_delete(table, word)
-    if mode == "tauinv":
-        res = right_hook(table, word, exclude)
-        return res if res is not None else right_cohook_delete(table, word)
-    raise ValueError(f"unknown mode {mode!r}")
+    """The (-)^r surgery: mode 'tau' co-hooks, else deletes a hook; mode
+    'tauinv' hooks, else deletes a co-hook."""
+    if mode not in ("tau", "tauinv"):
+        raise ValueError(f"unknown mode {mode!r}")
+    inverse = mode == "tauinv"
+    res = _attach(table, word, inverse, exclude)
+    return res if res is not None else _delete(table, word, not inverse)
 
 
 def left_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> SideOp:

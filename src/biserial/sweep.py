@@ -49,10 +49,9 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
     table = build_table(pres)
     q = table.quiver
     record("table-built", True, f"dim {table.dim}")
-    if table.dim <= 32:
-        record("associativity", table.verify_associativity())
-    else:
-        skip("associativity", f"dim {table.dim} > 32")
+    with guarded("associativity"):
+        table.certify()
+        record("associativity", True)
     op = build_table(opposite_presentation(pres))
     record("opposite-dimension", op.dim == table.dim, f"{op.dim} vs {table.dim}")
 

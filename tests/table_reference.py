@@ -1,0 +1,144 @@
+"""Brute-force references for the table's own exact methods, and inputs.
+
+``verify_associativity`` checks every basis triple, O(dim^3) products;
+``dense_socle`` solves soc(e_v A) from dense fiber-by-fiber matrices of
+right multiplication by each arrow.  Both are the routes the library
+took before ``AlgebraTable.certify`` and ``AlgebraTable.socle`` read the
+right regular representation; the tests compare the two, on a seeded
+family of random presentations and on three presentations whose tables
+``build_table`` gets wrong.
+"""
+
+import itertools
+import random
+
+from biserial.linalg import row_nullspace
+
+
+def verify_associativity(table) -> bool:
+    """(x y) z == x (y z) on every triple of basis classes."""
+    f = table.field
+
+    def linear(vec, times):
+        """The sum of c * times(t) over the terms c t of vec."""
+        out = {}
+        for t, c in vec.items():
+            for u, d in times(t).items():
+                s = f.add(out.get(u, f.zero), f.mul(c, d))
+                if s == f.zero:
+                    out.pop(u, None)
+                else:
+                    out[u] = s
+        return out
+
+    for i, j, k in itertools.product(range(table.dim), repeat=3):
+        left = linear(table.mult_basis(i, j), lambda t: table.mult_basis(t, k))
+        right = linear(table.mult_basis(j, k), lambda t: table.mult_basis(i, t))
+        if left != right:
+            return False
+    return True
+
+
+def _right_mult_matrix(table, v, arrow):
+    """Matrix of right multiplication by arrow on the e_v A fiber."""
+    fiber = table.by_source[v]
+    col_pos = {b: t for t, b in enumerate(fiber)}
+    mat = [[table.field.zero] * len(fiber) for _ in fiber]
+    for r, bi in enumerate(fiber):
+        if table.basis[bi].target != arrow.source:
+            continue
+        for k, c in table.nf_vector(table.basis[bi].arrows + (arrow.name,),
+                                    table.basis[bi].source).items():
+            mat[r][col_pos[k]] = c
+    return mat
+
+
+def dense_socle(table) -> dict:
+    """Per-vertex basis of soc(e_v A) over the fiber, from dense matrices."""
+    out = {}
+    for v in table.quiver.vertices:
+        mats = [_right_mult_matrix(table, v, a) for a in table.quiver.arrows]
+        stacked = [list(itertools.chain.from_iterable(m[r] for m in mats))
+                   for r in range(len(table.by_source[v]))]
+        out[v] = row_nullspace(stacked, table.field)
+    return out
+
+
+def random_presentation_text(seed: int) -> str:
+    """A seeded small presentation in the file syntax, often not confluent.
+
+    One or two vertices, two or three arrows, every path of length L zero
+    (L = 3 or 4), and one to four relations among shorter paths: zero
+    paths, and equalities of parallel paths with a random scalar (0 and
+    multiples of p included), which the parser reads as socle deformations
+    when the left side has length 2 and shares its first arrow with the
+    right.  Some draws are rejected by ``build_table``.
+    """
+    rng = random.Random(seed)
+    n = rng.choice((1, 1, 2))
+    arrows = [(name, str(rng.randint(1, n)), str(rng.randint(1, n)))
+              for name in "xyz"[:rng.randint(2, 3)]]
+    nilpotency = rng.choice((3, 4, 4)) if len(arrows) == 2 else 3
+    paths = [(a,) for a in arrows]
+    by_length = {1: paths}
+    for length in range(2, nilpotency + 1):
+        by_length[length] = [p + (a,) for p in by_length[length - 1]
+                             for a in arrows if p[-1][2] == a[1]]
+    lines = [f"field {rng.choice(('Q', 'F2', 'F3', 'F5'))}",
+             "vertex " + " ".join(str(i + 1) for i in range(n))]
+    lines += [f"arrow {a} : {s} -> {t}" for a, s, t in arrows]
+    names = lambda p: " ".join(a[0] for a in p)
+    short = [p for length in range(2, nilpotency) for p in by_length[length]]
+    lefts = rng.sample(short, min(len(short), rng.randint(1, 4)))
+    if rng.random() < 0.5:      # length-2 left sides only: more deformations
+        lefts = [p for p in lefts if len(p) == 2] or lefts[:1]
+    for left in lefts:
+        parallel = [p for p in short if p not in lefts and p[0][1] == left[0][1]
+                    and p[-1][2] == left[-1][2]]
+        # a length-2 left side and a right side with its first arrow is a
+        # socle deformation; prefer those to exercise the tail drop
+        deform = [p for p in parallel if len(left) == 2 and p[0] == left[0]]
+        if deform and rng.random() < 0.9:
+            parallel = deform
+        if not parallel or rng.random() < 0.2:
+            lines.append(f"rel {names(left)} = 0")
+            continue
+        scalar = rng.choice(("", "", "2 ", "-1 ", "3 ", "0 "))
+        lines.append(f"rel {names(left)} = {scalar}{names(rng.choice(parallel))}")
+    lines += [f"rel {names(p)} = 0" for p in by_length[nilpotency]]
+    return "\n".join(lines) + "\n"
+
+
+# The true quotient is 4-dimensional (x^3 = x y^2 = 0, so y x = 0), but
+# directed rewriting without critical-pair completion keeps 6 classes and a
+# non-associative product.  build_table does not notice; certify and the
+# sweep do.  See README, Limits.
+NON_CONFLUENT_TEXT = """
+field Q
+vertex 1
+arrow x : 1 -> 1
+arrow y : 1 -> 1
+rel x y = 0
+rel x x = y y
+rel y x = x x x
+"""
+
+# An associative table that is too large: c c = c c c forces c c = c^4 = 0,
+# so c a = c c b = 0 and the true algebra has dimension 5, not 6.
+ASSOCIATIVE_BUT_WRONG_TEXT = """
+field Q
+vertex 1 2
+arrow a : 1 -> 2
+arrow b : 1 -> 2
+arrow c : 1 -> 1
+rel c c = c c c
+rel c b = 0
+rel c c b = c a
+rel c c c c = 0
+"""
+
+# Every e_v A satisfies the relations, but normal_form drops x y x to 0
+# while (x y) x = x x x is a basis path: only the tail check fails.
+TAIL_DROP_TEXT = ("field Q\nvertex 1\narrow x : 1 -> 1\narrow y : 1 -> 1\nrel x y = x x\n"
+                  + "".join(f"rel {' '.join(w)} = 0\n"
+                            for w in itertools.product("xy", repeat=4)))

@@ -6,6 +6,8 @@ from biserial.cli import main
 from biserial.instances import (ALG_A3Z_TEXT, ALG_L2D_TEXT, ALG_L2_TEXT,
                                 ALG_N2_TEXT, alg_l2)
 from biserial.sweep import run_sweep
+from table_reference import (ASSOCIATIVE_BUT_WRONG_TEXT, NON_CONFLUENT_TEXT,
+                             TAIL_DROP_TEXT)
 
 # n2 with an arrow-less vertex 3, whose projective is simple
 ALG_N2_ISOLATED_TEXT = ALG_N2_TEXT.replace("vertex 1 2", "vertex 1 2 3")
@@ -175,6 +177,33 @@ def test_malformed_alg_file_is_a_domain_error(capsys, tmp_path, edit, message):
     assert captured.out == ""
     field_line = next(i for i, line in enumerate(lines, 1) if line.startswith("field"))
     assert captured.err == "error: " + message.format(last=len(lines), field=field_line) + "\n"
+
+
+def test_relation_with_a_scalar_zero_in_the_field_builds(capsys, tmp_path):
+    """a a a = 3 a a over F3 is a a a = 0, not a failed relation."""
+    outs = []
+    for rhs in ("3 a a", "0"):
+        p = tmp_path / "cube.alg"
+        p.write_text(f"field F3\nvertex 1\narrow a : 1 -> 1\nrel a a a = {rhs}\n")
+        code, out = run(capsys, "--json", "basis", str(p))
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1] and outs[0]["dimension"] == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    (NON_CONFLUENT_TEXT, "relation x x = y y fails in the table at basis path x"),
+    (ASSOCIATIVE_BUT_WRONG_TEXT, "relation c c b = c a fails in the table at basis path e_1"),
+    (TAIL_DROP_TEXT, "relation x x x = 0, implied by the socle deformation x y = x x, "
+                     "fails in the table at basis path e_1"),
+], ids=["non-confluent", "associative-but-wrong", "tail-drop"])
+def test_check_certifies_the_table(capsys, tmp_path, text, message):
+    p = tmp_path / "wrong.alg"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_ssb_deformation_of_an_unknown_arrow_is_a_domain_error(capsys, algs):

@@ -1,15 +1,22 @@
+import itertools
+
 import pytest
 
-from biserial.core import (AlgebraElement, AlgebraPresentation,
+from biserial.core import (AlgebraElement, AlgebraPresentation, DomainError,
                            InconsistentRelations, NonAdmissible, Quiver,
                            ZeroRelation, build_table,
                            check_selfinjective_symmetric, multiply,
                            opposite_presentation)
 from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
-                                loop_algebra)
+                                loop_algebra, random_node_presentation,
+                                random_standard_data)
+from biserial.normalizer import build_from_standard_data
 from biserial.presentations import parse_presentation
 from biserial.sweep import run_sweep
+from table_reference import (ASSOCIATIVE_BUT_WRONG_TEXT, NON_CONFLUENT_TEXT,
+                             TAIL_DROP_TEXT, dense_socle,
+                             random_presentation_text, verify_associativity)
 
 
 def basis_strings(table):
@@ -107,7 +114,7 @@ def test_symmetric_form_properties():
 def test_associativity_and_identity():
     for pres in (alg_n2(), alg_l2(), alg_l2d(), alg_a3z()):
         t = build_table(pres)
-        assert t.verify_associativity()
+        assert verify_associativity(t)
         one = t.identity_vec()
         for i in range(t.dim):
             assert t.mult_vec(one, {i: t.field.one}) == {i: t.field.one}
@@ -183,24 +190,80 @@ def test_every_long_path_dies():
                 assert t.basis[k].length < t.loewy_length
 
 
-# The true quotient is 4-dimensional (x^3 = x y^2 = 0, so y x = 0), but
-# directed rewriting without critical-pair completion keeps 6 classes and a
-# non-associative product.  Only the sweep notices; see README, Limits.
-NON_CONFLUENT_TEXT = """
-field Q
-vertex 1
-arrow x : 1 -> 1
-arrow y : 1 -> 1
-rel x y = 0
-rel x x = y y
-rel y x = x x x
-"""
-
-
 def test_non_confluent_presentation_fails_the_sweep_associativity_check():
     pres = parse_presentation(NON_CONFLUENT_TEXT)
     table = build_table(pres)
     assert table.dim == 6
-    assert not table.verify_associativity()
+    assert not verify_associativity(table)
     results = {r["check"]: r["pass"] for r in run_sweep(pres, 3)["results"]}
     assert results["table-built"] and not results["associativity"]
+
+
+@pytest.mark.parametrize("text, dim, associative, message", [
+    (NON_CONFLUENT_TEXT, 6, False, "relation x x = y y fails in the table at basis path x"),
+    (ASSOCIATIVE_BUT_WRONG_TEXT, 6, True,
+     "relation c c b = c a fails in the table at basis path e_1"),
+    (TAIL_DROP_TEXT, 10, False,
+     "relation x x x = 0, implied by the socle deformation x y = x x, fails in the "
+     "table at basis path e_1"),
+], ids=["non-confluent", "associative-but-wrong", "tail-drop"])
+def test_certify_names_the_failing_relation_and_basis_path(text, dim, associative, message):
+    table = build_table(parse_presentation(text))
+    assert (table.dim, verify_associativity(table)) == (dim, associative)
+    with pytest.raises(InconsistentRelations) as info:
+        table.certify()
+    assert str(info.value) == message
+
+
+FIELDS = (Field(0), Field(2), Field(3), Field(5))
+
+
+def library_tables():
+    """Fixtures, standard, deformed standard and node presentations."""
+    for f in FIELDS:
+        for make in (alg_n2, alg_l2, alg_l2d, alg_a3z, loop_algebra):
+            yield build_table(make(f))
+        for seed in range(16):
+            yield build_table(random_node_presentation(seed, f))
+    for seed in range(12):
+        quiver, pi, mult = random_standard_data(seed, max_vertices=3, max_mult=2)
+        loops = [a.name for a in quiver.arrows if a.source == a.target and pi[a.name] != a.name]
+        for f in FIELDS:
+            yield build_table(build_from_standard_data(quiver, pi, mult, [], f))
+            if loops:
+                yield build_table(build_from_standard_data(quiver, pi, mult,
+                                                           [(loops[0], f.one)], f))
+
+
+def random_tables(seeds):
+    """Tables of the seeded random-presentation family that build."""
+    for seed in seeds:
+        try:
+            yield build_table(parse_presentation(random_presentation_text(seed)))
+        except DomainError:
+            pass
+
+
+def test_certify_never_passes_a_table_the_reference_fails():
+    """certify is exact: a pass means associative (the reference agrees)."""
+    counts = {"tables": 0, "unsound": 0, "stricter": 0, "tail only": 0}
+    for table in itertools.chain(library_tables(), random_tables(range(1100))):
+        counts["tables"] += 1
+        try:
+            table.certify()
+            certified = True
+        except InconsistentRelations as exc:
+            certified = False
+            counts["tail only"] += "implied by" in str(exc)
+        associative = verify_associativity(table)
+        counts["unsound"] += certified and not associative
+        counts["stricter"] += associative and not certified
+    print(f"\ncertify against the associativity reference: {counts}")
+    assert counts["tables"] >= 1000
+    assert counts["unsound"] == 0
+    assert counts["tail only"] > 0      # the family reaches the tail check
+
+
+def test_socle_rows_match_the_dense_route():
+    for table in itertools.chain(library_tables(), random_tables(range(200))):
+        assert table.socle() == dense_socle(table)

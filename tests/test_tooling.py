@@ -97,7 +97,8 @@ def test_private_caches_are_declared_in_init():
     reps = ast.parse((LIBRARY / "reps.py").read_text(encoding="utf-8"))
     declared = {"table": _declared(core, "AlgebraTable"),
                 "module": _declared(reps, "ModuleRep")}
-    assert {"_string_modules", "_run_verdicts", "_arms", "_translates"} <= declared["table"]
+    assert {"_string_modules", "_run_verdicts", "_arms", "_translates",
+            "_regular"} <= declared["table"]
     assert "_hom_to_projective" in declared["module"]
     seen, undeclared = set(), []
     for path in sorted(LIBRARY.glob("*.py")):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .fields import Field
-from .linalg import Echelon, mat_mul, sparse_nullspace
+from .linalg import Echelon, mat_mul, sparse_nullspace, zeros
 
 
 class PresentationError(DomainError):
@@ -172,6 +172,9 @@ def broken_relation(table: "AlgebraTable", mats: dict, dims: dict, relations):
     def act(path):
         m = mats[path.arrows[0]]
         for a in path.arrows[1:]:
+            if not any(map(any, m)):
+                # a zero product stays zero
+                return zeros(len(m), dims[path.target], f)
             m = mat_mul(m, mats[a], f, cols=dims[table.quiver.target(a)])
         return m
 
@@ -245,6 +248,7 @@ class AlgebraTable:
         self._run_verdicts = {}          # strings._run_ok: arrow tuple -> bool
         self._string_modules = {}        # strings.string_module: word -> module
         self._translates = {}            # translate.tau/tau_inv: (mode, word, cyclic) -> word
+        self._side_ops = {}              # strings.right_op/left_op: (side, mode, word, exclude) -> SideOp
 
     # -- rule compilation ------------------------------------------------
 
@@ -254,6 +258,7 @@ class AlgebraTable:
 
     def _compile_rules(self):
         f = self.field
+        deformation_of = {}     # left side -> its SocleDeformation
         for rel in self.pres.relations:
             if isinstance(rel, ZeroRelation):
                 if rel.path.length < 2:
@@ -288,11 +293,24 @@ class AlgebraTable:
                     if key in self._deformations or key in self._zero_rules or key in self._subst_rules:
                         raise InconsistentRelations(f"conflicting relations on {rel.left}")
                     self._deformations[key] = (c, rel.right.arrows)
+                    deformation_of[key] = rel
             else:
                 raise UnsupportedRelation(f"unsupported relation {rel!r}")
         for key in self._deformations:
             if key in self._zero_rules or key in self._subst_rules:
                 raise InconsistentRelations(f"conflicting relations on {' '.join(key)}")
+        # a deformation whose right side is another's left side rewrites into
+        # it; a cycle of them would rewrite a path forever
+        for key in self._deformations:
+            chain = [key]
+            rhs = self._deformations[key][1]
+            while rhs in self._deformations and rhs not in chain:
+                chain.append(rhs)
+                rhs = self._deformations[rhs][1]
+            if rhs in chain:
+                cycle = chain[chain.index(rhs):]
+                names = " and ".join(format_relation(deformation_of[k], f) for k in cycle)
+                raise NonAdmissible(f"socle deformations {names} rewrite into each other")
 
     def _check_parallel(self, rel):
         if (rel.left.source != rel.right.source) or (rel.left.target != rel.right.target):

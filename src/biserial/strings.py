@@ -9,6 +9,7 @@ one-sided operations with alignment metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg as la
 from .core import AlgebraTable, DomainError, Quiver
@@ -30,8 +31,9 @@ class SubwordInSocleOrZero(StringError):
     pass
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
+    """An arrow or its formal inverse; an immutable tuple, hashed in C."""
+
     arrow: str
     inverse: bool = False
 
@@ -42,8 +44,9 @@ class Letter:
         return self.arrow + ("^-1" if self.inverse else "")
 
 
-@dataclass(frozen=True)
-class StringWord:
+class StringWord(NamedTuple):
+    """A tuple of letters, or a base vertex for a trivial string; immutable."""
+
     letters: tuple
     vertex: str | None = None   # base vertex, trivial strings only
 
@@ -106,7 +109,7 @@ def word_target(quiver: Quiver, word: StringWord) -> str:
 def reverse_word(word: StringWord) -> StringWord:
     if word.is_trivial():
         return word
-    return StringWord(tuple(l.inv() for l in reversed(word.letters)))
+    return StringWord(tuple([Letter(a, not inv) for a, inv in reversed(word.letters)]))
 
 
 def directed_runs(word: StringWord):
@@ -177,11 +180,22 @@ def word_key(quiver: Quiver, word: StringWord):
 
 
 def canonical_form(quiver: Quiver, word) -> StringWord:
-    """Deterministic representative of {c, c^-1} (lexicographic minimum)."""
+    """Deterministic representative of {c, c^-1}: the smaller by word_key.
+
+    Letter i of the reverse is the inverse of letter n-1-i, so the two
+    keys are compared in place and the reverse is built only when it wins.
+    """
     if isinstance(word, EmptyWord):
         return word
-    rev = reverse_word(word)
-    return word if word_key(quiver, word) <= word_key(quiver, rev) else rev
+    letters = word.letters
+    for a, b in zip(letters, reversed(letters)):
+        if a.arrow != b.arrow:
+            index = quiver.arrow_index
+            return word if index[a.arrow] < index[b.arrow] else reverse_word(word)
+        if a.inverse == b.inverse:
+            # same arrow: the direct letter has the smaller key
+            return reverse_word(word) if a.inverse else word
+    return word
 
 
 def words_equal(quiver: Quiver, w1, w2) -> bool:
@@ -246,18 +260,19 @@ def _can_append(table: AlgebraTable, word: StringWord, letter: Letter) -> bool:
     q = table.quiver
     if word_target(q, word) != letter_source(q, letter):
         return False
-    if not word.is_trivial():
-        last = word.letters[-1]
-        if letter == last.inv():
-            return False
-    # only the trailing run changes
-    letters = word.letters + (letter,)
-    i = len(letters) - 1
-    while i > 0 and letters[i - 1].inverse == letter.inverse:
+    letters = word.letters
+    arrow, inverse = letter
+    if letters and letters[-1] == (arrow, not inverse):
+        return False
+    # only the trailing run changes: read it off the letters, in arrow direction
+    i = len(letters)
+    while i > 0 and letters[i - 1].inverse == inverse:
         i -= 1
-    ext = StringWord(letters[i:])
-    start, end, inverse = 0, ext.length - 1, letter.inverse
-    return _run_ok(table, run_path_arrows(ext, start, end, inverse))
+    run = [l.arrow for l in letters[i:]]
+    run.append(arrow)
+    if inverse:
+        run.reverse()
+    return _run_ok(table, tuple(run))
 
 
 def append_letter(table: AlgebraTable, word: StringWord, letter: Letter) -> StringWord:
@@ -267,10 +282,8 @@ def append_letter(table: AlgebraTable, word: StringWord, letter: Letter) -> Stri
 def enumerate_strings(table: AlgebraTable, max_len: int):
     """All canonical valid strings of length <= max_len, sorted and unique."""
     q = table.quiver
-    found = {}
     frontier = [StringWord.trivial(v) for v in q.vertices]
-    for w in frontier:
-        found[word_key(q, canonical_form(q, w))] = canonical_form(q, w)
+    found = set(frontier)
     length = 0
     while frontier and length < max_len:
         nxt = []
@@ -282,11 +295,10 @@ def enumerate_strings(table: AlgebraTable, max_len: int):
                 if _can_append(table, w, letter):
                     w2 = append_letter(table, w, letter)
                     nxt.append(w2)
-                    c = canonical_form(q, w2)
-                    found.setdefault(word_key(q, c), c)
+                    found.add(canonical_form(q, w2))
         frontier = nxt
         length += 1
-    return [found[k] for k in sorted(found)]
+    return sorted(found, key=lambda c: word_key(q, c))
 
 
 def is_band(table: AlgebraTable, word: StringWord) -> bool:
@@ -312,14 +324,15 @@ def is_band(table: AlgebraTable, word: StringWord) -> bool:
 
 # -- one-sided surgeries -------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SideOp:
     """Result of a one-sided surgery with alignment metadata.
 
     kind: 'cohook' | 'hook' (letters attached) or 'hook-delete' |
     'cohook-delete' (letters removed).  For attachments, ``segment`` holds
     the attached letters in word order; for deletions it holds the removed
-    letters.  ``word`` is the resulting word or EMPTY.
+    letters.  ``word`` is the resulting word or EMPTY.  Results are
+    memoized per table and shared, so they are frozen.
     """
 
     word: object
@@ -380,20 +393,29 @@ def _delete(table: AlgebraTable, word: StringWord, inverse: bool) -> SideOp:
 
 def right_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> SideOp:
     """The (-)^r surgery: mode 'tau' co-hooks, else deletes a hook; mode
-    'tauinv' hooks, else deletes a co-hook."""
-    if mode not in ("tau", "tauinv"):
-        raise ValueError(f"unknown mode {mode!r}")
-    inverse = mode == "tauinv"
-    res = _attach(table, word, inverse, exclude)
-    return res if res is not None else _delete(table, word, not inverse)
+    'tauinv' hooks, else deletes a co-hook.  Memoized per table."""
+    key = ("right", mode, word, exclude)
+    op = table._side_ops.get(key)
+    if op is None:
+        if mode not in ("tau", "tauinv"):
+            raise ValueError(f"unknown mode {mode!r}")
+        inverse = mode == "tauinv"
+        op = (_attach(table, word, inverse, exclude)
+              or _delete(table, word, not inverse))
+        table._side_ops[key] = op
+    return op
 
 
 def left_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> SideOp:
-    """The ^l(-) surgery, implemented by reversal of the right one."""
-    res = right_op(table, reverse_word(word), mode, exclude)
-    out_word = res.word if isinstance(res.word, EmptyWord) else reverse_word(res.word)
-    segment = tuple(l.inv() for l in reversed(res.segment))
-    return SideOp(out_word, res.kind, segment)
+    """The ^l(-) surgery, by reversal of the right one.  Memoized per table."""
+    key = ("left", mode, word, exclude)
+    op = table._side_ops.get(key)
+    if op is None:
+        res = right_op(table, reverse_word(word), mode, exclude)
+        out_word = res.word if isinstance(res.word, EmptyWord) else reverse_word(res.word)
+        segment = tuple(l.inv() for l in reversed(res.segment))
+        op = table._side_ops[key] = SideOp(out_word, res.kind, segment)
+    return op
 
 
 def side_ops(table: AlgebraTable, word: StringWord, mode: str):

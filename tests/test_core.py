@@ -176,6 +176,18 @@ rel a b = 2 b a
         build_table(pres)
 
 
+def test_mutually_rewriting_deformations_are_named():
+    """y x -> y y -> y x would loop until the rewriting cap; it is named at once."""
+    pres = parse_presentation(
+        "field F5\nvertex 1\n" + "".join(f"arrow {a} : 1 -> 1\n" for a in "xyz")
+        + "rel y x = -1 y y\nrel y y = 2 y x\n"
+        + "".join(f"rel {' '.join(p)} = 0\n" for p in itertools.product("xyz", repeat=3)))
+    with pytest.raises(NonAdmissible) as info:
+        build_table(pres)
+    assert str(info.value) == ("socle deformations y x = 4 y y and y y = 2 y x "
+                               "rewrite into each other")
+
+
 def test_fp_table():
     t = build_table(alg_l2d(Field(2)))
     assert t.dim == 4

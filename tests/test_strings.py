@@ -2,7 +2,9 @@ import pytest
 
 from biserial.core import build_table
 from biserial.fields import Field
-from biserial.instances import alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra
+from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra,
+                                random_standard_data)
+from biserial.normalizer import build_from_standard_data
 from biserial.strings import (BadComposition, InverseAdjacent, Letter,
                               StringWord, SubwordInSocleOrZero, canonical_form,
                               enumerate_strings, is_band, is_valid_string,
@@ -55,6 +57,55 @@ def test_canonical_form():
     q2 = build_table(alg_l2()).quiver
     assert canonical_form(q2, w("a", "b-")) == w("a", "b-")
     assert canonical_form(q2, w("b", "a-")) == w("a", "b-")
+
+
+def reference_canonical_form(quiver, word):
+    """The definition: the smaller of the word and its reverse by word_key."""
+    rev = reverse_word(word)
+    return word if word_key(quiver, word) <= word_key(quiver, rev) else rev
+
+
+def canonical_form_tables():
+    """The fixtures, and the standard algebras of seeds 0-59 over F3 up to dimension 40."""
+    for make in (alg_n2, alg_l2, alg_l2d, alg_a3z):
+        yield build_table(make())
+    for seed in range(60):
+        table = build_table(build_from_standard_data(*random_standard_data(seed), [],
+                                                     Field(3)))
+        if table.dim <= 40:
+            yield table
+
+
+def test_canonical_form_matches_the_reference():
+    compared, differ = 0, []
+    for t in canonical_form_tables():
+        q = t.quiver
+        for c in enumerate_strings(t, 6):
+            for x in (c, reverse_word(c)):
+                compared += 1
+                if canonical_form(q, x) != reference_canonical_form(q, x):
+                    differ.append(str(x))
+    assert compared >= 8000
+    assert differ == []
+
+
+def test_letters_and_words_are_immutable_tuples():
+    a, b = Letter("a"), Letter("b", True)
+    c = StringWord((a, b))
+    assert (str(a), repr(a)) == ("a", "Letter(arrow='a', inverse=False)")
+    assert (str(b), repr(b)) == ("b^-1", "Letter(arrow='b', inverse=True)")
+    assert str(c) == "a b^-1"
+    assert repr(c) == ("StringWord(letters=(Letter(arrow='a', inverse=False), "
+                       "Letter(arrow='b', inverse=True)), vertex=None)")
+    e = StringWord.trivial("1")
+    assert (str(e), repr(e)) == ("@1", "StringWord(letters=(), vertex='1')")
+    for x, y in ((a, Letter("a", False)), (c, w("a", "b-")), (e, StringWord((), "1"))):
+        assert x == y and hash(x) == hash(y) and x is not y
+    assert len({c, w("a", "b-"), reverse_word(reverse_word(c))}) == 1
+    assert a != a.inv() and c != reverse_word(c) and e != StringWord.trivial("2")
+    for obj, attr in ((a, "inverse"), (c, "letters"), (e, "vertex")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
 
 
 def test_string_module_shapes():

@@ -6,7 +6,8 @@ so each must exist in the library.  The CLI reports every DomainError as
 a domain error (exit 1), so every exception class the library defines
 must derive from it.  Table-level caches live in one place: every private
 attribute the library reads or writes on a table is declared in
-AlgebraTable.__init__, and every one on a module in ModuleRep.__init__.
+AlgebraTable.__init__, and every one on a module in ModuleRep.__init__;
+no module binds a mutable container that could serve as a second cache.
 """
 
 import ast
@@ -98,7 +99,7 @@ def test_private_caches_are_declared_in_init():
     declared = {"table": _declared(core, "AlgebraTable"),
                 "module": _declared(reps, "ModuleRep")}
     assert {"_string_modules", "_run_verdicts", "_arms", "_translates",
-            "_regular"} <= declared["table"]
+            "_side_ops", "_regular"} <= declared["table"]
     assert "_hom_to_projective" in declared["module"]
     seen, undeclared = set(), []
     for path in sorted(LIBRARY.glob("*.py")):
@@ -110,3 +111,54 @@ def test_private_caches_are_declared_in_init():
     # the scan sees the caches the calculus and the oracle fill
     assert {("table", "_string_modules"), ("table", "_translates"),
             ("module", "_hom_to_projective")} <= seen
+
+
+MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "bytearray", "defaultdict",
+                        "OrderedDict", "Counter", "deque", "ChainMap"}
+
+
+def _module_level(body):
+    """Statements run at import: the body, descending into if/try/with blocks."""
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level(getattr(node, field, []))
+
+
+def _is_mutable_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                          ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        return name in MUTABLE_CONSTRUCTORS
+    return False
+
+
+def _mutable_bindings(tree):
+    """Lines that bind a module-level name other than __all__ to a mutable container."""
+    lines = []
+    for node in _module_level(tree.body):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        names = {t.id for t in targets if isinstance(t, ast.Name)}
+        if names != {"__all__"} and _is_mutable_container(value):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_binds_a_mutable_container():
+    """Caches live on tables and modules, never in a module-level dict."""
+    found = [f"{path.name}:{line}" for path in sorted(LIBRARY.glob("*.py"))
+             for line in _mutable_bindings(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    # the scan sees a planted container, also inside a block
+    planted = ("CACHE = {}\nif True:\n    SEEN = set()\n__all__ = []\n"
+               "def f():\n    local = []\nTABLE: dict = dict()\n")
+    assert _mutable_bindings(ast.parse(planted)) == [1, 3, 7]

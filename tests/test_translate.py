@@ -7,8 +7,9 @@ from biserial.reps import (direct_sum, is_isomorphic, kernel_of_map,
                            mapping_cone_rep, stable_class_is_zero,
                            strip_projectives, syzygy)
 from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero,
-                              canonical_form, enumerate_strings, reverse_word,
-                              string_module, words_equal)
+                              canonical_form, enumerate_strings, left_op,
+                              reverse_word, right_op, string_module,
+                              words_equal)
 from biserial.translate import (BandInput, LocalNakayamaExcluded,
                                 NotSelfinjectiveSB,
                                 ar_right_map, ar_sequence,
@@ -221,3 +222,27 @@ def test_translate_errors_are_never_cached():
         assert tau(t, tau_inv(t, band)) == canonical_form(t.quiver, band)
     assert ("tauinv", band, True) not in t._translates
     assert ("tauinv", band, False) in t._translates
+
+
+# -- the per-table one-sided surgery cache -----------------------------------
+
+@pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
+def test_warm_side_ops_agree_with_a_fresh_table(swept_tables, fixture):
+    """Every surgery cached by a sweep equals the one a cold table computes."""
+    warm = swept_tables(fixture(), max_len=4)[0]
+    assert {side for side, *_ in warm._side_ops} == {"right", "left"}
+    op = {"right": right_op, "left": left_op}
+    for (side, mode, x, exclude), value in warm._side_ops.items():
+        assert value == op[side](build_table(fixture()), x, mode, exclude), (side, str(x))
+
+
+def test_side_ops_are_shared_and_bad_modes_never_cached():
+    t = build_table(alg_l2())
+    c = word("a", "b-")
+    assert right_op(t, c, "tau") is right_op(t, c, "tau")
+    assert left_op(t, c, "tauinv") is left_op(t, c, "tauinv")
+    for _ in range(2):
+        for op in (right_op, left_op):
+            with pytest.raises(ValueError, match="unknown mode 'tua'"):
+                op(t, c, "tua")
+    assert all(mode != "tua" for _, mode, _, _ in t._side_ops)

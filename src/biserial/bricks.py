@@ -7,12 +7,14 @@ only ever certified up to an explicit length bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import AlgebraTable, DomainError
 from .reps import is_isomorphic, projective_cover, stable_hom_dim
-from .strings import (StringWord, canonical_form, directed_runs,
-                      enumerate_strings, string_module, word_key, words_equal)
+from .strings import (Letter, StringWord, _can_append, canonical_form,
+                      directed_runs, enumerate_strings, node_vertices,
+                      reverse_word, string_module, word_key, word_source,
+                      word_target, words_equal)
 from .translate import ar_sequence, rad_word, tau, tau_inv
 
 
@@ -122,7 +124,6 @@ def endpoint_multiplicity_check(table: AlgebraTable, system):
     Trivial strings contribute their vertex twice; the once-counted
     multiset is reported alongside for transparency.
     """
-    from .strings import word_source, word_target
     q = table.quiver
     twice = {}
     once = {}
@@ -165,7 +166,6 @@ def _diagram_case(word: StringWord) -> str:
 
 def _deep_vertices(quiver, word: StringWord):
     """Vertices of the deeps of the diagram, endpoints included, in order."""
-    from .strings import node_vertices
     verts = node_vertices(quiver, word)
     if word.is_trivial():
         return [word.vertex]
@@ -181,7 +181,6 @@ def _deep_vertices(quiver, word: StringWord):
 
 
 def _peak_vertices(quiver, word: StringWord):
-    from .strings import node_vertices
     verts = node_vertices(quiver, word)
     if word.is_trivial():
         return [word.vertex]
@@ -197,7 +196,6 @@ def _peak_vertices(quiver, word: StringWord):
 
 def _maximal_directed(table: AlgebraTable, word: StringWord, side: str) -> bool:
     """Is the directed run touching the given end maximal as a string?"""
-    from .strings import Letter, _can_append, reverse_word, word_target
     w = word if side == "right" else reverse_word(word)
     q = table.quiver
     end = word_target(q, w)

@@ -19,7 +19,8 @@ from .checks import (check_arrow_bound, check_one_in_one_out,
                      check_special_biserial)
 from .core import (AlgebraPresentation, DomainError, build_table,
                    check_selfinjective_symmetric)
-from .normalizer import NormalizedOutput, build_from_standard_data, normalize
+from .normalizer import (NormalizedOutput, build_from_standard_data,
+                         deformed_presentation, normalize)
 from .presentations import format_presentation, load_presentation
 from .reps import hom, projective, stable_hom_dim
 from .strings import (Letter, StringWord, enumerate_strings, string_module,
@@ -249,7 +250,6 @@ def _normalized_payload(pres, out: NormalizedOutput) -> dict:
 
 
 def cmd_normalize(args) -> dict:
-    from .normalizer import deformed_presentation
     pres = _load(args.file)
     table = build_table(pres)
     out = normalize(pres, table)

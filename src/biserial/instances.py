@@ -20,6 +20,7 @@ import random
 
 from .core import AlgebraPresentation, Quiver, ZeroRelation
 from .fields import Field
+from .normalizer import build_from_standard_data
 from .presentations import parse_presentation
 
 ALG_N2_TEXT = """
@@ -170,7 +171,6 @@ def acceptance_pool(max_len: int = 12):
     Returns (label, presentation, (quiver, pi, mult)) triples; two run over
     the rationals, the rest over small prime fields.
     """
-    from .normalizer import build_from_standard_data
     out = []
     for i, seed in enumerate(ACCEPTANCE_SEEDS):
         quiver, pi, mult = random_standard_data(seed)

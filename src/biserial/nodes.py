@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (AlgebraPresentation, AlgebraTable, EqualityRelation,
-                   Quiver, QuiverError, SocleDeformation, ZeroRelation)
+                   Quiver, QuiverError, SocleDeformation, ZeroRelation,
+                   build_table)
 
 
 @dataclass
@@ -37,7 +38,6 @@ def detect_nodes(pres: AlgebraPresentation, table: AlgebraTable) -> NodeReport:
 
 def split_nodes(pres: AlgebraPresentation) -> AlgebraPresentation:
     """Replace each node vertex by a sink (incoming) and a source (outgoing)."""
-    from .core import build_table
     table = build_table(pres)
     report = detect_nodes(pres, table)
     if not report.nodes:

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .checks import _stably_biserial_conditions
+from . import linalg as la
+from .checks import _continuations, _stably_biserial_conditions
 from .core import (AlgebraPresentation, AlgebraTable, DomainError,
                    EqualityRelation, Quiver, SocleDeformation, ZeroRelation,
                    build_table, check_selfinjective_symmetric)
 from .fields import Field
+from .translate import is_local_nakayama
 
 
 class NotSymmetric(DomainError):
@@ -94,21 +96,9 @@ def _require_symmetric_stably_biserial(table: AlgebraTable):
     ok, witnesses = _stably_biserial_conditions(table)
     if not ok:
         raise NotStablyBiserial(f"witnesses: {witnesses}")
-    if len(table.quiver.vertices) == 1 and len(table.quiver.arrows) == 1:
+    if is_local_nakayama(table):
         raise ExcludedLocalCase("the one-loop local algebra is excluded")
     return report
-
-
-def _sc_products(table: AlgebraTable, arrow: str):
-    """Arrows b with arrow*b nonzero, split by socle membership."""
-    q = table.quiver
-    nonsocle, socle = [], []
-    for b in q.out_arrows[q.target(arrow)]:
-        vec = table.nf_vector((arrow, b.name))
-        if not vec:
-            continue
-        (socle if table.in_socle(vec) else nonsocle).append(b.name)
-    return nonsocle, socle
 
 
 def construct_pi(pres: AlgebraPresentation, table: AlgebraTable) -> PiData:
@@ -119,7 +109,8 @@ def construct_pi(pres: AlgebraPresentation, table: AlgebraTable) -> PiData:
     trace = {}
     pending = []
     for a in q.arrows:
-        nonsocle, socle = _sc_products(table, a.name)
+        nonsocle = _continuations(table, a.name, True)
+        socle = [b for b in _continuations(table, a.name, False) if b not in nonsocle]
         if len(nonsocle) > 1:
             raise NotStablyBiserial(f"arrow {a.name} has two continuations off the socle")
         if nonsocle:
@@ -460,7 +451,6 @@ def deformed_presentation(out: NormalizedOutput) -> AlgebraPresentation:
 
 def verify_normalization(table: AlgebraTable, out: NormalizedOutput):
     """Exact structure-constant check of the substitution isomorphism."""
-    from . import linalg as la
     f = table.field
     target = build_table(deformed_presentation(out))
     if target.dim != table.dim:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import linalg as la
 from .checks import NotSelfinjective
 from .core import (AlgebraTable, DomainError, broken_relation, build_table,
-                   opposite_presentation)
+                   check_selfinjective_symmetric, opposite_presentation)
 
 
 class ModuleRep:
@@ -356,7 +356,6 @@ def injective_hull(table: AlgebraTable, M: ModuleRep):
     Requires a selfinjective table (injectives coincide with projectives);
     computed by dualizing a projective cover over the opposite algebra.
     """
-    from .core import check_selfinjective_symmetric
     if check_selfinjective_symmetric(table).verdict == "not-selfinjective":
         raise NotSelfinjective("injective hulls computed only over selfinjective tables")
     opT = opposite_table(table)

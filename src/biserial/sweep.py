@@ -17,6 +17,7 @@ from .checks import check_one_in_one_out, check_special_biserial
 from .core import (AlgebraPresentation, build_table,
                    check_selfinjective_symmetric, opposite_presentation)
 from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
+from .normalizer import normalize
 from .reps import (direct_sum, is_isomorphic, kernel_of_map, mapping_cone_rep,
                    stable_hom_dim, strip_projectives, syzygy)
 from .strings import (canonical_form, enumerate_strings, reverse_word,
@@ -189,7 +190,6 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
 
     if sym.verdict == "symmetric" and report.is_stably_biserial \
             and not is_local_nakayama(table):
-        from .normalizer import normalize
         out = None
         with guarded("normalizer-isomorphism"):
             out = normalize(pres, table)

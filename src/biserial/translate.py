@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from . import linalg as la
 from .checks import check_special_biserial
 from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
+from .reps import RepMap, decompose_rad_mod_soc, projective, vstack_maps
 from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
-                      directed_runs, is_band, left_op, letter_source,
-                      letter_target, right_op, side_ops, string_module,
+                      directed_runs, is_band, left_op, letter_target,
+                      reverse_word, right_op, side_ops, string_module,
                       validate_string, word_key, word_source, word_target,
                       words_equal)
 
@@ -74,6 +75,18 @@ def proj_quotient_word(table: AlgebraTable, vertex: str) -> StringWord:
     return StringWord(tuple(letters))
 
 
+def _quotient_node(arms, idx: int, j: int) -> int:
+    """Node of proj_quotient_word at the length-j prefix of arm ``idx``.
+
+    With two arms the word climbs arm 0 back to the vertex, which is node
+    len(arm 0) - 1, and then descends arm 1.
+    """
+    if len(arms) == 1:
+        return j
+    top = len(arms[0].arrows) - 1
+    return top - j if idx == 0 else top + j
+
+
 def rad_word(table: AlgebraTable, vertex: str) -> StringWord:
     """String word of rad P_v."""
     arms = table.arms(vertex)
@@ -123,17 +136,21 @@ def as_rad_of_projective(table: AlgebraTable, word: StringWord):
 class Surgery:
     """A full two-sided surgery with node-alignment data.
 
-    Nodes of the input word survive iff drop_left <= i <= n - drop_right,
-    landing at index i - drop_left + add_left in the result.
+    Node i of the input word lands at node i + shift of the result, when
+    that node exists: on each side a surgery only attaches or only
+    deletes letters, so a node survives iff its target index is in range.
     """
 
     word: object                 # StringWord or EMPTY
     right_kind: str
     left_kind: str
-    drop_left: int = 0
-    add_left: int = 0
-    drop_right: int = 0
-    add_right: int = 0
+    shift: int = 0               # letters attached on the left minus letters deleted there
+
+
+def _left_shift(op) -> int:
+    """How far a left surgery moves the nodes it keeps."""
+    n = len(op.segment)
+    return n if op.kind in ("hook", "cohook") else -n
 
 
 def _two_sided(table: AlgebraTable, word: StringWord, mode: str):
@@ -146,41 +163,18 @@ def _two_sided(table: AlgebraTable, word: StringWord, mode: str):
     """
     right, left = side_ops(table, word, mode)
 
-    def fill(surg, op, side):
-        n = len(op.segment)
-        if side == "right":
-            if op.kind in ("hook", "cohook"):
-                surg.add_right = n
-            else:
-                surg.drop_right = n
-        else:
-            if op.kind in ("hook", "cohook"):
-                surg.add_left = n
-            else:
-                surg.drop_left = n
+    def route(first, then):
+        """``first``, then the other side's surgery on its result."""
+        if isinstance(first.word, EmptyWord):
+            return Surgery(EMPTY, right.kind, left.kind)
+        if first.word.is_trivial() and not word.is_trivial():
+            return None
+        second = then(table, first.word, mode)
+        r, l = (first, second) if then is left_op else (second, first)
+        return Surgery(second.word, r.kind, l.kind, _left_shift(l))
 
-    # route A: right first, then left on the result
-    result_a = None
-    if isinstance(right.word, EmptyWord):
-        result_a = Surgery(EMPTY, right.kind, left.kind)
-    elif not (right.word.is_trivial() and not word.is_trivial()):
-        second = left_op(table, right.word, mode)
-        surg = Surgery(second.word, right.kind, second.kind)
-        fill(surg, right, "right")
-        fill(surg, second, "left")
-        result_a = surg
-    # route B: left first, then right on the result
-    result_b = None
-    if isinstance(left.word, EmptyWord):
-        result_b = Surgery(EMPTY, right.kind, left.kind)
-    elif not (left.word.is_trivial() and not word.is_trivial()):
-        second = right_op(table, left.word, mode)
-        surg = Surgery(second.word, second.kind, left.kind)
-        fill(surg, left, "left")
-        fill(surg, second, "right")
-        result_b = surg
-
-    candidates = [r for r in (result_a, result_b) if r is not None]
+    candidates = [r for r in (route(right, left_op), route(left, right_op))
+                  if r is not None]
     if not candidates:
         raise RuntimeError(f"both surgery routes degenerate on {word}")
     words = [r for r in candidates if not isinstance(r.word, EmptyWord)]
@@ -262,7 +256,6 @@ def ar_sequence(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> 
     q = table.quiver
     v = as_proj_quotient(table, word)
     if v is not None:
-        from .reps import decompose_rad_mod_soc
         middles = [canonical_form(q, w) for w in decompose_rad_mod_soc(table, v)]
         return ARSequence(canonical_form(q, rad_word(table, v)), middles, v,
                           canonical_form(q, word))
@@ -300,40 +293,25 @@ def _classify(word, right_kind, left_kind) -> str:
     return "iii'" if _single_run(word) else "iii"
 
 
-def _deleted_piece(word: StringWord, side: str, segment, quiver) -> StringWord:
-    """The kernel piece of a co-hook deletion, as a directed string word.
-
-    A successful right deletion removes one direct letter plus the
-    trailing inverse run; the run (without the direct letter's node) is
-    the kernel piece.  When no direct letter exists the deletion empties
-    the diagram and the whole word is the piece.  Mirrored on the left.
-    """
-    if side == "right":
-        if segment and not segment[0].inverse:
-            run = segment[1:]
-            if run:
-                return StringWord(tuple(run))
-            return StringWord.trivial(letter_target(quiver, segment[0]))
-        return word
-    if segment and segment[-1].inverse:
-        run = segment[:-1]
-        if run:
-            return StringWord(tuple(run))
-        return StringWord.trivial(letter_source(quiver, segment[-1]))
-    return word
-
-
-def _added_piece(side: str, segment, quiver) -> StringWord:
-    """The new maximal directed string carried by an added hook."""
-    if side == "right":
-        rest = segment[1:]
-        if rest:
-            return StringWord(tuple(rest))
-        return StringWord.trivial(letter_target(quiver, segment[0]))
-    rest = segment[:-1]
+def _added_piece(segment, quiver) -> StringWord:
+    """The new maximal directed string carried by a hook added on the right."""
+    rest = segment[1:]
     if rest:
         return StringWord(tuple(rest))
-    return StringWord.trivial(letter_source(quiver, segment[0]))
+    return StringWord.trivial(letter_target(quiver, segment[0]))
+
+
+def _deleted_piece(word: StringWord, segment, quiver) -> StringWord:
+    """The kernel piece of a right co-hook deletion, as a directed string word.
+
+    A successful deletion removes one direct letter plus the trailing
+    inverse run; the run (without the direct letter's node) is the kernel
+    piece.  When no direct letter exists the deletion empties the diagram
+    and the whole word is the piece.
+    """
+    if segment and not segment[0].inverse:
+        return _added_piece(segment, quiver)
+    return word
 
 
 def _word_as_directed_path(table: AlgebraTable, word: StringWord):
@@ -382,33 +360,41 @@ def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
     return StringWord(tuple(letters))
 
 
+def _node_map(S, T, pairs, what: str) -> RepMap:
+    """The diagram map S -> T sending basis vectors of S to nodes of T.
+
+    ``pairs`` holds (source position (vertex, row), target node j); a pair
+    whose j is not a node of T sends its vector to zero.
+    """
+    f = S.field
+    blocks = {u: la.zeros(S.dims[u], T.dims[u], f) for u in S.table.quiver.vertices}
+    for (u, row), j in pairs:
+        node = T.node_positions.get(j)
+        if node is None:
+            continue
+        if node[0] != u:
+            raise RuntimeError(f"node alignment failed for {what}")
+        blocks[u][row][node[1]] = f.one
+    return RepMap(S, T, blocks)
+
+
 def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord,
                              cyclic: bool = False) -> CanonicalMap:
     """The diagram-intersection morphism M -> tau^{-1}M with its case tag."""
     _require_input(table, word, cyclic)
-    from .reps import RepMap
     q = table.quiver
     v = as_rad_of_projective(table, word)
     if v is not None:
         # rad P -> P/soc P killing all but the first arm: the image is one
         # indecomposable summand of rad P / soc P
         arms = table.arms(v)
-        rword = rad_word(table, v)
         qword = proj_quotient_word(table, v)
-        M = string_module(table, rword)
-        T = string_module(table, qword)
-        f = table.field
-        blocks = {u: la.zeros(M.dims[u], T.dims[u], f) for u in q.vertices}
-        k = len(arms[0].arrows)
-        for i in range(k - 1):
-            # M node i is the arm-1 prefix of length i+1
-            j = i + 1 if len(arms) == 1 else k - 2 - i
-            u, row = M.node_positions[i]
-            u2, col = T.node_positions[j]
-            if u != u2:
-                raise RuntimeError(f"radical map alignment failed at {v}")
-            blocks[u][row][col] = f.one
-        fmap = RepMap(M, T, blocks)
+        M = string_module(table, rad_word(table, v))
+        # node i of rad P is the arm-0 prefix of length i + 1
+        fmap = _node_map(M, string_module(table, qword),
+                         ((M.node_positions[i], _quotient_node(arms, 0, i + 1))
+                          for i in range(len(arms[0].arrows) - 1)),
+                         f"the radical map at {v}")
         if not fmap.intertwines():
             raise RuntimeError(f"radical canonical map failed for {v}")
         case = "iv-uniserial" if len(arms) == 1 else "iv"
@@ -418,20 +404,9 @@ def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord,
         raise RuntimeError(f"tau-inverse of {word} is empty")
     case = _classify(word, surg.right_kind, surg.left_kind)
     M = string_module(table, word)
-    T = string_module(table, surg.word)
-    f = table.field
-    blocks = {u: la.zeros(M.dims[u], T.dims[u], f) for u in q.vertices}
-    n = word.length
-    for i in range(n + 1):
-        if i < surg.drop_left or i > n - surg.drop_right:
-            continue
-        j = i - surg.drop_left + surg.add_left
-        u, row = M.node_positions[i]
-        u2, col = T.node_positions[j]
-        if u != u2:
-            raise RuntimeError(f"node alignment failed for {word}")
-        blocks[u][row][col] = f.one
-    fmap = RepMap(M, T, blocks)
+    fmap = _node_map(M, string_module(table, surg.word),
+                     ((pos, i + surg.shift) for i, pos in M.node_positions.items()),
+                     f"the canonical map of {word}")
     if not fmap.intertwines():
         raise RuntimeError(f"canonical map construction failed for {word}")
     return CanonicalMap(case, fmap, canonical_form(q, surg.word))
@@ -458,13 +433,16 @@ def cone_of_canonical_map(table: AlgebraTable, word: StringWord,
         return ConeResult(case, [canonical_form(q, s) for s in summands])
     right, left = side_ops(table, word, "tauinv")
     case = _classify(word, right.kind, left.kind)
+    # the left piece is the right piece of the reversed word: summands are
+    # canonical, and omega_inv_word reads a directed word either way
+    mirrored = tuple(l.inv() for l in reversed(left.segment))
     summands = []
-    for side, op in (("right", right), ("left", left)):
-        if op.kind == "hook":
-            summands.append(_added_piece(side, op.segment, q))
+    for w, kind, segment in ((word, right.kind, right.segment),
+                             (reverse_word(word), left.kind, mirrored)):
+        if kind == "hook":
+            summands.append(_added_piece(segment, q))
         else:
-            piece = _deleted_piece(word, side, op.segment, q)
-            summands.append(omega_inv_word(table, piece))
+            summands.append(omega_inv_word(table, _deleted_piece(w, segment, q)))
     return ConeResult(case, [canonical_form(q, s) for s in summands])
 
 
@@ -476,85 +454,45 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
     and a projective middle maps through its path basis.
     """
     _require_input(table, word)
-    from .reps import RepMap, projective, vstack_maps
     q = table.quiver
-    f = table.field
     seq = ar_sequence(table, word)
     v = as_proj_quotient(table, word)
     comps = []
     if v is not None:
-        qword = proj_quotient_word(table, v)
-        M_real = string_module(table, qword)
+        M_real = string_module(table, proj_quotient_word(table, v))
         arms = table.arms(v)
-        # rad/soc summands, by their position along the quotient word
+        # rad/soc summands: node j of an arm's inner word is its prefix of length j + 1
         for idx, arm in enumerate(arms):
-            k = len(arm.arrows)
-            if k < 2:
+            if len(arm.arrows) < 2:
                 continue
             inner = arm.arrows[1:-1]
             S = string_module(table, StringWord(tuple(Letter(a) for a in inner))
                               if inner else StringWord.trivial(q.target(arm.arrows[0])))
-            blocks = {u: la.zeros(S.dims[u], M_real.dims[u], f) for u in q.vertices}
-            for j in range(k - 1):
-                # S node j is the arm prefix of length j+1
-                if len(arms) == 1:
-                    tgt = j + 1
-                else:
-                    tgt = (k - 2 - j) if idx == 0 else (len(arms[0].arrows) - 1) + (j + 1)
-                u, row = S.node_positions[j]
-                u2, col = M_real.node_positions[tgt]
-                if u != u2:
-                    raise RuntimeError(f"rad/soc alignment failed at {v}")
-                blocks[u][row][col] = f.one
-            comps.append(RepMap(S, M_real, blocks))
-        # the projective P_v maps onto P_v/soc through its path basis
+            comps.append(_node_map(S, M_real,
+                                   ((pos, _quotient_node(arms, idx, j + 1))
+                                    for j, pos in S.node_positions.items()),
+                                   f"the rad/soc summand at {v}"))
+        # the projective P_v maps onto P_v/soc through its path basis; the
+        # socle path has no node and dies
         P = projective(table, v)
-        blocks = {u: la.zeros(P.dims[u], M_real.dims[u], f) for u in q.vertices}
-        k1 = len(arms[0].arrows)
-        pos = {(): k1 - 1 if len(arms) == 2 else 0}
-        for idx, arm in enumerate(arms):
-            for j in range(1, len(arm.arrows)):
-                if len(arms) == 1:
-                    pos[arm.arrows[:j]] = j
-                else:
-                    pos[arm.arrows[:j]] = (k1 - 1 - j) if idx == 0 else (k1 - 1) + j
-        for u in q.vertices:
-            for t, bidx in enumerate(P.projective_basis[u]):
-                arrows = table.basis[bidx].arrows
-                tgt = pos.get(arrows)
-                if tgt is None:
-                    continue  # the socle class dies in P/soc
-                u2, col = M_real.node_positions[tgt]
-                if u2 != u:
-                    raise RuntimeError(f"projective alignment failed at {v}")
-                blocks[u][t][col] = f.one
-        comps.append(RepMap(P, M_real, blocks))
+        node = {arm.arrows[:j]: _quotient_node(arms, idx, j)
+                for idx, arm in enumerate(arms) for j in range(len(arm.arrows))}
+        comps.append(_node_map(P, M_real,
+                               (((u, t), node.get(table.basis[b].arrows))
+                                for u in q.vertices
+                                for t, b in enumerate(P.projective_basis[u])),
+                               f"the projective at {v}"))
     else:
         M_real = string_module(table, word)
         right, left = side_ops(table, word, "tau")
-        n = word.length
-        for side, op in (("right", right), ("left", left)):
+        # a left surgery moved the nodes it kept; move them back
+        for op, shift in ((right, 0), (left, -_left_shift(left))):
             if isinstance(op.word, EmptyWord):
                 continue
             S = string_module(table, op.word)
-            blocks = {u: la.zeros(S.dims[u], M_real.dims[u], f) for u in q.vertices}
-            added = len(op.segment) if op.kind == "cohook" else 0
-            removed = len(op.segment) if op.kind != "cohook" else 0
-            for j in range(op.word.length + 1):
-                if side == "right":
-                    tgt = j
-                    if tgt > n:
-                        continue
-                else:
-                    tgt = j - added + removed
-                    if tgt < 0 or tgt > n:
-                        continue
-                u, row = S.node_positions[j]
-                u2, col = M_real.node_positions[tgt]
-                if u != u2:
-                    raise RuntimeError(f"middle alignment failed for {word}")
-                blocks[u][row][col] = f.one
-            comps.append(RepMap(S, M_real, blocks))
+            comps.append(_node_map(S, M_real,
+                                   ((pos, j + shift) for j, pos in S.node_positions.items()),
+                                   f"the middle of {word}"))
     g = vstack_maps(comps, M_real)
     if not g.intertwines():
         raise RuntimeError(f"right map construction failed for {word}")

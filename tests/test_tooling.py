@@ -8,6 +8,7 @@ must derive from it.  Table-level caches live in one place: every private
 attribute the library reads or writes on a table is declared in
 AlgebraTable.__init__, and every one on a module in ModuleRep.__init__;
 no module binds a mutable container that could serve as a second cache.
+No module imports a name it never reads.
 """
 
 import ast
@@ -162,3 +163,34 @@ def test_no_module_binds_a_mutable_container():
     planted = ("CACHE = {}\nif True:\n    SEEN = set()\n__all__ = []\n"
                "def f():\n    local = []\nTABLE: dict = dict()\n")
     assert _mutable_bindings(ast.parse(planted)) == [1, 3, 7]
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads, with the import's line.
+
+    A name counts as read when it appears as a name anywhere in the
+    module, annotations included; ``from __future__`` imports bind nothing.
+    """
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append((name, node.lineno))
+    return unused
+
+
+def test_no_module_imports_an_unused_name():
+    found = [f"{path.name}:{line} {name}" for path in sorted(LIBRARY.glob("*.py"))
+             if path.name != "__init__.py"
+             for name, line in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    # the scan sees an unused name, also in a function-local import
+    planted = ("from __future__ import annotations\nimport os.path\n"
+               "from dataclasses import dataclass, field\n"
+               "def f() -> dataclass:\n    from .x import y as z\n    return os\n")
+    assert _unused_imports(ast.parse(planted)) == [("field", 3), ("z", 5)]

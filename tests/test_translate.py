@@ -1,22 +1,41 @@
+from collections import Counter
+
 import pytest
 
 from biserial.core import build_table
+from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
-                                loop_algebra)
+                                loop_algebra, random_standard_data)
+from biserial.normalizer import build_from_standard_data
 from biserial.reps import (direct_sum, is_isomorphic, kernel_of_map,
                            mapping_cone_rep, stable_class_is_zero,
                            strip_projectives, syzygy)
 from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero,
                               canonical_form, enumerate_strings, left_op,
-                              reverse_word, right_op, string_module,
-                              words_equal)
+                              node_vertices, reverse_word, right_op,
+                              string_module, words_equal)
 from biserial.translate import (BandInput, LocalNakayamaExcluded,
-                                NotSelfinjectiveSB,
+                                NotSelfinjectiveSB, _quotient_node,
                                 ar_right_map, ar_sequence,
                                 canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
                                 cone_of_canonical_map, proj_quotient_word,
                                 rad_word, tau, tau_inv)
+
+
+SEEDS = range(40)
+MAX_DIM = 40
+
+
+def pool_tables():
+    """n2, l2 and the standard algebras of seeds 0-39 over F3 up to dimension 40."""
+    yield build_table(alg_n2())
+    yield build_table(alg_l2())
+    for seed in SEEDS:
+        table = build_table(build_from_standard_data(*random_standard_data(seed), [],
+                                                     Field(3)))
+        if table.dim <= MAX_DIM:
+            yield table
 
 
 def word(*toks):
@@ -246,3 +265,38 @@ def test_side_ops_are_shared_and_bad_modes_never_cached():
             with pytest.raises(ValueError, match="unknown mode 'tua'"):
                 op(t, c, "tua")
     assert all(mode != "tua" for _, mode, _, _ in t._side_ops)
+
+
+# -- node correspondences ----------------------------------------------------
+
+def test_quotient_node_places_every_arm_prefix():
+    """Each nonzero prefix of an arm sits on its own node of P_v/soc P_v."""
+    checked = 0
+    for t in pool_tables():
+        q = t.quiver
+        for v in (v for v in q.vertices if q.out_arrows[v]):
+            arms = t.arms(v)
+            verts = node_vertices(q, proj_quotient_word(t, v))
+            nodes = {}
+            for idx, arm in enumerate(arms):
+                for j in range(len(arm.arrows)):
+                    node = _quotient_node(arms, idx, j)
+                    end = q.target(arm.arrows[j - 1]) if j else v
+                    assert 0 <= node < len(verts) and verts[node] == end, (v, idx, j)
+                    assert nodes.setdefault(arm.arrows[:j], node) == node
+                    checked += 1
+            assert sorted(nodes.values()) == list(range(len(verts))), v
+    assert checked > 500
+
+
+def test_cone_does_not_depend_on_the_reading_direction():
+    """A string and its reverse are one module, so their cones agree."""
+    compared = 0
+    for t in pool_tables():
+        for c in enumerate_strings(t, 6):
+            cone = cone_of_canonical_map(t, c)
+            mirror = cone_of_canonical_map(t, reverse_word(c))
+            assert cone.case == mirror.case, str(c)
+            assert Counter(cone.summands) == Counter(mirror.summands), str(c)
+            compared += 1
+    assert compared > 2000

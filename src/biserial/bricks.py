@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import AlgebraTable, DomainError
+from .linalg import multiple_of
 from .reps import is_isomorphic, projective_cover, stable_hom_dim
 from .strings import (Letter, StringWord, _can_append, canonical_form,
                       directed_runs, enumerate_strings, node_vertices,
@@ -242,17 +243,7 @@ def verify_shape_lemmas(table: AlgebraTable, system):
             if len(arms) == 2:
                 v1 = table.nf_vector(arms[0].arrows)
                 v2 = table.nf_vector(arms[1].arrows)
-                keys = set(v1) | set(v2)
-                if not v1 or not v2:
-                    wedge_ok = False
-                    continue
-                ratios = set()
-                for k in keys:
-                    if k not in v1 or k not in v2:
-                        wedge_ok = False
-                        break
-                    ratios.add(table.field.div(v1[k], v2[k]))
-                if len(ratios) > 1:
+                if not v1 or multiple_of(v1, v2, table.field) is None:
                     wedge_ok = False
         checks["wedge_paths_proportional"] = wedge_ok
         report.append({"member": str(m), "case": case,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .fields import Field
-from .linalg import Echelon, mat_mul, sparse_nullspace, zeros
+from .linalg import (Echelon, dot, mat_mul, sparse, sparse_nullspace,
+                     sub_multiple, zeros)
 
 
 class PresentationError(DomainError):
@@ -466,26 +467,18 @@ class AlgebraTable:
         f = self.field
         out = {}
         for i, ci in x.items():
+            minus_ci = f.neg(ci)
             for j, cj in y.items():
-                for k, ck in self.mult_basis(i, j).items():
-                    c = f.mul(f.mul(ci, cj), ck)
-                    s = f.add(out.get(k, f.zero), c)
-                    if s == f.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                prod = self.mult_basis(i, j)
+                if prod:
+                    sub_multiple(out, f.mul(minus_ci, cj), prod, f)
         return out
 
     def vec_of_element(self, elem: AlgebraElement) -> dict:
         f = self.field
         out = {}
         for path, coeff in elem.terms.items():
-            for i, c in self.nf_vector(path.arrows, path.source).items():
-                s = f.add(out.get(i, f.zero), f.mul(coeff, c))
-                if s == f.zero:
-                    out.pop(i, None)
-                else:
-                    out[i] = s
+            sub_multiple(out, f.neg(coeff), self.nf_vector(path.arrows, path.source), f)
         return out
 
     def element_of_vec(self, vec: dict) -> AlgebraElement:
@@ -723,39 +716,26 @@ def _classify_symmetry(table: AlgebraTable) -> SymmetryReport:
     commutators = []
     for i in range(table.dim):
         for j in range(i + 1, table.dim):
-            eq = dict(table.mult_basis(i, j))
-            for k, c in table.mult_basis(j, i).items():
-                eq[k] = f.sub(eq.get(k, 0), c)
-            if any(eq.values()):
+            eq = sub_multiple(table.mult_basis(i, j), 1, table.mult_basis(j, i), f)
+            if eq:
                 commutators.append(eq)
-    functionals = sparse_nullspace(commutators, table.dim, f)
+    functionals = [sparse(phi) for phi in sparse_nullspace(commutators, table.dim, f)]
     width = len(lines)
     ech = Echelon(f, width=width)
     for r, phi in enumerate(functionals):
-        values = {col: _apply(f, phi, s) for col, s in enumerate(lines.values())}
+        values = {col: dot(phi, s, f) for col, s in enumerate(lines.values())}
         values[width + r] = 1
         ech.add(values)
+    minus_one = f.neg(1)
     total = {}
     for row in ech.rows.values():
-        for j, c in row.items():
-            total[j] = f.add(total.get(j, 0), c)
+        sub_multiple(total, minus_one, row, f)
     if not all(total.get(col) for col in range(width)):
         return SymmetryReport("selfinjective", None)
     form = {}
     for r, phi in enumerate(functionals):
-        c = total.get(width + r)
-        if c:
-            for k, x in enumerate(phi):
-                form[k] = f.add(form.get(k, 0), f.mul(c, x))
-    return SymmetryReport("symmetric", {k: x for k, x in form.items() if x})
-
-
-def _apply(f: Field, phi, vec: dict):
-    """phi(vec) for a dense functional and a {basis index: coeff} vector."""
-    val = 0
-    for k, c in vec.items():
-        val = f.add(val, f.mul(phi[k], c))
-    return val
+        sub_multiple(form, f.neg(total.get(width + r, 0)), phi, f)
+    return SymmetryReport("symmetric", form)
 
 
 def frobenius_form(table: AlgebraTable):

@@ -8,7 +8,10 @@ All row elimination happens in ``Echelon``, which keeps sparse rows
 ``{column: coeff}`` in reduced row echelon form with leftmost pivots.
 That form is unique, so every basis read off it (nullspaces, submodule
 bases, quotient coordinates, free-variables-zero solutions) is
-canonical.  Scalars are tested by truth value: the zero of every field
+canonical.  Its row update ``sub_multiple``, with ``dot`` and
+``multiple_of``, is the one sparse-row kernel: every other sparse-vector
+sum, difference, pairing and proportionality test of the package goes
+through them.  Scalars are tested by truth value: the zero of every field
 is the only falsy scalar.
 """
 
@@ -88,6 +91,48 @@ def dense(row: dict, n: int) -> list:
     return [row.get(j, 0) for j in range(n)]
 
 
+def sub_multiple(row: dict, c, other: dict, field: Field) -> dict:
+    """row -= c * other in place, dropping entries that cancel; returns row.
+
+    Sums go through it with a negated c.  other holds no zero entry.
+    """
+    if not c:
+        return row
+    sub, mul = field.sub, field.mul
+    for j, x in other.items():
+        y = sub(row.get(j, 0), mul(c, x))
+        if y:
+            row[j] = y
+        else:
+            del row[j]      # c * x is nonzero, so row had column j
+    return row
+
+
+def dot(u: dict, v: dict, field: Field):
+    """The sum of u[j] * v[j] over the columns of two sparse rows."""
+    if len(v) < len(u):
+        u, v = v, u
+    total = 0
+    for j, x in u.items():
+        if j in v:
+            total = field.add(total, field.mul(x, v[j]))
+    return total
+
+
+def multiple_of(u: dict, v: dict, field: Field):
+    """The scalar c with u == c * v for two sparse rows, or None.
+
+    A zero u is 0 * v; a nonzero u is no multiple of a zero v.
+    """
+    if not u:
+        return 0
+    if u.keys() != v.keys():
+        return None
+    j = next(iter(u))
+    c = field.div(u[j], v[j])
+    return c if all(x == field.mul(c, v[k]) for k, x in u.items()) else None
+
+
 class Echelon:
     """A row space kept in reduced row echelon form.
 
@@ -119,23 +164,13 @@ class Echelon:
             return min(row, default=None)
         return min((j for j in row if j < self.width), default=None)
 
-    def _subtract(self, row: dict, c, other: dict):
-        """row -= c * other, in place."""
-        sub, mul = self.field.sub, self.field.mul
-        for j, x in other.items():
-            y = sub(row.get(j, 0), mul(c, x))
-            if y:
-                row[j] = y
-            else:
-                del row[j]      # c * x is nonzero, so row had column j
-
     def reduce(self, row: dict) -> dict:
         """The residue of row modulo the space, as a new dict."""
         res = {j: x for j, x in row.items() if x}
-        rows = self.rows
+        rows, field = self.rows, self.field
         # stored rows vanish at every other pivot, so one pass clears them all
         for p in [j for j in res if j in rows]:
-            self._subtract(res, res[p], rows[p])
+            sub_multiple(res, res[p], rows[p], field)
         return res
 
     def add(self, row: dict) -> dict:
@@ -152,7 +187,7 @@ class Echelon:
             for other in self.rows.values():
                 c = other.get(p)
                 if c:
-                    self._subtract(other, c, new)
+                    sub_multiple(other, c, new, f)
             self.rows[p] = new
         return res
 

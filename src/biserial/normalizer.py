@@ -184,25 +184,15 @@ def _case_two(table: AlgebraTable, pi, trace, alpha, betas):
     v2 = table.nf_vector((b2, alpha))
     if not v1 or not v2:
         raise NotStablyBiserial(f"case-II symmetry fails at {alpha}")
-    c = None
-    for key, val in v1.items():
-        if key not in v2:
-            raise NotStablyBiserial(f"case-II proportionality fails at {alpha}")
-        c = f.div(val, v2[key])
+    c = la.multiple_of(v1, v2, f)
+    if c is None:
+        raise NotStablyBiserial(f"case-II proportionality fails at {alpha}")
     alpha2 = None
     for a2 in q.out_arrows[q.target(b1)]:
         if a2.name == alpha:
             continue
         w1 = table.nf_vector((b1, a2.name))
-        w2 = table.nf_vector((b2, a2.name))
-        diff = dict(w1)
-        for key, val in w2.items():
-            d = f.sub(diff.get(key, f.zero), f.mul(c, val))
-            if d == f.zero:
-                diff.pop(key, None)
-            else:
-                diff[key] = d
-        if diff:
+        if la.sub_multiple(w1, c, table.nf_vector((b2, a2.name)), f):
             alpha2 = a2.name
             break
     if alpha2 is None:
@@ -311,12 +301,7 @@ def rescale_to_unit_socle(table: AlgebraTable, pi_data: PiData, phi: dict,
     subs = []
     for cyc in pi_data.cycles:
         rep = cyc[0]
-        sc_vec = _image_of_path(table, images, pi_data.sc[rep])
-        c = f.zero
-        for k, val in sc_vec.items():
-            p = phi.get(k)
-            if p is not None:
-                c = f.add(c, f.mul(val, p))
+        c = la.dot(_image_of_path(table, images, pi_data.sc[rep]), phi, f)
         if c == f.zero:
             raise MultiplicityMismatch(f"form vanishes on the socle path of {rep}")
         if c == f.one:
@@ -346,19 +331,8 @@ def _scan_socle_relations(table: AlgebraTable, pi_data: PiData, images: dict):
                 continue
             if sc_vec is None:
                 sc_vec = _image_of_path(table, images, pi_data.sc[b.name])
-            l = None
-            for key, v in val.items():
-                if key not in sc_vec:
-                    raise NotStablyBiserial(
-                        f"product {b.name}*{g.name} is not a socle multiple")
-                cand = f.div(v, sc_vec[key])
-                if l is None:
-                    l = cand
-                elif l != cand:
-                    raise NotStablyBiserial(
-                        f"product {b.name}*{g.name} is not a socle multiple")
-            scaled = {key: f.mul(l, v) for key, v in sc_vec.items()}
-            if scaled != val:
+            l = la.multiple_of(val, sc_vec, f)
+            if l is None:
                 raise NotStablyBiserial(
                     f"product {b.name}*{g.name} is not a socle multiple")
             found.append((b.name, g.name, l))
@@ -397,15 +371,7 @@ def eliminate_socle_relations(pres: AlgebraPresentation, table: AlgebraTable,
             coeff = l
         else:
             coeff = f.div(l, f.of(2))
-        adjust = {k: f.mul(coeff, v) for k, v in p_img.items()}
-        new_img = dict(images[g])
-        for k, v in adjust.items():
-            s = f.sub(new_img.get(k, f.zero), v)
-            if s == f.zero:
-                new_img.pop(k, None)
-            else:
-                new_img[k] = s
-        images[g] = new_img
+        images[g] = la.sub_multiple(dict(images[g]), coeff, p_img, f)
         substitutions.append(Substitution(g, None, coeff, p))
         # co-starting socle values can drift in the small-quiver cases
         substitutions.extend(
@@ -463,24 +429,18 @@ def verify_normalization(table: AlgebraTable, out: NormalizedOutput):
         else:
             vec = _image_of_path(table, out.images, p.arrows)
         image_vecs.append(vec)
-    mat = [[f.zero] * table.dim for _ in range(target.dim)]
-    for r, vec in enumerate(image_vecs):
-        for k, v in vec.items():
-            mat[r][k] = v
-    if la.rank(mat, f) != table.dim:
+    span = la.Echelon(f)
+    for vec in image_vecs:
+        span.add(vec)
+    if span.rank != table.dim:
         raise NotStablyBiserial("substitution images are not a basis")
     for i in range(target.dim):
         for j in range(target.dim):
-            left = table.mult_vec(image_vecs[i], image_vecs[j])
-            right = {}
+            # the product of the images minus the image of the product
+            diff = table.mult_vec(image_vecs[i], image_vecs[j])
             for k, c in target.mult_basis(i, j).items():
-                for kk, v in image_vecs[k].items():
-                    s = f.add(right.get(kk, f.zero), f.mul(c, v))
-                    if s == f.zero:
-                        right.pop(kk, None)
-                    else:
-                        right[kk] = s
-            if left != right:
+                la.sub_multiple(diff, c, image_vecs[k], f)
+            if diff:
                 raise NotStablyBiserial(
                     f"structure constants differ at basis pair ({i}, {j})")
     return True
@@ -502,7 +462,8 @@ def build_from_standard_data(quiver: Quiver, pi: dict, mult: dict,
         if quiver.target(a) != quiver.source(pi[a]):
             raise InvalidPermutation(f"e({a}) != s(pi({a}))")
     cycles = _cycles_of(pi, names)
-    mult_by_arrow = {}
+    pi_inverse = {b: a for a, b in pi.items()}
+    socle_length = {}       # arrow -> multiplicity times cycle length
     for cyc in cycles:
         key = None
         for cand in (cyc, tuple(sorted(cyc))):
@@ -520,12 +481,12 @@ def build_from_standard_data(quiver: Quiver, pi: dict, mult: dict,
         if m < 1:
             raise InvalidPermutation(f"multiplicity of {cyc} must be positive")
         for a in cyc:
-            mult_by_arrow[a] = m
+            socle_length[a] = m * len(cyc)
     for v in quiver.vertices:
         outs = quiver.out_arrows[v]
         if len(outs) == 2:
             for a in outs:
-                if mult_by_arrow[a.name] * len(_cycle(pi, a.name)) < 2:
+                if socle_length[a.name] < 2:
                     raise InvalidPermutation(
                         f"arm of {a.name} at {v} would place an arrow in the socle")
     deform = {}
@@ -542,8 +503,7 @@ def build_from_standard_data(quiver: Quiver, pi: dict, mult: dict,
     def socle_path(a: str):
         walk = [a]
         cur = a
-        total = mult_by_arrow[a] * len(_cycle(pi, a))
-        while len(walk) < total:
+        while len(walk) < socle_length[a]:
             cur = pi[cur]
             walk.append(cur)
         return tuple(walk)
@@ -577,24 +537,9 @@ def build_from_standard_data(quiver: Quiver, pi: dict, mult: dict,
     seen_zero = set()
     for a in names:
         sc = socle_path(a)
-        for path in (sc + (a,), (_pi_inverse(pi, a),) + sc):
+        for path in (sc + (a,), (pi_inverse[a],) + sc):
             if path not in seen_zero:
                 seen_zero.add(path)
                 relations.append(ZeroRelation(quiver.path(path)))
     return AlgebraPresentation(field, quiver, relations)
 
-
-def _cycle(pi: dict, a: str):
-    cyc = [a]
-    cur = pi[a]
-    while cur != a:
-        cyc.append(cur)
-        cur = pi[cur]
-    return cyc
-
-
-def _pi_inverse(pi: dict, a: str):
-    for k, v in pi.items():
-        if v == a:
-            return k
-    raise KeyError(a)

@@ -168,17 +168,10 @@ def hom(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
         Ma, Na = M.mats[a.name], N.mats[a.name]
         for i in range(M.dims[s]):
             for j in range(N.dims[e]):
-                row = {}
-                for t in range(M.dims[e]):
-                    c = Ma[i][t]
-                    if c != f.zero:
-                        k = var_index[(e, t, j)]
-                        row[k] = f.add(row.get(k, f.zero), c)
-                for t in range(N.dims[s]):
-                    c = Na[t][j]
-                    if c != f.zero:
-                        k = var_index[(s, i, t)]
-                        row[k] = f.sub(row.get(k, f.zero), c)
+                # (Ma x_e - x_s Na)[i][j]; its two sums meet only on a loop
+                row = {var_index[(e, t, j)]: c for t, c in enumerate(Ma[i]) if c}
+                la.sub_multiple(row, 1, {var_index[(s, i, t)]: c
+                                         for t, Nt in enumerate(Na) if (c := Nt[j])}, f)
                 if row:
                     equations.append(row)
     if equations:
@@ -581,15 +574,21 @@ def mapping_cone_rep(table: AlgebraTable, fmap: RepMap):
     return cone
 
 
-def decompose_rad_mod_soc(table: AlgebraTable, vertex: str):
-    """String words of the uniserial summands of rad(P_v)/soc(P_v)."""
+def _rad_mod_soc_words(table: AlgebraTable, vertex: str):
+    """(arm index, word) for each uniserial summand of rad(P_v)/soc(P_v).
+
+    The summand of an arm of length at least 2 is its inner word: the arm
+    without its first and last arrows, trivial at the first arrow's target.
+    """
     from .strings import StringWord
-    words = []
-    for arm in table.arms(vertex):
+    q = table.quiver
+    for idx, arm in enumerate(table.arms(vertex)):
         if arm.length >= 2:
             inner = arm.arrows[1:-1]
-            if inner:
-                words.append(StringWord.from_arrows(table.quiver, inner))
-            else:
-                words.append(StringWord.trivial(table.quiver.target(arm.arrows[0])))
-    return words
+            yield idx, (StringWord.from_arrows(q, inner) if inner
+                        else StringWord.trivial(q.target(arm.arrows[0])))
+
+
+def decompose_rad_mod_soc(table: AlgebraTable, vertex: str):
+    """String words of the uniserial summands of rad(P_v)/soc(P_v)."""
+    return [word for _, word in _rad_mod_soc_words(table, vertex)]

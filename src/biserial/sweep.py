@@ -14,12 +14,11 @@ from contextlib import contextmanager
 from .bricks import (check_bounded_maximality, check_orthogonal_system,
                      endpoint_multiplicity_check, verify_shape_lemmas)
 from .checks import check_one_in_one_out, check_special_biserial
-from .core import (AlgebraPresentation, build_table,
-                   check_selfinjective_symmetric, opposite_presentation)
+from .core import AlgebraPresentation, build_table, check_selfinjective_symmetric
 from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
 from .normalizer import normalize
 from .reps import (direct_sum, is_isomorphic, kernel_of_map, mapping_cone_rep,
-                   stable_hom_dim, strip_projectives, syzygy)
+                   opposite_table, stable_hom_dim, strip_projectives, syzygy)
 from .strings import (canonical_form, enumerate_strings, reverse_word,
                       string_module as string_module_fn, words_equal)
 from .translate import (ar_right_map, canonical_map_to_tau_inv,
@@ -53,7 +52,8 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
     with guarded("associativity"):
         table.certify()
         record("associativity", True)
-    op = build_table(opposite_presentation(pres))
+    # the injective hulls reuse the opposite table cached here
+    op = opposite_table(table)
     record("opposite-dimension", op.dim == table.dim, f"{op.dim} vs {table.dim}")
 
     sym = check_selfinjective_symmetric(table)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from . import linalg as la
 from .checks import check_special_biserial
 from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
-from .reps import RepMap, decompose_rad_mod_soc, projective, vstack_maps
+from .reps import (RepMap, _rad_mod_soc_words, decompose_rad_mod_soc, projective,
+                   vstack_maps)
 from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
                       directed_runs, is_band, left_op, letter_target,
                       reverse_word, right_op, side_ops, string_module,
@@ -462,12 +463,8 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
         M_real = string_module(table, proj_quotient_word(table, v))
         arms = table.arms(v)
         # rad/soc summands: node j of an arm's inner word is its prefix of length j + 1
-        for idx, arm in enumerate(arms):
-            if len(arm.arrows) < 2:
-                continue
-            inner = arm.arrows[1:-1]
-            S = string_module(table, StringWord(tuple(Letter(a) for a in inner))
-                              if inner else StringWord.trivial(q.target(arm.arrows[0])))
+        for idx, inner in _rad_mod_soc_words(table, v):
+            S = string_module(table, inner)
             comps.append(_node_map(S, M_real,
                                    ((pos, _quotient_node(arms, idx, j + 1))
                                     for j, pos in S.node_positions.items()),

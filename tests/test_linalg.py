@@ -195,3 +195,57 @@ def test_scalars_are_int_native():
     assert type(q.inv(Fraction(1, 3))) is int and q.inv(2) == Fraction(1, 2)
     assert type(q.nth_root(4, 2)) is int
     assert la.rref([[2, 4]], q) == ([[1, 2]], [0])
+
+
+def random_row(rng, f, n):
+    return la.sparse(random_matrix(rng, f, 1, n)[0])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_sparse_row_kernel_matches_dense_reference(f):
+    n = 6
+    for seed in SEEDS:
+        rng = random.Random(seed * 11 + f.char)
+        u, v = random_row(rng, f, n), random_row(rng, f, n)
+        du, dv = la.dense(u, n), la.dense(v, n)
+        c = f.of(rng.randrange(-3, 4))
+        row = dict(u)
+        assert la.sub_multiple(row, c, v, f) is row
+        assert la.dense(row, n) == [f.sub(x, f.mul(c, y)) for x, y in zip(du, dv)]
+        assert all(row.values())
+        dense_dot = 0
+        for x, y in zip(du, dv):
+            dense_dot = f.add(dense_dot, f.mul(x, y))
+        assert la.dot(u, v, f) == dense_dot == la.dot(v, u, f)
+        # u is a multiple of v exactly when the dense rank test says so
+        dependent = not any(du) or (any(dv) and len(ref_rref([dv, du], f)[0]) == 1)
+        k = la.multiple_of(u, v, f)
+        assert (k is not None) == dependent, (seed, u, v)
+        if k is not None:
+            assert [f.mul(k, y) for y in dv] == du
+        scaled = {j: f.mul(c, y) for j, y in v.items() if f.mul(c, y)}
+        assert la.multiple_of(scaled, v, f) == (c if v else 0)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_sparse_row_kernel_edge_cases(f):
+    # a cancellation drops the entry
+    row = {0: 1, 2: 1}
+    assert la.sub_multiple(row, 1, {0: 1, 1: 1}, f) is row
+    assert row == {1: f.neg(1), 2: 1}
+    # c = 0 leaves the row as it was, also where other has columns row lacks
+    row = {1: 1}
+    assert la.sub_multiple(row, 0, {0: 1, 1: 1}, f) is row and row == {1: 1}
+    assert la.dot({0: 1}, {1: 1}, f) == 0 and la.dot({}, {}, f) == 0
+    two = f.of(2) or 1
+    v = {0: 1, 3: two}
+    assert la.multiple_of({0: two, 3: f.mul(two, two)}, v, f) == two
+    # support mismatch, either way
+    assert la.multiple_of({0: 1}, v, f) is None
+    assert la.multiple_of({0: 1, 1: 1, 3: two}, v, f) is None
+    # inconsistent ratio on the same support (over F2 every ratio is 1)
+    if f.char != 2:
+        assert la.multiple_of({0: 1, 3: f.neg(two)}, v, f) is None
+    # a zero v: only the zero row is its multiple
+    assert la.multiple_of({0: 1}, {}, f) is None
+    assert la.multiple_of({}, {}, f) == 0 and la.multiple_of({}, v, f) == 0

@@ -8,7 +8,8 @@ must derive from it.  Table-level caches live in one place: every private
 attribute the library reads or writes on a table is declared in
 AlgebraTable.__init__, and every one on a module in ModuleRep.__init__;
 no module binds a mutable container that could serve as a second cache.
-No module imports a name it never reads.
+No module imports a name it never reads, and no private function or
+method is left without a caller.
 """
 
 import ast
@@ -194,3 +195,52 @@ def test_no_module_imports_an_unused_name():
                "from dataclasses import dataclass, field\n"
                "def f() -> dataclass:\n    from .x import y as z\n    return os\n")
     assert _unused_imports(ast.parse(planted)) == [("field", 3), ("z", 5)]
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each private module-level function and method."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [(node.name, node.lineno, node.end_lineno) for body in bodies for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _references(tree):
+    """(name, line) for every name read, attribute taken or name imported."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs += [(alias.name, node.lineno) for alias in node.names]
+    return refs
+
+
+def _orphans(sources):
+    """Private functions and methods no code outside their own body references."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = {name: _references(tree) for name, tree in trees.items()}
+    orphans = []
+    for name, tree in trees.items():
+        for func, first, last in _private_definitions(tree):
+            if not any(ref == func and (where != name or not first <= line <= last)
+                       for where, found in refs.items() for ref, line in found):
+                orphans.append(f"{name}:{first} {func}")
+    return orphans
+
+
+def test_every_private_function_has_a_caller():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(LIBRARY.glob("*.py"))}
+    assert _orphans(sources) == []
+    # the scan sees a planted orphan, a private method and a function that
+    # only calls itself; a caller in another module counts
+    planted = {"a.py": ("def _used():\n    pass\n"
+                        "def _orphan():\n    pass\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "class C:\n    def _method(self):\n        pass\n"
+                        "    def __init__(self):\n        pass\n"),
+               "b.py": "from .a import _used\n"}
+    assert _orphans(planted) == ["a.py:3 _orphan", "a.py:5 _recursive", "a.py:8 _method"]

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .fields import Field
-from .linalg import (Echelon, dot, mat_mul, sparse, sparse_nullspace,
-                     sub_multiple, zeros)
+from .linalg import Echelon, dot, mat_mul, sparse_nullspace, sub_multiple
 
 
 class PresentationError(DomainError):
@@ -160,35 +159,30 @@ def format_relation(rel, field: Field) -> str:
     return f"{rel.left} = {scalar}{rel.right}"
 
 
-def broken_relation(table: "AlgebraTable", mats: dict, dims: dict, relations):
+def broken_relation(table: "AlgebraTable", mats: dict, relations):
     """The first (relation, row) at which a representation breaks a relation.
 
-    ``mats`` holds one matrix per arrow and ``dims`` one dimension per
-    vertex; rows act on the left, so a path acts by the product of its
-    arrows' matrices.  The row indexes the basis at the relation's source.
-    Returns None when every relation holds.
+    ``mats`` holds one matrix per arrow; rows act on the left, so a path
+    acts by the product of its arrows' matrices.  The row indexes the basis
+    at the relation's source.  Returns None when every relation holds.
     """
     f = table.field
 
     def act(path):
         m = mats[path.arrows[0]]
         for a in path.arrows[1:]:
-            if not any(map(any, m)):
-                # a zero product stays zero
-                return zeros(len(m), dims[path.target], f)
-            m = mat_mul(m, mats[a], f, cols=dims[table.quiver.target(a)])
+            m = mat_mul(m, mats[a], f)
         return m
 
     for rel in relations:
         if isinstance(rel, ZeroRelation):
             for r, row in enumerate(act(rel.path)):
-                if any(row):
+                if row:
                     return rel, r
         else:
             c = f.of(rel.coeff)
-            right = act(rel.right)
-            for r, row in enumerate(act(rel.left)):
-                if row != [f.mul(c, x) for x in right[r]]:
+            for r, (row, right) in enumerate(zip(act(rel.left), act(rel.right))):
+                if sub_multiple(dict(row), c, right, f):
                     return rel, r
     return None
 
@@ -247,6 +241,7 @@ class AlgebraTable:
         self._landmark_words = None      # translate._landmarks
         self._arms = {}                  # arms: vertex -> tuple of paths
         self._run_verdicts = {}          # strings._run_ok: arrow tuple -> bool
+        self._valid_words = set()        # translate._require_input: words that passed
         self._string_modules = {}        # strings.string_module: word -> module
         self._translates = {}            # translate.tau/tau_inv: (mode, word, cyclic) -> word
         self._side_ops = {}              # strings.right_op/left_op: (side, mode, word, exclude) -> SideOp
@@ -508,8 +503,9 @@ class AlgebraTable:
 
         The basis indices at each vertex w are those of the paths from v to
         w, in fiber order.  Row r of an arrow's matrix is the product of the
-        r-th path at the arrow's source with the arrow, over the paths at
-        its target.
+        r-th path at the arrow's source with the arrow, as a sparse row over
+        the paths at its target.  The matrices are shared with the
+        projective modules built on them, so they are read-only.
         """
         cached = self._regular.get(v)
         if cached is not None:
@@ -518,13 +514,10 @@ class AlgebraTable:
         for i in self.by_source[v]:
             by_vertex[self.basis[i].target].append(i)
         pos = {i: t for idxs in by_vertex.values() for t, i in enumerate(idxs)}
-        mats = {}
-        for a in self.quiver.arrows:
-            m = [[0] * len(by_vertex[a.target]) for _ in by_vertex[a.source]]
-            for r, i in enumerate(by_vertex[a.source]):
-                for k, c in self.nf_vector(self.basis[i].arrows + (a.name,)).items():
-                    m[r][pos[k]] = c
-            mats[a.name] = m
+        mats = {a.name: [{pos[k]: c for k, c in
+                          self.nf_vector(self.basis[i].arrows + (a.name,)).items()}
+                         for i in by_vertex[a.source]]
+                for a in self.quiver.arrows}
         self._regular[v] = (by_vertex, mats)
         return self._regular[v]
 
@@ -561,8 +554,7 @@ class AlgebraTable:
                     implied[ZeroRelation(q.path(rel.right.arrows + (a.name,)))] = rel
         for v in q.vertices:
             by_vertex, mats = self.regular_action(v)
-            dims = {w: len(idxs) for w, idxs in by_vertex.items()}
-            failure = broken_relation(self, mats, dims, [*self.pres.relations, *implied])
+            failure = broken_relation(self, mats, [*self.pres.relations, *implied])
             if failure is None:
                 continue
             rel, r = failure
@@ -593,9 +585,11 @@ class AlgebraTable:
             pos = {i: t for t, i in enumerate(self.by_source[v])}
             equations = []
             for a in self.quiver.arrows:
-                m, rows = mats[a.name], by_vertex[a.source]
-                for k in range(len(by_vertex[a.target])):
-                    equations.append({pos[i]: m[r][k] for r, i in enumerate(rows) if m[r][k]})
+                columns = {}
+                for i, row in zip(by_vertex[a.source], mats[a.name]):
+                    for k, c in row.items():
+                        columns.setdefault(k, {})[pos[i]] = c
+                equations.extend(columns.values())
             out[v] = sparse_nullspace(equations, len(pos), self.field)
             spaces[v] = Echelon(self.field, out[v])
         self._socle = out
@@ -689,7 +683,7 @@ def _socle_lines(table: AlgebraTable):
         if len(rows) != 1:
             return None
         fiber = table.by_source[v]
-        s = {fiber[t]: c for t, c in enumerate(rows[0]) if c}
+        s = {fiber[t]: c for t, c in rows[0].items()}
         targets = {table.basis[k].target for k in s}
         if len(targets) != 1:
             return None
@@ -719,7 +713,7 @@ def _classify_symmetry(table: AlgebraTable) -> SymmetryReport:
             eq = sub_multiple(table.mult_basis(i, j), 1, table.mult_basis(j, i), f)
             if eq:
                 commutators.append(eq)
-    functionals = [sparse(phi) for phi in sparse_nullspace(commutators, table.dim, f)]
+    functionals = sparse_nullspace(commutators, table.dim, f)
     width = len(lines)
     ech = Echelon(f, width=width)
     for r, phi in enumerate(functionals):

@@ -1,18 +1,23 @@
 """Exact linear algebra over an exact field, on one elimination engine.
 
-Matrices are lists of row lists.  Row vectors act on the left: a module
-element x at the source vertex maps to x @ mat at the target vertex, so
-kernels of module maps are row nullspaces.
+A vector is a sparse row ``{column: coeff}`` that stores no zero, and a
+matrix is a list of such rows.  A matrix does not store its number of
+columns: the caller knows it (a module's vertex dimensions carry every
+shape).  Row vectors act on the left: a module element x at the source
+vertex maps to x @ mat at the target vertex, so kernels of module maps
+are row nullspaces.
 
-All row elimination happens in ``Echelon``, which keeps sparse rows
-``{column: coeff}`` in reduced row echelon form with leftmost pivots.
-That form is unique, so every basis read off it (nullspaces, submodule
-bases, quotient coordinates, free-variables-zero solutions) is
-canonical.  Its row update ``sub_multiple``, with ``dot`` and
-``multiple_of``, is the one sparse-row kernel: every other sparse-vector
-sum, difference, pairing and proportionality test of the package goes
-through them.  Scalars are tested by truth value: the zero of every field
-is the only falsy scalar.
+All row elimination happens in ``Echelon``, which keeps its rows in
+reduced row echelon form with leftmost pivots.  That form is unique, so
+every basis read off it (nullspaces, submodule bases, quotient
+coordinates, free-variables-zero solutions) is canonical.  Its row update
+``sub_multiple``, with ``dot`` and ``multiple_of``, is the one sparse-row
+kernel: every sum, product, difference, pairing and proportionality test
+of vectors and matrices in the package goes through them.
+``sub_multiple`` changes its first row in place, so a row that a module,
+a map or a table stores is only ever passed as its other row.  Scalars
+are tested by truth value: the zero of every field is the only falsy
+scalar.
 """
 
 from __future__ import annotations
@@ -20,75 +25,39 @@ from __future__ import annotations
 from .fields import Field
 
 
-def zeros(rows: int, cols: int, field: Field):
-    return [[0] * cols for _ in range(rows)]
-
-
 def identity(n: int, field: Field):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
-def mat_mul(a, b, field: Field, cols: int | None = None):
-    """a @ b; pass cols when b may have zero rows (shape (0, cols))."""
-    if not a:
-        return []
-    n, k = len(a), len(a[0])
-    if cols is None:
-        cols = len(b[0]) if b else 0
-    if k == 0 or not b:
-        return zeros(n, cols, field)
-    out = zeros(n, cols, field)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if not c:
-                continue
-            bt = b[t]
-            for j in range(cols):
-                if bt[j]:
-                    oi[j] = field.add(oi[j], field.mul(c, bt[j]))
+def row_vec_mul(v: dict, a, field: Field) -> dict:
+    """v @ a for a sparse row v."""
+    out = {}
+    for t, c in v.items():
+        sub_multiple(out, field.neg(c), a[t], field)
     return out
+
+
+def mat_mul(a, b, field: Field):
+    """a @ b."""
+    return [row_vec_mul(row, b, field) for row in a]
 
 
 def mat_add(a, b, field: Field):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    minus_one = field.neg(1)
+    return [sub_multiple(dict(x), minus_one, y, field) for x, y in zip(a, b)]
 
 
 def mat_scale(a, c, field: Field):
-    return [[field.mul(c, x) for x in row] for row in a]
+    return [sub_multiple({}, field.neg(c), row, field) for row in a]
 
 
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def row_vec_mul(v, a, field: Field, cols: int | None = None):
-    """v @ a; pass cols when a may have zero rows (shape (0, cols))."""
-    if cols is None:
-        cols = len(a[0]) if a else 0
-    out = [0] * cols
-    for t, c in enumerate(v):
-        if not c:
-            continue
-        at = a[t]
-        for j in range(cols):
-            if at[j]:
-                out[j] = field.add(out[j], field.mul(c, at[j]))
+def transpose(a, n: int):
+    """The n x len(a) transpose of a matrix with n columns."""
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
     return out
-
-
-def sparse(row) -> dict:
-    """The {column: coeff} form of a dense row."""
-    return {j: x for j, x in enumerate(row) if x}
-
-
-def dense(row: dict, n: int) -> list:
-    """The dense form of a {column: coeff} row of length n."""
-    return [row.get(j, 0) for j in range(n)]
 
 
 def sub_multiple(row: dict, c, other: dict, field: Field) -> dict:
@@ -136,11 +105,10 @@ def multiple_of(u: dict, v: dict, field: Field):
 class Echelon:
     """A row space kept in reduced row echelon form.
 
-    Rows are sparse {column: coeff} dicts.  Each stored row has
-    coefficient 1 at its pivot, which is its leftmost nonzero column, and 0
-    at every other pivot.  Columns at or past ``width`` ride along as a
-    right-hand side or a recipe and never pivot.  ``rows`` seeds the space
-    with dense rows.
+    Each stored row has coefficient 1 at its pivot, which is its leftmost
+    nonzero column, and 0 at every other pivot.  Columns at or past
+    ``width`` ride along as a right-hand side or a recipe and never pivot.
+    ``rows`` seeds the space; rows given to it are copied, never changed.
     """
 
     def __init__(self, field: Field, rows=(), width: int | None = None):
@@ -148,7 +116,7 @@ class Echelon:
         self.width = width
         self.rows = {}          # pivot column -> stored row
         for row in rows:
-            self.add(sparse(row))
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -194,12 +162,8 @@ class Echelon:
 
 def _kernel(equations, n: int, field: Field):
     """Nullspace of {var: coeff} equations: one vector per free variable."""
-    ech = Echelon(field)
-    for eq in equations:
-        ech.add(eq)
-    basis = {j: [0] * n for j in range(n) if j not in ech.rows}
-    for j, vec in basis.items():
-        vec[j] = 1
+    ech = Echelon(field, equations)
+    basis = {j: {j: 1} for j in range(n) if j not in ech.rows}
     # a stored row is nonzero only at its pivot and at free variables
     for p, row in ech.rows.items():
         for j, c in row.items():
@@ -216,27 +180,31 @@ def _recipes(rows, width: int, field: Field):
     ech = Echelon(field, width=width)
     independent = True
     for i, row in enumerate(rows):
-        recipe = sparse(row)
+        recipe = dict(row)
         recipe[width + i] = 1
         if ech.lead(ech.add(recipe)) is None:
             independent = False
     return ech, independent
 
 
-def _coordinates(v, ech: Echelon, k: int):
-    """Coefficients over the k recipe rows summing to v, or None."""
-    res = ech.reduce(sparse(v))
+def _coordinates(v, ech: Echelon):
+    """Coefficients over the recipe rows summing to v, or None."""
+    res = ech.reduce(v)
     if ech.lead(res) is not None:
         return None
-    return [ech.field.neg(res.get(ech.width + i, 0)) for i in range(k)]
+    return {j - ech.width: ech.field.neg(c) for j, c in res.items()}
+
+
+def _width(rows) -> int:
+    """One past the last column any of the rows uses."""
+    return max((j + 1 for row in rows for j in row), default=0)
 
 
 def rref(a, field: Field):
     """Reduced row echelon form. Returns (rows, pivot column indices)."""
-    n_cols = len(a[0]) if a else 0
     ech = Echelon(field, a)
     pivots = ech.pivots
-    return [dense(ech.rows[p], n_cols) for p in pivots], pivots
+    return [ech.rows[p] for p in pivots], pivots
 
 
 def rank(a, field: Field) -> int:
@@ -248,10 +216,8 @@ def span_rank(vectors, field: Field) -> int:
 
 
 def row_nullspace(a, field: Field):
-    """Basis of {x : x @ a == 0} as row vectors of length len(a)."""
-    cols = len(a[0]) if a else 0
-    return _kernel(({i: row[j] for i, row in enumerate(a)} for j in range(cols)),
-                   len(a), field)
+    """Basis of {x : x @ a == 0} as sparse rows over len(a) variables."""
+    return _kernel(transpose(a, _width(a)), len(a), field)
 
 
 def sparse_nullspace(equations, n_vars: int, field: Field):
@@ -264,7 +230,7 @@ def solve_row(v, a, field: Field):
 
     Rows of a that depend on earlier rows get coefficient 0.
     """
-    return _coordinates(v, _recipes(a, len(v), field)[0], len(a))
+    return _coordinates(v, _recipes(a, _width([v, *a]), field)[0])
 
 
 def express_in_basis(v, basis_rows, field: Field):
@@ -272,21 +238,21 @@ def express_in_basis(v, basis_rows, field: Field):
 
     Dependent rows raise ValueError: their coefficients are not unique.
     """
-    ech, independent = _recipes(basis_rows, len(v), field)
+    ech, independent = _recipes(basis_rows, _width([v, *basis_rows]), field)
     if not independent:
         raise ValueError("basis rows are dependent")
-    return _coordinates(v, ech, len(basis_rows))
+    return _coordinates(v, ech)
 
 
 def inverse(a, field: Field):
     """Inverse of a square matrix, or None if singular."""
     n = len(a)
-    if any(len(row) != n for row in a):
+    if _width(a) > n:
         return None
     ech, independent = _recipes(a, n, field)
     if not independent:
         return None
-    return [[ech.rows[p].get(n + j, 0) for j in range(n)] for p in range(n)]
+    return [{j - n: c for j, c in ech.rows[p].items() if j >= n} for p in range(n)]
 
 
 def det(a, field: Field):
@@ -295,7 +261,7 @@ def det(a, field: Field):
     result = 1
     pivots = []
     for row in a:
-        res = ech.add(sparse(row))
+        res = ech.add(row)
         if not res:
             return 0
         p = min(res)
@@ -306,8 +272,11 @@ def det(a, field: Field):
 
 
 def is_invertible(a, field: Field) -> bool:
-    n = len(a)
-    if any(len(row) != n for row in a):
+    """Whether a, read as a square matrix, is invertible.
+
+    A column at or past len(a) makes it wider than square.
+    """
+    if _width(a) > len(a):
         return False
     ech = Echelon(field)
-    return all(ech.add(sparse(row)) for row in a)
+    return all(ech.add(row) for row in a)

@@ -1,9 +1,13 @@
 """The exact linear-algebra oracle for right modules over an AlgebraTable.
 
 Representations assign a dimension to each vertex and a matrix to each
-arrow; row vectors at the source map to row vectors at the target, so
-x . mat is the action.  All elimination runs on ``linalg.Echelon`` over
-the exact field; dimensions stay at desk scale.
+arrow, in the one matrix format of ``linalg``: a list of sparse rows
+``{column: coeff}``, one per basis vector of the arrow's source, over the
+basis of its target.  The vertex dimensions carry the shapes.  Row vectors
+at the source map to row vectors at the target, so x . mat is the action.
+A map of representations holds one such block per vertex.  All
+elimination runs on ``linalg.Echelon`` over the exact field; dimensions
+stay at desk scale.
 
 Isomorphism verdicts are never guesses.  ``find_isomorphism`` returns a
 witness (a hom checked invertible at every vertex), or None only with a
@@ -32,23 +36,18 @@ from .core import (AlgebraTable, DomainError, broken_relation, build_table,
 class ModuleRep:
     """A finite-dimensional right module in matrix form.
 
-    Read-only by contract: nothing changes dims or mats after construction,
-    so a module may be shared, as string modules and projectives are
-    through their table's caches, and may cache what is derived from it.
+    mats[a] holds dims[source] sparse rows over dims[target] columns.
+    Read-only by contract: nothing changes dims, mats or a row of them
+    after construction, so a module may be shared, as string modules and
+    projectives are through their table's caches, and may cache what is
+    derived from it.
     """
 
     def __init__(self, table: AlgebraTable, dims: dict, mats: dict):
         self.table = table
         self.field = table.field
         self.dims = {v: dims.get(v, 0) for v in table.quiver.vertices}
-        self.mats = {}
-        for a in table.quiver.arrows:
-            m = mats.get(a.name)
-            rows, cols = self.dims[a.source], self.dims[a.target]
-            # canonical shapes when a fiber is zero-dimensional
-            if m is None or rows == 0 or cols == 0:
-                m = la.zeros(rows, cols, self.field)
-            self.mats[a.name] = m
+        self.mats = {a.name: mats[a.name] for a in table.quiver.arrows}
         # filled on first use by _factoring_maps
         self._hom_to_projective = {}     # vertex -> basis of Hom(M, e_v A)
 
@@ -60,8 +59,7 @@ class ModuleRep:
         return dict(self.dims)
 
     def satisfies_relations(self) -> bool:
-        return broken_relation(self.table, self.mats, self.dims,
-                               self.table.pres.relations) is None
+        return broken_relation(self.table, self.mats, self.table.pres.relations) is None
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
@@ -69,7 +67,10 @@ class ModuleRep:
 
 @dataclass
 class RepMap:
-    """A homomorphism of representations as per-vertex blocks."""
+    """A homomorphism of representations as per-vertex blocks.
+
+    blocks[v] holds source.dims[v] sparse rows over target.dims[v] columns.
+    """
 
     source: ModuleRep
     target: ModuleRep
@@ -77,32 +78,30 @@ class RepMap:
 
     def intertwines(self) -> bool:
         f = self.source.field
-        for a in self.source.table.quiver.arrows:
-            cols = self.target.dims[a.target]
-            left = la.mat_mul(self.source.mats[a.name], self.blocks[a.target], f, cols=cols)
-            right = la.mat_mul(self.blocks[a.source], self.target.mats[a.name], f, cols=cols)
-            if left != right:
-                return False
-        return True
+        return all(la.mat_mul(self.source.mats[a.name], self.blocks[a.target], f)
+                   == la.mat_mul(self.blocks[a.source], self.target.mats[a.name], f)
+                   for a in self.source.table.quiver.arrows)
 
-    def flatten(self):
-        out = []
+    def flatten(self) -> dict:
+        """The blocks as one sparse vector, row after row, vertex by vertex."""
+        out = {}
+        shift = 0
         for v in self.source.table.quiver.vertices:
             for row in self.blocks[v]:
-                out.extend(row)
+                out.update((shift + j, x) for j, x in row.items())
+                shift += self.target.dims[v]
         return out
 
     def compose(self, other: "RepMap") -> "RepMap":
         """self: M->N composed with other: N->L gives M->L."""
         f = self.source.field
-        blocks = {v: la.mat_mul(self.blocks[v], other.blocks[v], f,
-                                cols=other.target.dims[v])
+        blocks = {v: la.mat_mul(self.blocks[v], other.blocks[v], f)
                   for v in self.source.table.quiver.vertices}
         return RepMap(self.source, other.target, blocks)
 
     def rank(self) -> int:
         return sum(la.rank(self.blocks[v], self.source.field)
-                   for v in self.source.table.quiver.vertices if self.blocks[v])
+                   for v in self.source.table.quiver.vertices)
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.total_dim
@@ -112,27 +111,19 @@ class RepMap:
 
 
 def zero_rep(table: AlgebraTable) -> ModuleRep:
-    return ModuleRep(table, {}, {})
+    return ModuleRep(table, {}, {a.name: [] for a in table.quiver.arrows})
 
 
 def direct_sum(*reps: ModuleRep) -> ModuleRep:
     reps = [r for r in reps if r is not None]
     table = reps[0].table
-    f = table.field
     dims = {v: sum(r.dims[v] for r in reps) for v in table.quiver.vertices}
     mats = {}
     for a in table.quiver.arrows:
-        rows = dims[a.source]
-        cols = dims[a.target]
-        m = la.zeros(rows, cols, f)
-        r_pos, c_pos = 0, 0
+        m, shift = [], 0
         for r in reps:
-            block = r.mats[a.name]
-            for i in range(r.dims[a.source]):
-                for j in range(r.dims[a.target]):
-                    m[r_pos + i][c_pos + j] = block[i][j]
-            r_pos += r.dims[a.source]
-            c_pos += r.dims[a.target]
+            m.extend({shift + j: x for j, x in row.items()} for row in r.mats[a.name])
+            shift += r.dims[a.target]
         mats[a.name] = m
     return ModuleRep(table, dims, mats)
 
@@ -151,39 +142,35 @@ def projective(table: AlgebraTable, vertex: str) -> ModuleRep:
 
 
 def hom(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
-    """Basis of Hom(M, N): solve the intertwining system exactly."""
+    """Basis of Hom(M, N): solve the intertwining system exactly.
+
+    The unknown block x_v has one variable per cell (v, i, j), numbered
+    vertex by vertex, then row by row.
+    """
     f = table.field
     q = table.quiver
-    var_index = {}
+    cells, base = [], {}
     for v in q.vertices:
-        for i in range(M.dims[v]):
-            for j in range(N.dims[v]):
-                var_index[(v, i, j)] = len(var_index)
-    n_vars = len(var_index)
-    if n_vars == 0:
-        return []
+        base[v] = len(cells)
+        cells += [(v, i, j) for i in range(M.dims[v]) for j in range(N.dims[v])]
     equations = []
     for a in q.arrows:
         s, e = a.source, a.target
-        Ma, Na = M.mats[a.name], N.mats[a.name]
-        for i in range(M.dims[s]):
-            for j in range(N.dims[e]):
+        bs, be, ns, ne = base[s], base[e], N.dims[s], N.dims[e]
+        columns = la.transpose(N.mats[a.name], ne)
+        for i, m_row in enumerate(M.mats[a.name]):
+            for j, column in enumerate(columns):
                 # (Ma x_e - x_s Na)[i][j]; its two sums meet only on a loop
-                row = {var_index[(e, t, j)]: c for t, c in enumerate(Ma[i]) if c}
-                la.sub_multiple(row, 1, {var_index[(s, i, t)]: c
-                                         for t, Nt in enumerate(Na) if (c := Nt[j])}, f)
+                row = {be + t * ne + j: c for t, c in m_row.items()}
+                la.sub_multiple(row, 1, {bs + i * ns + t: c for t, c in column.items()}, f)
                 if row:
                     equations.append(row)
-    if equations:
-        solutions = la.sparse_nullspace(equations, n_vars, f)
-    else:
-        solutions = [[f.one if i == j else f.zero for j in range(n_vars)]
-                     for i in range(n_vars)]
     maps = []
-    for sol in solutions:
-        blocks = {v: la.zeros(M.dims[v], N.dims[v], f) for v in q.vertices}
-        for (v, i, j), k in var_index.items():
-            blocks[v][i][j] = sol[k]
+    for sol in la.sparse_nullspace(equations, len(cells), f):
+        blocks = {v: [{} for _ in range(M.dims[v])] for v in q.vertices}
+        for k, c in sol.items():
+            v, i, j = cells[k]
+            blocks[v][i][j] = c
         maps.append(RepMap(M, N, blocks))
     return maps
 
@@ -199,23 +186,21 @@ def sub_rep(N: ModuleRep, rows_per_vertex: dict):
               for v in table.quiver.vertices}
     # the reduced rows are the basis, so a member's coordinates are its
     # entries at the pivots
-    bases = {v: [la.dense(space.rows[p], N.dims[v]) for p in space.pivots]
-             for v, space in spaces.items()}
+    bases = {v: [space.rows[p] for p in space.pivots] for v, space in spaces.items()}
     dims = {v: len(bases[v]) for v in bases}
     mats = {}
     for a in table.quiver.arrows:
         target = spaces[a.target]
-        pivots = target.pivots
+        coordinate = {p: k for k, p in enumerate(target.pivots)}
         m = []
         for row in bases[a.source]:
-            img = la.row_vec_mul(row, N.mats[a.name], f, cols=N.dims[a.target])
-            if target.reduce(la.sparse(img)):
+            img = la.row_vec_mul(row, N.mats[a.name], f)
+            if target.reduce(img):
                 raise ValueError("rows do not span a submodule")
-            m.append([img[p] for p in pivots])
+            m.append({coordinate[p]: c for p, c in img.items() if p in coordinate})
         mats[a.name] = m
-    inclusion_blocks = {v: [list(r) for r in bases[v]] for v in bases}
     S = ModuleRep(table, dims, mats)
-    return S, RepMap(S, N, inclusion_blocks)
+    return S, RepMap(S, N, bases)
 
 
 def quotient_rep(N: ModuleRep, rows_per_vertex: dict):
@@ -225,19 +210,20 @@ def quotient_rep(N: ModuleRep, rows_per_vertex: dict):
     spaces = {v: la.Echelon(f, rows_per_vertex.get(v, []))
               for v in table.quiver.vertices}
     # the non-pivot axes span a complement of the submodule
-    reps = {v: [j for j in range(N.dims[v]) if j not in spaces[v].rows]
+    axes = {v: [j for j in range(N.dims[v]) if j not in spaces[v].rows]
             for v in table.quiver.vertices}
-    dims = {v: len(reps[v]) for v in reps}
+    dims = {v: len(axes[v]) for v in axes}
+    coordinate = {v: {j: k for k, j in enumerate(axes[v])} for v in axes}
 
     def coords(v, row):
-        """Coordinates of row + W_v over the complement's axes."""
-        res = spaces[v].reduce(row)
-        return [res.get(j, 0) for j in reps[v]]
+        """Coordinates of row + W_v over the complement's axes.
 
-    mats = {}
-    for a in table.quiver.arrows:
-        mats[a.name] = [coords(a.target, la.sparse(N.mats[a.name][j]))
-                        for j in reps[a.source]]
+        A residue modulo the reduced rows vanishes at every pivot.
+        """
+        return {coordinate[v][j]: c for j, c in spaces[v].reduce(row).items()}
+
+    mats = {a.name: [coords(a.target, N.mats[a.name][j]) for j in axes[a.source]]
+            for a in table.quiver.arrows}
     Q = ModuleRep(table, dims, mats)
     proj_blocks = {v: [coords(v, {i: 1}) for i in range(N.dims[v])]
                    for v in table.quiver.vertices}
@@ -254,9 +240,7 @@ def kernel_of_map(fmap: RepMap):
 
 def cokernel_of_map(fmap: RepMap):
     """Cokernel quotient of a hom, with its projection."""
-    N = fmap.target
-    rows = {v: [list(r) for r in fmap.blocks[v]] for v in N.table.quiver.vertices}
-    return quotient_rep(N, rows)
+    return quotient_rep(fmap.target, fmap.blocks)
 
 
 def radical_rows(M: ModuleRep) -> dict:
@@ -264,8 +248,7 @@ def radical_rows(M: ModuleRep) -> dict:
     table = M.table
     rows = {v: [] for v in table.quiver.vertices}
     for a in table.quiver.arrows:
-        for r in M.mats[a.name]:
-            rows[a.target].append(list(r))
+        rows[a.target].extend(M.mats[a.name])
     return rows
 
 
@@ -278,8 +261,7 @@ def _top_generators(M: ModuleRep):
     gens = []
     for v in M.table.quiver.vertices:
         pivots = la.Echelon(M.field, rad[v]).rows
-        gens.extend((v, [int(j == k) for k in range(M.dims[v])])
-                    for j in range(M.dims[v]) if j not in pivots)
+        gens.extend((v, {j: 1}) for j in range(M.dims[v]) if j not in pivots)
     return gens
 
 
@@ -303,10 +285,9 @@ def _generator_map(table: AlgebraTable, M: ModuleRep, v: str, row) -> RepMap:
         path = table.basis[i]
         if path.length:
             last = path.arrows[-1]
-            image = la.row_vec_mul(images[path.arrows[:-1]], M.mats[last], f,
-                                   cols=M.dims[path.target])
+            image = la.row_vec_mul(images[path.arrows[:-1]], M.mats[last], f)
         else:
-            image = list(row)
+            image = row
         images[path.arrows] = image
         blocks[path.target].append(image)
     return RepMap(projective(table, v), M, blocks)
@@ -334,12 +315,14 @@ def opposite_table(table: AlgebraTable) -> AlgebraTable:
 
 def dual_rep(table_op: AlgebraTable, M: ModuleRep) -> ModuleRep:
     """Standard-coordinate dual: a module over the opposite table."""
-    mats = {a.name: la.transpose(M.mats[a.name]) for a in M.table.quiver.arrows}
+    mats = {a.name: la.transpose(M.mats[a.name], M.dims[a.target])
+            for a in M.table.quiver.arrows}
     return ModuleRep(table_op, dict(M.dims), mats)
 
 
 def dual_map(table_op: AlgebraTable, fmap: RepMap) -> RepMap:
-    blocks = {v: la.transpose(fmap.blocks[v]) for v in fmap.source.table.quiver.vertices}
+    blocks = {v: la.transpose(fmap.blocks[v], fmap.target.dims[v])
+              for v in fmap.source.table.quiver.vertices}
     return RepMap(dual_rep(table_op, fmap.target), dual_rep(table_op, fmap.source), blocks)
 
 
@@ -399,7 +382,7 @@ def stable_hom_dim(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> int:
 
 def stable_class_is_zero(table: AlgebraTable, fmap: RepMap) -> bool:
     """Does a hom vanish in the stable category?"""
-    vec = la.sparse(fmap.flatten())
+    vec = fmap.flatten()
     if not vec:
         return True
     factoring = [g.flatten() for g in _factoring_maps(table, fmap.source, fmap.target)]
@@ -422,17 +405,14 @@ def _invertible_combination(maps, coeffs):
     """
     M, N = maps[0].source, maps[0].target
     f = M.field
-    add, mul = f.add, f.mul
-    terms = [(c, g) for c, g in zip(coeffs, maps) if c]
+    terms = [(f.neg(c), g) for c, g in zip(coeffs, maps) if c]
     blocks = {}
     for v in M.table.quiver.vertices:
-        block = la.zeros(M.dims[v], N.dims[v], f)
-        for c, g in terms:
-            for row, grow in zip(block, g.blocks[v]):
-                for j, x in enumerate(grow):
-                    if x:
-                        row[j] = add(row[j], mul(c, x))
-        if M.dims[v] and not la.is_invertible(block, f):
+        block = [{} for _ in range(M.dims[v])]
+        for minus_c, g in terms:
+            for row, g_row in zip(block, g.blocks[v]):
+                la.sub_multiple(row, minus_c, g_row, f)
+        if block and not la.is_invertible(block, f):
             return None
         blocks[v] = block
     return RepMap(M, N, blocks)
@@ -449,11 +429,11 @@ def _identity_in_span(out, back) -> bool:
     span = la.Echelon(f)
     for g in out:
         for h in back:
-            span.add(la.sparse(g.compose(h).flatten()))
+            span.add(g.compose(h).flatten())
         if span.rank == len(out):
             return True      # the composites span End X
     identity = RepMap(X, X, {v: la.identity(n, f) for v, n in X.dims.items()})
-    return not span.reduce(la.sparse(identity.flatten()))
+    return not span.reduce(identity.flatten())
 
 
 def find_isomorphism(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
@@ -530,7 +510,7 @@ def strip_projectives(table: AlgebraTable, C: ModuleRep):
                    if not table.basis[i].length)
         pairing = la.Echelon(f)
         for g in hom(table, C, P):
-            column = {i: row[top] for i, row in enumerate(g.blocks[v]) if row[top]}
+            column = {i: row[top] for i, row in enumerate(g.blocks[v]) if top in row}
             if pairing.add(column):
                 chosen.append(g)
                 stripped.append(v)
@@ -543,22 +523,22 @@ def strip_projectives(table: AlgebraTable, C: ModuleRep):
 def stack_maps(*maps: RepMap) -> RepMap:
     """(f1, ..., fn): M -> N1 (+) ... (+) Nn from maps with a common source."""
     M = maps[0].source
-    blocks = {v: [[x for m in maps for x in m.blocks[v][i]] for i in range(n)]
-              for v, n in M.dims.items()}
+    blocks = {}
+    for v, n in M.dims.items():
+        rows, shift = [{} for _ in range(n)], 0
+        for m in maps:
+            for row, part in zip(rows, m.blocks[v]):
+                row.update((shift + j, x) for j, x in part.items())
+            shift += m.target.dims[v]
+        blocks[v] = rows
     return RepMap(M, direct_sum(*[m.target for m in maps]), blocks)
 
 
 def vstack_maps(maps, target: ModuleRep) -> RepMap:
     """Maps with a common target, stacked into one map out of their sum."""
     table = target.table
-    f = target.field
     E = direct_sum(*[m.source for m in maps]) if maps else zero_rep(table)
-    blocks = {}
-    for v in table.quiver.vertices:
-        rows = []
-        for m in maps:
-            rows.extend(list(r) for r in m.blocks[v])
-        blocks[v] = rows if rows else la.zeros(0, target.dims[v], f)
+    blocks = {v: [row for m in maps for row in m.blocks[v]] for v in table.quiver.vertices}
     return RepMap(E, target, blocks)
 
 

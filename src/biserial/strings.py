@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import linalg as la
 from .core import AlgebraTable, DomainError, Quiver
 
 
@@ -234,7 +233,7 @@ def string_module(table: AlgebraTable, word: StringWord):
         positions[i] = (v, dims[v])
         dims[v] += 1
     f = table.field
-    mats = {a.name: la.zeros(dims[a.source], dims[a.target], f) for a in q.arrows}
+    mats = {a.name: [{} for _ in range(dims[a.source])] for a in q.arrows}
     n = word.length
     for i in range(n + 1):
         v, row = positions[i]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg as la
 from .checks import check_special_biserial
 from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
 from .reps import (RepMap, _rad_mod_soc_words, decompose_rad_mod_soc, projective,
@@ -192,10 +191,13 @@ def _require_input(table: AlgebraTable, word: StringWord, cyclic: bool = False):
     """The precondition shared by tau, tau_inv and the AR and cone maps.
 
     A selfinjective special biserial table and a valid string that is
-    neither a band (when cyclic) nor a simple projective module.
+    neither a band (when cyclic) nor a simple projective module.  A word
+    is validated once per table; a word that raises is never recorded.
     """
     require_selfinjective_sb(table)
-    validate_string(table, word)
+    if word not in table._valid_words:
+        validate_string(table, word)
+        table._valid_words.add(word)
     if cyclic and is_band(table, word):
         raise BandInput("band modules have tau-period one and are excluded")
     if word.is_trivial() and not table.quiver.out_arrows[word.vertex]:
@@ -368,7 +370,7 @@ def _node_map(S, T, pairs, what: str) -> RepMap:
     whose j is not a node of T sends its vector to zero.
     """
     f = S.field
-    blocks = {u: la.zeros(S.dims[u], T.dims[u], f) for u in S.table.quiver.vertices}
+    blocks = {u: [{} for _ in range(S.dims[u])] for u in S.table.quiver.vertices}
     for (u, row), j in pairs:
         node = T.node_positions.get(j)
         if node is None:

@@ -60,7 +60,8 @@ def dense_socle(table) -> dict:
         mats = [_right_mult_matrix(table, v, a) for a in table.quiver.arrows]
         stacked = [list(itertools.chain.from_iterable(m[r] for m in mats))
                    for r in range(len(table.by_source[v]))]
-        out[v] = row_nullspace(stacked, table.field)
+        out[v] = row_nullspace([{j: x for j, x in enumerate(row) if x} for row in stacked],
+                               table.field)
     return out
 
 

@@ -89,8 +89,7 @@ def _almost_split_check(table, words):
             if not target_maps:
                 continue
             comps = [h.compose(g).flatten() for h in hom(table, X, g.source)]
-            comps = [v for v in comps if any(x != table.field.zero for x in v)]
-            rank = la.span_rank(comps, table.field) if comps else 0
+            rank = la.span_rank(comps, table.field)
             same = xw is not None and words_equal(
                 table.quiver, xw, canonical_form(table.quiver, c))
             # image of Hom(X, E) -> Hom(X, M) is exactly the non-retractions

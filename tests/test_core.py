@@ -69,8 +69,7 @@ def test_multiply_deformed():
 def socle_paths(table, v):
     """The basis paths in the support of the socle rows of e_v A."""
     fiber = table.by_source[v]
-    return [str(table.basis[fiber[j]]) for row in table.socle()[v]
-            for j, c in enumerate(row) if c]
+    return [str(table.basis[fiber[j]]) for row in table.socle()[v] for j in sorted(row)]
 
 
 def test_socle():

@@ -3,7 +3,8 @@
 The reference is the textbook dense loop: leftmost pivots, full
 reduction, nothing shared with ``linalg``.  Every function built on
 ``Echelon`` is compared with what the reference implies, on seeded random
-matrices over Q and small prime fields, including empty shapes.
+matrices over Q and small prime fields, including empty shapes.  The
+matrices are made dense and handed to ``linalg`` as sparse rows.
 """
 
 from __future__ import annotations
@@ -80,8 +81,22 @@ def cases(f):
         yield seed, random_matrix(rng, f, rows, cols), rng
 
 
+def sparse(row) -> dict:
+    """The {column: coeff} form of a dense row."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row: dict, n: int) -> list:
+    return [row.get(j, 0) for j in range(n)]
+
+
+def rows_of(a):
+    return [sparse(row) for row in a]
+
+
 def mat_vec(x, a, f, cols):
-    return la.row_vec_mul(x, a, f, cols=cols)
+    """x @ a for a dense x and a dense a, as a dense row."""
+    return dense(la.row_vec_mul(sparse(x), rows_of(a), f), cols)
 
 
 def in_row_span(v, rows, f):
@@ -91,9 +106,11 @@ def in_row_span(v, rows, f):
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
 def test_rref_and_rank_match_reference(f):
     for seed, a, _ in cases(f):
-        assert la.rref(a, f) == ref_rref(a, f), (seed, a)
-        assert la.rank(a, f) == len(ref_rref(a, f)[0])
-        assert la.span_rank(a, f) == la.rank(a, f)
+        rows, pivots = la.rref(rows_of(a), f)
+        cols = len(a[0]) if a else 0
+        assert ([dense(r, cols) for r in rows], pivots) == ref_rref(a, f), (seed, a)
+        assert la.rank(rows_of(a), f) == len(ref_rref(a, f)[0])
+        assert la.span_rank(rows_of(a), f) == la.rank(rows_of(a), f)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -101,7 +118,7 @@ def test_nullspaces_match_reference(f):
     for seed, a, _ in cases(f):
         n = len(a)
         cols = len(a[0]) if a else 0
-        reduced, pivots = ref_rref(la.transpose(a), f) if a and cols else ([], [])
+        reduced, pivots = ref_rref([list(col) for col in zip(*a)], f) if a and cols else ([], [])
         expected = []
         for j in (j for j in range(n) if j not in pivots):
             v = [0] * n
@@ -109,11 +126,11 @@ def test_nullspaces_match_reference(f):
             for i, p in enumerate(pivots):
                 v[p] = f.neg(reduced[i][j])
             expected.append(v)
-        assert la.row_nullspace(a, f) == expected, (seed, a)
+        assert la.row_nullspace(rows_of(a), f) == rows_of(expected), (seed, a)
         for x in expected:
             assert not any(mat_vec(x, a, f, cols))
-        equations = [{i: row[j] for i, row in enumerate(a)} for j in range(cols)]
-        assert la.sparse_nullspace(equations, n, f) == expected
+        equations = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(cols)]
+        assert la.sparse_nullspace(equations, n, f) == rows_of(expected)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -127,8 +144,8 @@ def test_solve_row_free_variables_zero(f):
                 v = mat_vec(x, a, f, cols) if n else [0] * cols
             else:
                 v = [rng.randrange(2) for _ in range(cols)]
-            got = la.solve_row(v, a, f)
-            columns = la.transpose(a) if n else [[]] * cols
+            got = la.solve_row(sparse(v), rows_of(a), f)
+            columns = [list(col) for col in zip(*a)] if n else [[]] * cols
             aug = [list(col) + [v[j]] for j, col in enumerate(columns)]
             reduced, pivots = ref_rref(aug, f)
             if n in pivots:
@@ -137,8 +154,8 @@ def test_solve_row_free_variables_zero(f):
             expected = [0] * n
             for i, p in enumerate(pivots):
                 expected[p] = reduced[i][n]
-            assert got == expected, (seed, a, v)
-            assert mat_vec(got, a, f, cols) == list(v)
+            assert got == sparse(expected), (seed, a, v)
+            assert mat_vec(expected, a, f, cols) == list(v)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -147,15 +164,17 @@ def test_square_inverse_det(f):
         n = rng.randint(0, 4)
         m = random_matrix(rng, f, n, n)
         d = ref_det(m, f)
-        assert la.det(m, f) == d, (seed, m)
-        assert la.is_invertible(m, f) == (d != 0)
-        inv = la.inverse(m, f)
+        assert la.det(rows_of(m), f) == d, (seed, m)
+        assert la.is_invertible(rows_of(m), f) == (d != 0)
+        inv = la.inverse(rows_of(m), f)
         if d == 0:
             assert inv is None
         else:
-            assert la.mat_mul(m, inv, f, cols=n) == la.identity(n, f)
-        if a and len(a) != len(a[0]):
-            assert not la.is_invertible(a, f) and la.inverse(a, f) is None
+            assert la.mat_mul(rows_of(m), inv, f) == la.identity(n, f)
+        # taller than wide, or with a nonzero column at or past the row count
+        if a and (len(a) > len(a[0]) or any(any(row[len(a):]) for row in a)):
+            assert not la.is_invertible(rows_of(a), f)
+            assert la.inverse(rows_of(a), f) is None
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -167,15 +186,44 @@ def test_recipe_coordinates(f):
         v = random_matrix(rng, f, 1, cols)[0]
         if not independent:
             with pytest.raises(ValueError):
-                la.express_in_basis(v, basis, f)
+                la.express_in_basis(sparse(v), rows_of(basis), f)
             continue
-        coords = la.express_in_basis(v, basis, f)
+        coords = la.express_in_basis(sparse(v), rows_of(basis), f)
         if not in_row_span(v, basis, f):
             assert coords is None, (seed, basis, v)
             continue
-        assert mat_vec(coords, basis, f, cols) == v, (seed, basis, v)
+        assert mat_vec(dense(coords, len(basis)), basis, f, cols) == v, (seed, basis, v)
         x = [f.of(rng.randrange(3)) for _ in basis]
-        assert la.express_in_basis(mat_vec(x, basis, f, cols), basis, f) == x
+        combination = sparse(mat_vec(x, basis, f, cols))
+        assert la.express_in_basis(combination, rows_of(basis), f) == sparse(x)
+
+
+def ref_mat_mul(a, b, f, cols):
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for t, c in enumerate(row):
+            acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, b[t])]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=repr)
+def test_matrix_helpers_match_dense_reference(f):
+    for seed, a, rng in cases(f):
+        rows, cols = len(a), len(a[0]) if a else 0
+        b = random_matrix(rng, f, cols, rng.randint(0, 4))
+        width = len(b[0]) if b else rng.randint(0, 4)
+        product = la.mat_mul(rows_of(a), rows_of(b), f)
+        assert product == rows_of(ref_mat_mul(a, b, f, width)), (seed, a, b)
+        assert la.transpose(rows_of(a), cols) == rows_of(list(zip(*a)) or [[]] * cols)
+        c = f.of(rng.randrange(-2, 3))
+        other = random_matrix(rng, f, rows, cols)
+        assert la.mat_scale(rows_of(a), c, f) == rows_of(
+            [[f.mul(c, x) for x in row] for row in a])
+        assert la.mat_add(rows_of(a), rows_of(other), f) == rows_of(
+            [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, other)])
+        assert all(value for row in product for value in row.values())
 
 
 def test_echelon_width_keeps_recipe_columns_out_of_pivots():
@@ -194,11 +242,11 @@ def test_scalars_are_int_native():
     assert type(q.of("4/2")) is int and q.of("1/2") == Fraction(1, 2)
     assert type(q.inv(Fraction(1, 3))) is int and q.inv(2) == Fraction(1, 2)
     assert type(q.nth_root(4, 2)) is int
-    assert la.rref([[2, 4]], q) == ([[1, 2]], [0])
+    assert la.rref([{0: 2, 1: 4}], q) == ([{0: 1, 1: 2}], [0])
 
 
 def random_row(rng, f, n):
-    return la.sparse(random_matrix(rng, f, 1, n)[0])
+    return sparse(random_matrix(rng, f, 1, n)[0])
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -207,11 +255,11 @@ def test_sparse_row_kernel_matches_dense_reference(f):
     for seed in SEEDS:
         rng = random.Random(seed * 11 + f.char)
         u, v = random_row(rng, f, n), random_row(rng, f, n)
-        du, dv = la.dense(u, n), la.dense(v, n)
+        du, dv = dense(u, n), dense(v, n)
         c = f.of(rng.randrange(-3, 4))
         row = dict(u)
         assert la.sub_multiple(row, c, v, f) is row
-        assert la.dense(row, n) == [f.sub(x, f.mul(c, y)) for x, y in zip(du, dv)]
+        assert dense(row, n) == [f.sub(x, f.mul(c, y)) for x, y in zip(du, dv)]
         assert all(row.values())
         dense_dot = 0
         for x, y in zip(du, dv):

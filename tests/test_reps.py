@@ -11,7 +11,7 @@ from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra,
                                 random_standard_data)
 from biserial.normalizer import build_from_standard_data
 from biserial.presentations import parse_presentation
-from biserial.reps import (ModuleRep, Undecided, cokernel_of_map, cosyzygy,
+from biserial.reps import (ModuleRep, RepMap, Undecided, cokernel_of_map, cosyzygy,
                            decompose_rad_mod_soc, direct_sum, find_isomorphism,
                            hom, injective_hull, is_isomorphic, kernel_of_map,
                            projective, projective_cover, stable_hom_dim,
@@ -227,15 +227,14 @@ def change_of_basis(M: ModuleRep, rng: random.Random) -> ModuleRep:
     T = {}
     for v, n in M.dims.items():
         while True:
-            m = [[f.of(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
+            m = [{j: x for j in range(n) if (x := f.of(rng.randrange(-3, 4)))}
+                 for _ in range(n)]
             if la.is_invertible(m, f):
                 T[v] = m
                 break
-    mats = {}
-    for a in M.table.quiver.arrows:
-        cols = M.dims[a.target]
-        moved = la.mat_mul(T[a.source], M.mats[a.name], f, cols=cols)
-        mats[a.name] = la.mat_mul(moved, la.inverse(T[a.target], f), f, cols=cols)
+    mats = {a.name: la.mat_mul(la.mat_mul(T[a.source], M.mats[a.name], f),
+                               la.inverse(T[a.target], f), f)
+            for a in M.table.quiver.arrows}
     return ModuleRep(M.table, M.dims, mats)
 
 
@@ -308,3 +307,41 @@ def test_non_isomorphic_modules_with_equal_dimension_vectors(field):
                     pairs += 1
                     assert find_isomorphism(t, M, N) is None
     assert pairs > 50
+
+
+def misshapen_rows(matrix, n_rows: int, n_cols: int) -> bool:
+    """Is matrix other than n_rows sparse rows over n_cols columns, no zero stored?"""
+    return len(matrix) != n_rows or any(
+        not all(row.values()) or any(type(j) is not int or not 0 <= j < n_cols for j in row)
+        for row in matrix)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("fixture", [alg_n2, alg_l2, alg_l2d, alg_a3z],
+                         ids=lambda f: f.__name__)
+def test_every_stored_row_is_sparse_and_in_shape(monkeypatch, fixture, field):
+    """The rows of every module and map a sweep builds, after the sweep.
+
+    RepMap.intertwines compares rows with ==, and sub_multiple needs rows
+    without a zero entry, so both rest on this invariant.
+    """
+    modules, maps = [], []
+    module_init, map_init = ModuleRep.__init__, RepMap.__init__
+
+    def record_module(self, *args):
+        module_init(self, *args)
+        modules.append(self)
+
+    def record_map(self, *args):
+        map_init(self, *args)
+        maps.append(self)
+
+    monkeypatch.setattr(ModuleRep, "__init__", record_module)
+    monkeypatch.setattr(RepMap, "__init__", record_map)
+    run_sweep(fixture(field), max_len=3)
+    assert modules and maps
+    bad = [(a.name, M.dims) for M in modules for a in M.table.quiver.arrows
+           if misshapen_rows(M.mats[a.name], M.dims[a.source], M.dims[a.target])]
+    bad += [(v, g.source.dims, g.target.dims) for g in maps for v in g.source.dims
+            if misshapen_rows(g.blocks[v], g.source.dims[v], g.target.dims[v])]
+    assert bad == []

@@ -5,6 +5,7 @@ from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra,
                                 random_standard_data)
 from biserial.normalizer import build_from_standard_data
+from biserial.reps import projective
 from biserial.strings import (BadComposition, InverseAdjacent, Letter,
                               StringWord, SubwordInSocleOrZero, canonical_form,
                               enumerate_strings, is_band, is_valid_string,
@@ -112,8 +113,8 @@ def test_string_module_shapes():
     t = build_table(alg_n2())
     M = string_module(t, w("a"))
     assert M.dim_vector() == {"1": 1, "2": 1}
-    assert M.mats["a"] == [[t.field.one]]
-    assert M.mats["b"] == [[t.field.zero]]
+    assert M.mats["a"] == [{0: t.field.one}]
+    assert M.mats["b"] == [{}]
     S = string_module(t, StringWord.trivial("1"))
     assert S.dim_vector() == {"1": 1, "2": 0}
     t2 = build_table(alg_l2())
@@ -226,6 +227,31 @@ def test_cached_string_modules_are_never_changed(swept_tables, fixture, field):
             assert M.dims == N.dims, str(word)
             assert M.mats == N.mats, str(word)
             assert M.node_positions == N.node_positions, str(word)
+
+
+@pytest.mark.parametrize("field", [Field(0), Field(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("fixture", [alg_n2, alg_l2, alg_l2d, alg_a3z],
+                         ids=lambda f: f.__name__)
+def test_cached_projectives_and_regular_actions_are_never_changed(swept_tables, fixture,
+                                                                  field):
+    """After a sweep, each cached e_v A equals one built on a fresh table.
+
+    A projective's matrices share their rows with the table's regular
+    action, and linalg.sub_multiple changes a row in place, so a row passed
+    to it as the row being updated would show here.
+    """
+    tables = swept_tables(fixture(field), max_len=3)
+    assert tables[0]._regular
+    # the oracle checks that build projectives run on the symmetric tables
+    assert tables[0]._projective_cache or fixture in (alg_l2d, alg_a3z)
+    for t in tables:
+        fresh = build_table(t.pres)
+        for v, P in t._projective_cache.items():
+            Q = projective(fresh, v)
+            assert (P.dims, P.mats, P.projective_basis) == (Q.dims, Q.mats,
+                                                            Q.projective_basis), v
+        for v, action in t._regular.items():
+            assert action == fresh.regular_action(v), v
 
 
 def test_string_module_is_shared():

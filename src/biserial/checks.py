@@ -65,6 +65,10 @@ def check_arrow_bound(quiver: Quiver) -> bool:
     return all(i <= 2 and o <= 2 for i, o in quiver.degrees().values())
 
 
+def is_local_nakayama(table: AlgebraTable) -> bool:
+    return len(table.quiver.vertices) == 1 and len(table.quiver.arrows) == 1
+
+
 def check_special_biserial(pres: AlgebraPresentation, table: AlgebraTable) -> ClassReport:
     """Degrees <= 2 and unique nonzero continuation on both sides per arrow.
 

@@ -4,6 +4,12 @@ Subcommands: check, basis, hom, tau, ar, cone, bricks, nodes, normalize,
 ssb, strings, sweep.  Output is a stable human-readable listing or, with
 --json, a documented tree with exact scalars rendered as strings.
 Exit codes: 0 success, 1 domain error, 2 usage error.
+
+Each process runs one subcommand, so at module level this imports only
+what parsing, loading a presentation and reporting need; each ``cmd_*``
+imports the layers it runs.  ``basis`` loads no layer above ``core``, and
+only the subcommands that need the oracle or the translation calculus
+load ``reps`` and ``translate``.
 """
 
 from __future__ import annotations
@@ -13,28 +19,18 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bricks as bricks_mod
-from . import nodes as nodes_mod
-from .checks import (check_arrow_bound, check_one_in_one_out,
-                     check_special_biserial)
 from .core import (AlgebraPresentation, DomainError, build_table,
                    check_selfinjective_symmetric)
-from .normalizer import (NormalizedOutput, build_from_standard_data,
-                         deformed_presentation, normalize)
 from .presentations import format_presentation, load_presentation
-from .reps import hom, projective, stable_hom_dim
-from .strings import (Letter, StringWord, enumerate_strings, string_module,
-                      validate_string)
-from .translate import (ar_sequence, canonical_map_to_tau_inv,
-                        cone_of_canonical_map, tau, tau_inv)
 
 
 class CliError(DomainError):
     pass
 
 
-def parse_string_arg(quiver, text: str) -> StringWord:
+def parse_string_arg(quiver, text: str):
     """CLI string syntax: arrow ids with ^-1 suffixes, or @vertex."""
+    from .strings import Letter, StringWord
     text = text.strip()
     if text.startswith("@"):
         v = text[1:]
@@ -86,6 +82,8 @@ def _load(path: str) -> AlgebraPresentation:
 
 
 def cmd_check(args) -> dict:
+    from .checks import (check_arrow_bound, check_one_in_one_out,
+                         check_special_biserial)
     pres = _load(args.file)
     table = build_table(pres)
     table.certify()
@@ -119,6 +117,8 @@ def cmd_basis(args) -> dict:
 
 
 def _resolve_module(table, spec: str):
+    from .reps import projective
+    from .strings import string_module, validate_string
     if spec.startswith("proj:"):
         v = spec[5:]
         if v not in set(table.quiver.vertices):
@@ -130,6 +130,7 @@ def _resolve_module(table, spec: str):
 
 
 def cmd_hom(args) -> dict:
+    from .reps import hom, stable_hom_dim
     pres = _load(args.file)
     table = build_table(pres)
     M, mname = _resolve_module(table, args.source)
@@ -141,6 +142,8 @@ def cmd_hom(args) -> dict:
 
 
 def cmd_tau(args) -> dict:
+    from .strings import validate_string
+    from .translate import tau, tau_inv
     pres = _load(args.file)
     table = build_table(pres)
     word = parse_string_arg(pres.quiver, args.string)
@@ -151,6 +154,8 @@ def cmd_tau(args) -> dict:
 
 
 def cmd_ar(args) -> dict:
+    from .strings import validate_string
+    from .translate import ar_sequence
     pres = _load(args.file)
     table = build_table(pres)
     word = parse_string_arg(pres.quiver, args.string)
@@ -165,6 +170,8 @@ def cmd_ar(args) -> dict:
 
 
 def cmd_cone(args) -> dict:
+    from .strings import validate_string
+    from .translate import canonical_map_to_tau_inv, cone_of_canonical_map
     pres = _load(args.file)
     table = build_table(pres)
     word = parse_string_arg(pres.quiver, args.string)
@@ -179,6 +186,7 @@ def cmd_cone(args) -> dict:
 
 
 def cmd_strings(args) -> dict:
+    from .strings import enumerate_strings
     pres = _load(args.file)
     table = build_table(pres)
     words = enumerate_strings(table, args.max_len)
@@ -187,23 +195,25 @@ def cmd_strings(args) -> dict:
 
 
 def cmd_bricks(args) -> dict:
+    from .bricks import (check_bounded_maximality, check_orthogonal_system,
+                         endpoint_multiplicity_check)
+    from .strings import validate_string
     pres = _load(args.file)
     table = build_table(pres)
     words = [parse_string_arg(pres.quiver, tok) for tok in args.set.split(",")]
     for w in words:
         validate_string(table, w)
-    ok, violation = bricks_mod.check_orthogonal_system(table, words)
+    ok, violation = check_orthogonal_system(table, words)
     payload = {"orthogonal_system": ok}
     if violation:
         payload["violation"] = [str(x) for x in violation]
     if ok:
-        maximal, witness = bricks_mod.check_bounded_maximality(table, words,
-                                                               args.max_len)
+        maximal, witness = check_bounded_maximality(table, words, args.max_len)
         payload["bounded_maximality"] = maximal
         payload["max_len"] = args.max_len
         if witness:
             payload["witness"] = witness
-        mult_ok, twice, once = bricks_mod.endpoint_multiplicity_check(table, words)
+        mult_ok, twice, once = endpoint_multiplicity_check(table, words)
         payload["endpoint_multiplicity_ok"] = mult_ok
         payload["endpoint_multiset"] = twice
         payload["endpoint_multiset_once"] = once
@@ -211,22 +221,22 @@ def cmd_bricks(args) -> dict:
 
 
 def cmd_nodes(args) -> dict:
+    from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
     pres = _load(args.file)
     table = build_table(pres)
-    report = nodes_mod.detect_nodes(pres, table)
+    report = detect_nodes(pres, table)
     payload = {
         "nodes": report.nodes,
         "evidence": report.evidence,
-        "nonprojective_simple_count": nodes_mod.nonprojective_simple_count(table),
+        "nonprojective_simple_count": nonprojective_simple_count(table),
     }
     if args.split:
-        split = nodes_mod.split_nodes(pres)
+        split = split_nodes(pres)
         split_table = build_table(split)
         payload["split"] = {
             "vertices": split.quiver.vertices,
-            "nodes_after": nodes_mod.detect_nodes(split, split_table).nodes,
-            "nonprojective_simple_count":
-                nodes_mod.nonprojective_simple_count(split_table),
+            "nodes_after": detect_nodes(split, split_table).nodes,
+            "nonprojective_simple_count": nonprojective_simple_count(split_table),
         }
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -235,7 +245,8 @@ def cmd_nodes(args) -> dict:
     return payload
 
 
-def _normalized_payload(pres, out: NormalizedOutput) -> dict:
+def _normalized_payload(pres, out) -> dict:
+    """The --json tree of a normalizer.NormalizedOutput."""
     f = pres.field
     return {
         "pi": dict(sorted(out.pi_data.pi.items())),
@@ -250,6 +261,7 @@ def _normalized_payload(pres, out: NormalizedOutput) -> dict:
 
 
 def cmd_normalize(args) -> dict:
+    from .normalizer import deformed_presentation, normalize
     pres = _load(args.file)
     table = build_table(pres)
     out = normalize(pres, table)
@@ -262,6 +274,8 @@ def cmd_normalize(args) -> dict:
 
 
 def cmd_ssb(args) -> dict:
+    from .checks import check_special_biserial
+    from .normalizer import build_from_standard_data
     pres = _load(args.quiver)
     pi = dict(args.pi)
     mult = {}

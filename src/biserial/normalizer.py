@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg as la
-from .checks import _continuations, _stably_biserial_conditions
+from .checks import (_continuations, _stably_biserial_conditions,
+                     is_local_nakayama)
 from .core import (AlgebraPresentation, AlgebraTable, DomainError,
                    EqualityRelation, Quiver, SocleDeformation, ZeroRelation,
                    build_table, check_selfinjective_symmetric)
 from .fields import Field
-from .translate import is_local_nakayama
 
 
 class NotSymmetric(DomainError):

@@ -109,6 +109,13 @@ class RepMap:
     def is_surjective(self) -> bool:
         return self.rank() == self.target.total_dim
 
+    def is_bijective(self) -> bool:
+        """Whether every block is invertible; for a module map, whether it is an isomorphism."""
+        f = self.source.field
+        return self.source.dims == self.target.dims and all(
+            la.is_invertible(block, f)
+            for v, block in self.blocks.items() if self.source.dims[v])
+
 
 def zero_rep(table: AlgebraTable) -> ModuleRep:
     return ModuleRep(table, {}, {a.name: [] for a in table.quiver.arrows})
@@ -459,7 +466,7 @@ def find_isomorphism(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
         return None
     f = table.field
     for g in maps:
-        if all(la.is_invertible(g.blocks[v], f) for v in vertices if M.dims[v]):
+        if g.is_bijective():
             return g
     r = len(maps)
     if r == 1:

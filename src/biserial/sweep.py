@@ -13,7 +13,8 @@ from contextlib import contextmanager
 
 from .bricks import (check_bounded_maximality, check_orthogonal_system,
                      endpoint_multiplicity_check, verify_shape_lemmas)
-from .checks import check_one_in_one_out, check_special_biserial
+from .checks import (check_one_in_one_out, check_special_biserial,
+                     is_local_nakayama)
 from .core import AlgebraPresentation, build_table, check_selfinjective_symmetric
 from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
 from .normalizer import normalize
@@ -23,7 +24,7 @@ from .strings import (canonical_form, enumerate_strings, reverse_word,
                       string_module as string_module_fn, words_equal)
 from .translate import (ar_right_map, canonical_map_to_tau_inv,
                         check_tau_period_one_exclusions, cone_of_canonical_map,
-                        is_local_nakayama, tau, tau_inv)
+                        reversal_map, tau, tau_inv)
 
 
 def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
@@ -88,10 +89,11 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
     check_words("string-dimension",
                 lambda w: string_module_fn(table, w).total_dim == w.length + 1,
                 listed=False)
-    check_words("string-reverse-isomorphism",
-                lambda w: is_isomorphic(table, string_module_fn(table, w),
-                                        string_module_fn(table, reverse_word(w))),
-                listed=False)
+
+    def reversal_is_isomorphism(w):
+        g = reversal_map(table, w)
+        return g.intertwines() and g.is_bijective()
+    check_words("string-reverse-isomorphism", reversal_is_isomorphism, listed=False)
 
     selfinj_sb = (report.is_special_biserial
                   and sym.verdict != "not-selfinjective")

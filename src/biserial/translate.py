@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import check_special_biserial
+from .checks import check_special_biserial, is_local_nakayama
 from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
 from .reps import (RepMap, _rad_mod_soc_words, decompose_rad_mod_soc, projective,
                    vstack_maps)
@@ -51,10 +51,6 @@ def require_selfinjective_sb(table: AlgebraTable):
                                    and verdict != "not-selfinjective")
     if not table._sb_selfinjective:
         raise NotSelfinjectiveSB("operation requires a selfinjective special biserial table")
-
-
-def is_local_nakayama(table: AlgebraTable) -> bool:
-    return len(table.quiver.vertices) == 1 and len(table.quiver.arrows) == 1
 
 
 # -- projective landmarks ------------------------------------------------
@@ -379,6 +375,20 @@ def _node_map(S, T, pairs, what: str) -> RepMap:
             raise RuntimeError(f"node alignment failed for {what}")
         blocks[u][row][node[1]] = f.one
     return RepMap(S, T, blocks)
+
+
+def reversal_map(table: AlgebraTable, word: StringWord) -> RepMap:
+    """The isomorphism M(w) -> M(w^-1) sending node i to node n - i.
+
+    The reversed word walks the same n + 1 nodes backwards, so this
+    permutation of basis vectors is the known witness that a string and
+    its reverse give one module.
+    """
+    n = word.length
+    M = string_module(table, word)
+    return _node_map(M, string_module(table, reverse_word(word)),
+                     ((pos, n - i) for i, pos in M.node_positions.items()),
+                     f"the reversal of {word}")
 
 
 def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord,

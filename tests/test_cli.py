@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import biserial
 from biserial.cli import main
 from biserial.instances import (ALG_A3Z_TEXT, ALG_L2D_TEXT, ALG_L2_TEXT,
                                 ALG_N2_TEXT, alg_l2)
@@ -283,11 +288,15 @@ def test_undecided_oracle_fails_one_sweep_check(capsys, algs, monkeypatch):
     assert not payload["all_pass"]
     assert [r["check"] for r in payload["results"]] == checks
     result = {r["check"]: r for r in payload["results"]}
-    rev = result["string-reverse-isomorphism"]
-    assert not rev["pass"]
-    assert "@1: Undecided('no witness and no proof')" in rev["detail"]
+    syz = result["tau-syzygy-oracle"]
+    assert not syz["pass"]
+    assert "@1: Undecided('no witness and no proof')" in syz["detail"]
     assert not result["cone-oracle"]["pass"]
     assert result["tau-roundtrip"]["pass"]
+    # the reversal check verifies its explicit witness and asks no oracle
+    assert result["string-reverse-isomorphism"]["pass"]
+    assert [r["check"] for r in payload["results"] if not r["pass"]] == [
+        "tau-syzygy-oracle", "ar-sequence-exactness", "cone-oracle"]
 
 
 def test_undecided_oracle_is_a_domain_error(capsys, algs, monkeypatch):
@@ -315,3 +324,48 @@ def test_sweep_check_exception_fails_only_that_check(monkeypatch):
     assert not result["stable-hom-bound"]["pass"]
     assert result["stable-hom-bound"]["detail"] == "ArithmeticError('stable hom broke')"
     assert [r["check"] for r in payload["results"] if not r["pass"]] == ["stable-hom-bound"]
+
+
+# python -m biserial.cli in a fresh interpreter, then the biserial modules
+# it loaded, as the last line of standard error
+MODULE_PROBE = """
+import json, runpy, sys
+sys.argv[0] = "biserial"
+try:
+    runpy.run_module("biserial.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
+                               if m.startswith("biserial."))]), file=sys.stderr)
+"""
+
+BASE_LAYERS = ["core", "errors", "fields", "linalg", "presentations"]
+ORACLE_LAYERS = ["checks", "reps", "strings"]
+LAYERS_RUN = (
+    (["basis", "n2"], []),
+    (["check", "l2"], ["checks"]),
+    (["nodes", "n2", "--split"], ["nodes"]),
+    (["strings", "l2", "--max-len", "3"], ["strings"]),
+    (["normalize", "l2"], ["checks", "normalizer"]),
+    (["ssb", "--quiver", "l2", "--pi", "a>b,b>a", "--mult", "a b:1"],
+     ["checks", "normalizer"]),
+    (["hom", "n2", "--from", "@1", "--to", "a"], ORACLE_LAYERS),
+    (["tau", "n2", "--string", "a"], [*ORACLE_LAYERS, "translate"]),
+    (["ar", "n2", "--string", "a"], [*ORACLE_LAYERS, "translate"]),
+    (["cone", "n2", "--string", "a"], [*ORACLE_LAYERS, "translate"]),
+    (["bricks", "n2", "--set", "@1,@2", "--max-len", "2"],
+     ["bricks", *ORACLE_LAYERS, "translate"]),
+)
+
+
+@pytest.mark.parametrize("argv, layers", LAYERS_RUN,
+                         ids=[argv[0] for argv, _ in LAYERS_RUN])
+def test_each_subcommand_loads_only_its_layers(algs, argv, layers):
+    """A command imports the layers it runs, and no others."""
+    argv = [algs.get(a, a) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(biserial.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, "--json", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0 and json.loads(proc.stdout)
+    assert loaded == sorted(BASE_LAYERS + layers)

@@ -243,6 +243,14 @@ def test_scalars_are_int_native():
     assert type(q.inv(Fraction(1, 3))) is int and q.inv(2) == Fraction(1, 2)
     assert type(q.nth_root(4, 2)) is int
     assert la.rref([{0: 2, 1: 4}], q) == ([{0: 1, 1: 2}], [0])
+    # scaling a row by the inverse of its pivot keeps integral entries int
+    rows = la.Echelon(q, [{0: 2, 1: 4}]).rows
+    assert rows == {0: {0: 1, 1: 2}}
+    assert all(type(x) is int for x in rows[0].values())
+    kernel = la.sparse_nullspace([{0: 2, 1: 4}], 2, q)
+    assert kernel == [{1: 1, 0: -2}]
+    assert all(type(x) is int for x in kernel[0].values())
+    assert la.Echelon(q, [{0: 2, 1: 3}]).rows == {0: {0: 1, 1: Fraction(3, 2)}}
 
 
 def random_row(rng, f, n):

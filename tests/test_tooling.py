@@ -10,15 +10,21 @@ AlgebraTable.__init__, and every one on a module in ModuleRep.__init__;
 no module binds a mutable container that could serve as a second cache.
 No module imports a name it never reads, and no private function or
 method is left without a caller; a public function of ``linalg`` has a
-caller in the library or a span in the tracer.
+caller in the library or a span in the tracer.  ``import biserial`` loads
+no submodule: the package resolves its public names on first access.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import biserial
 from biserial.core import AlgebraTable, DomainError
@@ -277,3 +283,47 @@ def test_every_public_linalg_function_has_a_caller_or_a_span():
                "reps.py": "from . import linalg as la\nla.used()\n"}
     assert _uncalled_public(planted, "linalg.py", ("traced",)) == [
         "linalg.py:5 dense", "linalg.py:9 zeros"]
+
+
+def _eager_imports(tree):
+    """Lines of the statements run at import that import a biserial submodule."""
+    return [node.lineno for node in _module_level(tree.body)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "biserial")
+            or isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "biserial" for alias in node.names)]
+
+
+def test_package_init_is_lazy():
+    init = ast.parse((LIBRARY / "__init__.py").read_text(encoding="utf-8"))
+    assert _eager_imports(init) == []
+    # the scan sees a planted eager import, also inside a block, and leaves
+    # the standard library and function-local imports alone
+    planted = ("import os\nfrom . import core\nif True:\n"
+               "    from .strings import tau\nimport biserial.reps\n"
+               "def __getattr__(name):\n    from .translate import tau\n")
+    assert _eager_imports(ast.parse(planted)) == [2, 4, 5]
+    # and a fresh interpreter loads no submodule on import biserial
+    probe = ("import sys, json, biserial\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('biserial.'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         cwd=LIBRARY.parent, check=True).stdout
+    assert json.loads(out) == []
+
+
+def test_package_names_resolve_to_their_definitions():
+    table = [(module, name) for module, names in biserial._LAZY for name in names]
+    assert sorted(name for _, name in table) == sorted(biserial.__all__)
+    assert len(set(biserial.__all__)) == len(biserial.__all__)
+    for module, name in table:
+        defined = getattr(importlib.import_module(f"biserial.{module}"), name)
+        assert getattr(biserial, name) is defined, name
+        # a resolved name is looked up again on every access, never stored
+        assert name not in vars(biserial)
+    assert set(biserial.__all__) <= set(dir(biserial))
+    namespace = {}
+    exec("from biserial import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(biserial.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        biserial.no_such_name
+    assert not hasattr(biserial, "reversal_map")

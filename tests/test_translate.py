@@ -7,20 +7,20 @@ from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
                                 loop_algebra, random_standard_data)
 from biserial.normalizer import build_from_standard_data
-from biserial.reps import (direct_sum, is_isomorphic, kernel_of_map,
-                           mapping_cone_rep, stable_class_is_zero,
-                           strip_projectives, syzygy)
+from biserial.reps import (direct_sum, find_isomorphism, is_isomorphic,
+                           kernel_of_map, mapping_cone_rep,
+                           stable_class_is_zero, strip_projectives, syzygy)
 from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero,
                               canonical_form, enumerate_strings, left_op,
                               node_vertices, reverse_word, right_op,
                               string_module, words_equal)
 from biserial.translate import (BandInput, LocalNakayamaExcluded,
-                                NotSelfinjectiveSB, _quotient_node,
+                                NotSelfinjectiveSB, _node_map, _quotient_node,
                                 ar_right_map, ar_sequence,
                                 canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
                                 cone_of_canonical_map, proj_quotient_word,
-                                rad_word, tau, tau_inv)
+                                rad_word, reversal_map, tau, tau_inv)
 
 
 SEEDS = range(40)
@@ -317,3 +317,42 @@ def test_invalid_word_raises_on_every_translate_call():
     assert [call(t, good) for call in calls][:2] == first[:2]
     with pytest.raises(SubwordInSocleOrZero):
         tau(t, bad)
+
+
+FIXTURES = (alg_n2, alg_l2, alg_l2d, alg_a3z)
+FIELDS = (Field(0), Field(2), Field(3), Field(5))
+
+
+def _reversed_nodes(M, target):
+    """The reversal's node correspondence, aimed at any target module."""
+    n = M.total_dim - 1
+    return _node_map(M, target, ((pos, n - i) for i, pos in M.node_positions.items()),
+                     "a planted reversal")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda f: f.__name__)
+def test_reversal_map_is_the_reverse_isomorphism(fixture, field):
+    """M(w) -> M(w^-1), node i to node n - i, is an isomorphism, as the
+    Hom search finds; aimed at another string's module it is none."""
+    t = build_table(fixture(field))
+    words = enumerate_strings(t, 4)
+    planted = 0
+    for c in words:
+        M, R = string_module(t, c), string_module(t, reverse_word(c))
+        g = reversal_map(t, c)
+        assert (g.source, g.target) == (M, R)
+        assert g.intertwines() and g.is_bijective(), str(c)
+        assert find_isomorphism(t, M, R) is not None, str(c)
+        for other in words:
+            N = string_module(t, other)
+            if other == c or N.dims != M.dims:
+                continue
+            # the nodes sit at the same vertices, but the arrows differ
+            planted_map = _reversed_nodes(M, N)
+            assert not (planted_map.intertwines() and planted_map.is_bijective()), \
+                f"{c} -> {other}"
+            assert find_isomorphism(t, M, N) is None, f"{c} -> {other}"
+            planted += 1
+    # the strings of a3z all differ in their dimension vectors
+    assert planted or fixture is alg_a3z

@@ -227,6 +227,7 @@ class AlgebraTable:
         self._nf_cache = {}
         self._mult_cache = {}
         self._compile_rules()
+        self._rules_from = self._index_rules()   # arrow -> rules starting with it
         self._build_basis()
         self._socle = None
         self._socle_spaces = None
@@ -308,6 +309,20 @@ class AlgebraTable:
                 names = " and ".join(format_relation(deformation_of[k], f) for k in cycle)
                 raise NonAdmissible(f"socle deformations {names} rewrite into each other")
 
+    def _index_rules(self):
+        """First arrow of a left side -> tuple of (kind, lhs, payload).
+
+        Each tuple lists the zero rules, then the substitutions, then the
+        deformations, each kind in insertion order: the order in which
+        ``normal_form`` tries the rules at a position.
+        """
+        buckets = {}
+        for kind, rules in (("zero", self._zero_rules), ("subst", self._subst_rules),
+                            ("deform", self._deformations)):
+            for lhs, payload in rules.items():
+                buckets.setdefault(lhs[0], []).append((kind, lhs, payload))
+        return {a: tuple(rules) for a, rules in buckets.items()}
+
     def _check_parallel(self, rel):
         if (rel.left.source != rel.right.source) or (rel.left.target != rel.right.target):
             raise UnsupportedRelation(f"sides of {rel!r} are not parallel")
@@ -329,15 +344,14 @@ class AlgebraTable:
 
     # -- normal forms ------------------------------------------------------
 
-    def _match_at(self, arrows, pos):
-        """First rule whose left side starts at pos; deterministic order."""
-        n = len(arrows)
-        for rules, tag in ((self._zero_rules, "zero"), (self._subst_rules, "subst"),
-                           (self._deformations, "deform")):
-            for lhs in rules:
-                ln = len(lhs)
-                if pos + ln <= n and arrows[pos:pos + ln] == lhs:
-                    return tag, lhs, rules[lhs]
+    def _leftmost_match(self, p):
+        """(pos, kind, lhs, payload) of the first rule at the leftmost
+        position where one matches, or None when p is a normal word."""
+        rules_from = self._rules_from
+        for pos, a in enumerate(p):
+            for kind, lhs, payload in rules_from.get(a, ()):
+                if p[pos:pos + len(lhs)] == lhs:
+                    return pos, kind, lhs, payload
         return None
 
     def normal_form(self, arrows) -> dict:
@@ -355,21 +369,17 @@ class AlgebraTable:
             if steps > _MAX_REWRITE_STEPS:
                 raise NonAdmissible("rewriting did not terminate (non-admissible input?)")
             coeff, p = work.pop()
-            match = None
-            for pos in range(len(p)):
-                match = self._match_at(p, pos)
-                if match is not None:
-                    break
+            match = self._leftmost_match(p)
             if match is None:
                 result[p] = f.add(result.get(p, f.zero), coeff)
                 if result[p] == f.zero:
                     del result[p]
                 continue
-            tag, lhs, payload = match
-            if tag == "zero":
+            pos, kind, lhs, payload = match
+            if kind == "zero":
                 continue
             x, y = p[:pos], p[pos + len(lhs):]
-            if tag == "subst":
+            if kind == "subst":
                 c, rhs = payload
                 work.append((f.mul(coeff, c), x + rhs + y))
             else:  # deformation: lhs = coeff * socle path
@@ -404,7 +414,7 @@ class AlgebraTable:
                         if len(arrows) >= cap:
                             raise NonAdmissible(
                                 f"path of length {len(arrows)} survives the cap {cap}")
-                        new_path = q.path(arrows)
+                        new_path = Path(arrows, p.source, a.target)
                         basis_paths.append(new_path)
                         nxt.append(new_path)
                         seen.add(arrows)

@@ -2,11 +2,11 @@
 
 Scalars are integers in ``range(p)`` in characteristic p.  In
 characteristic 0 they are ints or ``fractions.Fraction`` objects, which
-compare, hash and print alike when equal: ``of`` and ``inv`` return an
-int for an integral rational, and the arithmetic keeps ints where Python
-does.  In every field ``zero`` and ``one`` are the ints 0 and 1, and the
-zero scalar is the only falsy one, so callers may test a scalar by its
-truth value.  No floating point is used anywhere in the package.
+compare, hash and print alike when equal: ``of``, ``inv`` and the
+arithmetic return an int for every integral rational.  In every field
+``zero`` and ``one`` are the ints 0 and 1, and the zero scalar is the
+only falsy one, so callers may test a scalar by its truth value.  No
+floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ class Field:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return _integral(a + b) if self.char == 0 else (a + b) % self.char
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return _integral(a - b) if self.char == 0 else (a - b) % self.char
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return _integral(a * b) if self.char == 0 else (a * b) % self.char
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
@@ -121,8 +121,8 @@ class Field:
         return str(a)
 
 
-def _integral(q: Fraction):
-    """q as an int when it is one."""
+def _integral(q):
+    """An int or Fraction q as an int when it is one."""
     return q.numerator if q.denominator == 1 else q
 
 

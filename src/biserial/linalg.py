@@ -22,7 +22,7 @@ scalar.
 
 from __future__ import annotations
 
-from .fields import Field, _integral
+from .fields import Field
 
 
 def identity(n: int, field: Field):
@@ -152,8 +152,6 @@ class Echelon:
             f = self.field
             inv = f.inv(res[p])
             new = {j: f.mul(inv, x) for j, x in res.items()}
-            if not f.char:      # keep integral rationals int
-                new = {j: _integral(x) for j, x in new.items()}
             for other in self.rows.values():
                 c = other.get(p)
                 if c:

@@ -6,7 +6,10 @@ right multiplication by each arrow.  Both are the routes the library
 took before ``AlgebraTable.certify`` and ``AlgebraTable.socle`` read the
 right regular representation; the tests compare the two, on a seeded
 family of random presentations and on three presentations whose tables
-``build_table`` gets wrong.
+``build_table`` gets wrong.  ``reference_normal_form`` and
+``reference_basis`` rewrite by the linear scan of every rule at every
+position that ``AlgebraTable.normal_form`` made before it looked rules up
+by their first arrow.
 """
 
 import itertools
@@ -63,6 +66,67 @@ def dense_socle(table) -> dict:
         out[v] = row_nullspace([{j: x for j, x in enumerate(row) if x} for row in stacked],
                                table.field)
     return out
+
+
+def reference_normal_form(table, arrows) -> dict:
+    """``table.normal_form(arrows)`` by a linear scan of the table's rules.
+
+    At each position, leftmost first, it tries every zero rule, then every
+    substitution, then every deformation, each kind in insertion order,
+    and rewrites with the first that matches.  Nothing is memoized and no
+    step is counted, so call it only on paths whose rewriting ends.
+    """
+    f = table.field
+    kinds = (("zero", table._zero_rules), ("subst", table._subst_rules),
+             ("deform", table._deformations))
+
+    def first_match(p):
+        for pos in range(len(p)):
+            for kind, rules in kinds:
+                for lhs, payload in rules.items():
+                    if p[pos:pos + len(lhs)] == lhs:
+                        return pos, kind, lhs, payload
+        return None
+
+    result = {}
+    work = [(f.one, tuple(arrows))]
+    while work:
+        coeff, p = work.pop()
+        match = first_match(p)
+        if match is None:
+            total = f.add(result.get(p, f.zero), coeff)
+            if total:
+                result[p] = total
+            else:
+                result.pop(p, None)
+            continue
+        pos, kind, lhs, payload = match
+        if kind == "zero":
+            continue
+        x, y = p[:pos], p[pos + len(lhs):]
+        c, rhs = payload
+        if kind == "subst":
+            work.append((f.mul(coeff, c), x + rhs + y))
+        elif not y:     # a deformed product followed by an arrow is zero
+            work.append((f.mul(coeff, c), x + rhs))
+    return result
+
+
+def reference_basis(table) -> set:
+    """The paths that ``reference_normal_form`` keeps, grown arrow by arrow."""
+    q = table.quiver
+    frontier = [q.path((), v) for v in q.vertices]
+    basis = set(frontier)
+    while frontier:
+        grown = []
+        for p in frontier:
+            for a in q.out_arrows[p.target]:
+                arrows = p.arrows + (a.name,)
+                if reference_normal_form(table, arrows) == {arrows: table.field.one}:
+                    grown.append(q.path(arrows))
+        basis.update(grown)
+        frontier = grown
+    return basis
 
 
 def random_presentation_text(seed: int) -> str:
@@ -143,3 +207,12 @@ rel c c c c = 0
 TAIL_DROP_TEXT = ("field Q\nvertex 1\narrow x : 1 -> 1\narrow y : 1 -> 1\nrel x y = x x\n"
                   + "".join(f"rel {' '.join(w)} = 0\n"
                             for w in itertools.product("xy", repeat=4)))
+
+
+# The rules x y -> y x and x y y -> 0 both start with x and both match
+# x y y at its first arrow; the zero rule comes first although its
+# relation comes second, so x y y is 0 (the substitution would leave y y x).
+ZERO_BEFORE_SUBSTITUTION_TEXT = (
+    "field Q\nvertex 1\narrow y : 1 -> 1\narrow x : 1 -> 1\n"
+    "rel x y = y x\nrel x y y = 0\n"
+    + "".join(f"rel {' '.join(w)} = 0\n" for w in itertools.product("xy", repeat=4)))

@@ -15,8 +15,10 @@ from biserial.normalizer import build_from_standard_data
 from biserial.presentations import parse_presentation
 from biserial.sweep import run_sweep
 from table_reference import (ASSOCIATIVE_BUT_WRONG_TEXT, NON_CONFLUENT_TEXT,
-                             TAIL_DROP_TEXT, dense_socle,
-                             random_presentation_text, verify_associativity)
+                             TAIL_DROP_TEXT, ZERO_BEFORE_SUBSTITUTION_TEXT,
+                             dense_socle, random_presentation_text,
+                             reference_basis, reference_normal_form,
+                             verify_associativity)
 
 
 def basis_strings(table):
@@ -278,3 +280,61 @@ def test_certify_never_passes_a_table_the_reference_fails():
 def test_socle_rows_match_the_dense_route():
     for table in itertools.chain(library_tables(), random_tables(range(200))):
         assert table.socle() == dense_socle(table)
+
+
+def standard_and_deformed(seeds):
+    """Standard presentations over FIELDS, and each with its loops deformed."""
+    for seed in seeds:
+        quiver, pi, mult = random_standard_data(seed)
+        loops = [a.name for a in quiver.arrows if a.source == a.target and pi[a.name] != a.name]
+        for f in FIELDS:
+            yield build_from_standard_data(quiver, pi, mult, [], f)
+            if loops:
+                yield build_from_standard_data(quiver, pi, mult,
+                                               [(loop, f.one) for loop in loops], f)
+
+
+def assert_matches_the_linear_scan(table):
+    """Same basis, and same normal forms on every basis path times an arrow
+    and on both sides of every relation, as the linear scan of the rules."""
+    assert len(set(table.basis)) == table.dim
+    assert set(table.basis) == reference_basis(table)
+    paths = [b.arrows + (a.name,) for b in table.basis
+             for a in table.quiver.out_arrows[b.target]]
+    for rel in table.pres.relations:
+        paths += ([rel.path.arrows] if isinstance(rel, ZeroRelation)
+                  else [rel.left.arrows, rel.right.arrows])
+    for arrows in paths:
+        assert table.normal_form(arrows) == reference_normal_form(table, arrows), arrows
+
+
+def test_first_arrow_index_matches_the_linear_scan():
+    """normal_form looks rules up by first arrow; the old scan tried them all."""
+    tables = deformed = 0
+    for pres in standard_and_deformed(range(300)):
+        table = build_table(pres)
+        assert_matches_the_linear_scan(table)
+        tables += 1
+        deformed += bool(table._deformations)
+    for table in random_tables(range(300)):
+        assert_matches_the_linear_scan(table)
+        tables += 1
+    assert tables >= 1500 and deformed >= 300
+
+
+def test_first_arrow_index_keeps_named_outcomes():
+    """The non-confluent table keeps its 6 classes and a zero rule beats a
+    substitution at the same position; the mutually rewriting deformations
+    keep their message (test_mutually_rewriting_deformations_are_named)."""
+    table = build_table(parse_presentation(NON_CONFLUENT_TEXT))
+    assert table.dim == 6
+    assert_matches_the_linear_scan(table)
+    # a zero rule and a substitution share x's bucket and match x y y at 0
+    table = build_table(parse_presentation(ZERO_BEFORE_SUBSTITUTION_TEXT))
+    bucket = [(kind, lhs) for kind, lhs, _ in table._rules_from["x"]]
+    assert bucket[0] == ("zero", ("x", "y", "y")) and bucket[-1] == ("subst", ("x", "y"))
+    assert {kind for kind, _ in bucket[:-1]} == {"zero"}
+    assert table.normal_form(("x", "y", "y")) == {} == reference_normal_form(
+        table, ("x", "y", "y"))
+    assert table.normal_form(("y", "x", "y")) == {("y", "y", "x"): 1}
+    assert_matches_the_linear_scan(table)

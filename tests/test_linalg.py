@@ -251,6 +251,16 @@ def test_scalars_are_int_native():
     assert kernel == [{1: 1, 0: -2}]
     assert all(type(x) is int for x in kernel[0].values())
     assert la.Echelon(q, [{0: 2, 1: 3}]).rows == {0: {0: 1, 1: Fraction(3, 2)}}
+    # back-elimination and the kernel's negation keep integral entries int too
+    rows = [{0: 2, 1: 1, 2: 3}, {1: 2, 2: 2}]
+    stored = la.Echelon(q, rows).rows
+    assert stored == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
+    kernel = la.sparse_nullspace(rows, 3, q)
+    assert kernel == [{2: 1, 0: -1, 1: -1}]
+    assert all(type(x) is int for row in [*stored.values(), *kernel] for x in row.values())
+    assert type(q.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(q.sub(Fraction(3, 2), Fraction(1, 2))) is int
+    assert type(q.mul(Fraction(2, 3), 3)) is int
 
 
 def random_row(rng, f, n):

@@ -26,38 +26,27 @@ class ClassReport:
     in_out_degrees: dict = field(default_factory=dict)
 
 
-def _product(table: AlgebraTable, a: str, b: str):
+def _continuations(table: AlgebraTable, arrow: str, socle_free: bool, before: bool = False):
+    """Arrows b with arrow*b (b*arrow when before) nonzero, and outside the
+    socle if socle_free."""
     q = table.quiver
-    if q.target(a) != q.source(b):
-        return {}
-    return table.nf_vector((a, b))
+    test = table.off_socle if socle_free else table.nf_vector
+    if before:
+        return [b.name for b in q.in_arrows[q.source(arrow)] if test((b.name, arrow))]
+    return [b.name for b in q.out_arrows[q.target(arrow)] if test((arrow, b.name))]
 
 
-def _continuations(table: AlgebraTable, arrow: str, socle_free: bool):
-    """Arrows b with arrow*b nonzero (and outside the socle if socle_free)."""
-    q = table.quiver
-    out = []
-    for b in q.out_arrows[q.target(arrow)]:
-        vec = _product(table, arrow, b.name)
-        if not vec:
-            continue
-        if socle_free and table.in_socle(vec):
-            continue
-        out.append(b.name)
-    return out
-
-
-def _cocontinuations(table: AlgebraTable, arrow: str, socle_free: bool):
-    q = table.quiver
-    out = []
-    for b in q.in_arrows[q.source(arrow)]:
-        vec = _product(table, b.name, arrow)
-        if not vec:
-            continue
-        if socle_free and table.in_socle(vec):
-            continue
-        out.append(b.name)
-    return out
+def _continuation_witnesses(table: AlgebraTable, socle_free: bool):
+    """Per arrow, its right and then its left continuations, where there
+    are more than one."""
+    suffix = "-mod-socle" if socle_free else ""
+    witnesses = []
+    for a in table.quiver.arrows:
+        for side, before in (("right", False), ("left", True)):
+            conts = _continuations(table, a.name, socle_free, before)
+            if len(conts) > 1:
+                witnesses.append((a.name, f"{side}-continuations{suffix}", tuple(conts)))
+    return witnesses
 
 
 def check_arrow_bound(quiver: Quiver) -> bool:
@@ -75,44 +64,19 @@ def check_special_biserial(pres: AlgebraPresentation, table: AlgebraTable) -> Cl
     The stably biserial flag reports the relation-level socle conditions,
     independent of selfinjectivity.
     """
-    q = table.quiver
-    witnesses = []
-    degrees = q.degrees()
-    sb = True
-    for v, (i, o) in degrees.items():
-        if i > 2 or o > 2:
-            sb = False
-            witnesses.append((f"vertex {v}", "degree", (i, o)))
-    for a in q.arrows:
-        conts = _continuations(table, a.name, socle_free=False)
-        if len(conts) > 1:
-            sb = False
-            witnesses.append((a.name, "right-continuations", tuple(conts)))
-        coconts = _cocontinuations(table, a.name, socle_free=False)
-        if len(coconts) > 1:
-            sb = False
-            witnesses.append((a.name, "left-continuations", tuple(coconts)))
+    degrees = table.quiver.degrees()
+    witnesses = [(f"vertex {v}", "degree", (i, o))
+                 for v, (i, o) in degrees.items() if i > 2 or o > 2]
+    witnesses += _continuation_witnesses(table, socle_free=False)
     stb = _stably_biserial_conditions(table)[0]
-    return ClassReport(sb, stb, witnesses, degrees)
+    return ClassReport(not witnesses, stb, witnesses, degrees)
 
 
 def _stably_biserial_conditions(table: AlgebraTable):
     """Socle-relaxed continuation conditions with witnesses."""
-    q = table.quiver
-    witnesses = []
-    ok = check_arrow_bound(q)
-    if not ok:
-        witnesses.append(("quiver", "degree", None))
-    for a in q.arrows:
-        conts = _continuations(table, a.name, socle_free=True)
-        if len(conts) > 1:
-            ok = False
-            witnesses.append((a.name, "right-continuations-mod-socle", tuple(conts)))
-        coconts = _cocontinuations(table, a.name, socle_free=True)
-        if len(coconts) > 1:
-            ok = False
-            witnesses.append((a.name, "left-continuations-mod-socle", tuple(coconts)))
-    return ok, witnesses
+    witnesses = [] if check_arrow_bound(table.quiver) else [("quiver", "degree", None)]
+    witnesses += _continuation_witnesses(table, socle_free=True)
+    return not witnesses, witnesses
 
 
 def check_stably_biserial(pres: AlgebraPresentation, table: AlgebraTable) -> ClassReport:

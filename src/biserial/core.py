@@ -241,10 +241,10 @@ class AlgebraTable:
         self._sb_selfinjective = None    # translate.require_selfinjective_sb
         self._landmark_words = None      # translate._landmarks
         self._arms = {}                  # arms: vertex -> tuple of paths
-        self._run_verdicts = {}          # strings._run_ok: arrow tuple -> bool
+        self._run_verdicts = {}          # off_socle: arrow tuple -> bool
         self._valid_words = set()        # translate._require_input: words that passed
         self._string_modules = {}        # strings.string_module: word -> module
-        self._translates = {}            # translate.tau/tau_inv: (mode, word, cyclic) -> word
+        self._translates = {}            # translate.tau/tau_inv: (mode, word) -> word
         self._side_ops = {}              # strings.right_op/left_op: (side, mode, word, exclude) -> SideOp
 
     # -- rule compilation ------------------------------------------------
@@ -401,14 +401,12 @@ class AlgebraTable:
             p = q.path((), v)
             basis_paths.append(p)
             frontier.append(p)
-        seen = {p.arrows for p in basis_paths}
+        # the frontier holds distinct paths of one length, so no extension repeats
         while frontier:
             nxt = []
             for p in frontier:
                 for a in q.out_arrows[p.target]:
                     arrows = p.arrows + (a.name,)
-                    if arrows in seen:
-                        continue
                     nf = self.normal_form(arrows)
                     if list(nf.items()) == [(arrows, self.field.one)]:
                         if len(arrows) >= cap:
@@ -417,7 +415,6 @@ class AlgebraTable:
                         new_path = Path(arrows, p.source, a.target)
                         basis_paths.append(new_path)
                         nxt.append(new_path)
-                        seen.add(arrows)
                         if len(basis_paths) > 20_000:
                             raise NonAdmissible("basis exceeds the size cap")
             frontier = nxt
@@ -623,6 +620,14 @@ class AlgebraTable:
                 return False
         return True
 
+    def off_socle(self, arrows: tuple) -> bool:
+        """Is the path nonzero and outside the socle?  Memoized per table."""
+        verdict = self._run_verdicts.get(arrows)
+        if verdict is None:
+            vec = self.nf_vector(arrows)
+            verdict = self._run_verdicts[arrows] = bool(vec) and not self.in_socle(vec)
+        return verdict
+
     def arms(self, vertex: str) -> tuple:
         """Maximal nonzero paths out of a vertex, one per outgoing arrow.
 
@@ -634,27 +639,22 @@ class AlgebraTable:
             return cached
         out = []
         for start in self.quiver.out_arrows[vertex]:
-            arrows = [start.name]
-            vec = self.nf_vector(tuple(arrows))
-            if not vec:
+            arrows = (start.name,)
+            if not self.nf_vector(arrows):
                 continue
-            while not self.in_socle(vec):
-                end = self.quiver.target(arrows[-1])
+            while self.off_socle(arrows):
                 best = None
-                for a in self.quiver.out_arrows[end]:
-                    cand = self.nf_vector(tuple(arrows) + (a.name,))
-                    if not cand:
-                        continue
-                    if not self.in_socle(cand):
-                        best = (a.name, cand)
+                for a in self.quiver.out_arrows[self.quiver.target(arrows[-1])]:
+                    cand = arrows + (a.name,)
+                    if self.off_socle(cand):
+                        best = cand
                         break
-                    if best is None:
-                        best = (a.name, cand)
+                    if best is None and self.nf_vector(cand):
+                        best = cand
                 if best is None:
                     break
-                arrows.append(best[0])
-                vec = best[1]
-            out.append(self.quiver.path(tuple(arrows)))
+                arrows = best
+            out.append(self.quiver.path(arrows))
         self._arms[vertex] = tuple(out)
         return self._arms[vertex]
 

@@ -165,7 +165,7 @@ def random_standard_data(seed: int, max_vertices: int = 6, max_mult: int = 3,
 ACCEPTANCE_SEEDS = (0, 1, 3, 5, 12, 14, 17, 19, 30, 33, 34)
 
 
-def acceptance_pool(max_len: int = 12):
+def acceptance_pool():
     """Deterministic randomized symmetric SSB instances for the test suite.
 
     Returns (label, presentation, (quiver, pi, mult)) triples; two run over

@@ -166,9 +166,7 @@ def _case_two(table: AlgebraTable, pi, trace, alpha, betas):
         gamma, delta = gammas[0], deltas[0]
         chosen = None
         for i, b in enumerate(betas):
-            db = table.nf_vector((delta, b))
-            bg = table.nf_vector((b, gamma))
-            if db and not table.in_socle(db) and bg and not table.in_socle(bg):
+            if table.off_socle((delta, b)) and table.off_socle((b, gamma)):
                 chosen = i
                 break
         if chosen is None:
@@ -198,7 +196,7 @@ def _case_two(table: AlgebraTable, pi, trace, alpha, betas):
     if alpha2 is None:
         raise NotStablyBiserial(f"case-II auxiliary arrow missing at {alpha}")
     prods = [table.nf_vector((b, alpha2)) for b in (b1, b2)]
-    in_soc = [not p or table.in_socle(p) for p in prods]
+    in_soc = [not table.off_socle((b, alpha2)) for b in (b1, b2)]
     zero_i = [i for i in (0, 1) if not prods[i]]
     if zero_i:
         i = zero_i[0]
@@ -226,14 +224,10 @@ def _validate_pi(table: AlgebraTable, pi: dict):
     for a in names:
         if q.target(a) != q.source(pi[a]):
             raise InvalidPermutation(f"e({a}) != s(pi({a}))")
-        vec = table.nf_vector((a, pi[a]))
-        if not vec:
+        if not table.nf_vector((a, pi[a])):
             raise InvalidPermutation(f"property (1) fails: {a}*pi({a}) = 0")
         for b in q.out_arrows[q.target(a)]:
-            if b.name == pi[a]:
-                continue
-            vec = table.nf_vector((a, b.name))
-            if vec and not table.in_socle(vec):
+            if b.name != pi[a] and table.off_socle((a, b.name)):
                 raise InvalidPermutation(f"property (2) fails at {a}*{b.name}")
 
 
@@ -394,15 +388,11 @@ def eliminate_socle_relations(pres: AlgebraPresentation, table: AlgebraTable,
     return NormalizedOutput(base, pi_data, deformations, substitutions, images)
 
 
-def normalize(pres: AlgebraPresentation, table: AlgebraTable | None = None,
-              verify: bool = True) -> NormalizedOutput:
+def normalize(pres: AlgebraPresentation, table: AlgebraTable) -> NormalizedOutput:
     """Full pipeline: pi, multiplicities, rescaling, elimination."""
-    if table is None:
-        table = build_table(pres)
     pi_data = socle_paths(table, construct_pi(pres, table))
     out = eliminate_socle_relations(pres, table, pi_data)
-    if verify:
-        verify_normalization(table, out)
+    verify_normalization(table, out)
     return out
 
 

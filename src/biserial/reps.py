@@ -143,7 +143,6 @@ def projective(table: AlgebraTable, vertex: str) -> ModuleRep:
     by_vertex, mats = table.regular_action(vertex)
     rep = ModuleRep(table, {w: len(idxs) for w, idxs in by_vertex.items()}, mats)
     rep.projective_basis = by_vertex  # basis indices per vertex, in fiber order
-    rep.projective_vertex = vertex
     cache[vertex] = rep
     return rep
 
@@ -572,7 +571,7 @@ def _rad_mod_soc_words(table: AlgebraTable, vertex: str):
     for idx, arm in enumerate(table.arms(vertex)):
         if arm.length >= 2:
             inner = arm.arrows[1:-1]
-            yield idx, (StringWord.from_arrows(q, inner) if inner
+            yield idx, (StringWord.from_arrows(inner) if inner
                         else StringWord.trivial(q.target(arm.arrows[0])))
 
 

@@ -54,7 +54,7 @@ class StringWord(NamedTuple):
         return StringWord((), vertex)
 
     @staticmethod
-    def from_arrows(quiver: Quiver, arrows) -> "StringWord":
+    def from_arrows(arrows) -> "StringWord":
         return StringWord(tuple(Letter(a) for a in arrows))
 
     @property
@@ -131,15 +131,6 @@ def run_path_arrows(word: StringWord, start: int, end: int, inverse: bool):
     return tuple(reversed(arrows)) if inverse else tuple(arrows)
 
 
-def _run_ok(table: AlgebraTable, arrows: tuple) -> bool:
-    """Is the directed run nonzero and outside the socle?  Memoized per table."""
-    verdict = table._run_verdicts.get(arrows)
-    if verdict is None:
-        vec = table.nf_vector(arrows)
-        verdict = table._run_verdicts[arrows] = bool(vec) and not table.in_socle(vec)
-    return verdict
-
-
 def validate_string(table: AlgebraTable, word: StringWord) -> StringWord:
     """Check all string axioms against the table; return the word."""
     q = table.quiver
@@ -157,7 +148,7 @@ def validate_string(table: AlgebraTable, word: StringWord) -> StringWord:
             raise InverseAdjacent(f"letters {a} {b} cancel")
     for start, end, inverse in directed_runs(word):
         arrows = run_path_arrows(word, start, end, inverse)
-        if not _run_ok(table, arrows):
+        if not table.off_socle(arrows):
             raise SubwordInSocleOrZero(
                 f"directed subword {' '.join(arrows)} is zero or lies in the socle")
     return word
@@ -249,7 +240,6 @@ def string_module(table: AlgebraTable, word: StringWord):
     if not rep.satisfies_relations():
         raise SubwordInSocleOrZero(
             f"string module of {word} violates a relation of the table")
-    rep.string_word = word
     rep.node_positions = positions
     table._string_modules[word] = rep
     return rep
@@ -271,10 +261,10 @@ def _can_append(table: AlgebraTable, word: StringWord, letter: Letter) -> bool:
     run.append(arrow)
     if inverse:
         run.reverse()
-    return _run_ok(table, tuple(run))
+    return table.off_socle(tuple(run))
 
 
-def append_letter(table: AlgebraTable, word: StringWord, letter: Letter) -> StringWord:
+def append_letter(word: StringWord, letter: Letter) -> StringWord:
     return StringWord(word.letters + (letter,))
 
 
@@ -292,7 +282,7 @@ def enumerate_strings(table: AlgebraTable, max_len: int):
             candidates += [Letter(a.name, True) for a in q.in_arrows[end]]
             for letter in candidates:
                 if _can_append(table, w, letter):
-                    w2 = append_letter(table, w, letter)
+                    w2 = append_letter(w, letter)
                     nxt.append(w2)
                     found.add(canonical_form(q, w2))
         frontier = nxt
@@ -351,7 +341,7 @@ def _attach(table: AlgebraTable, word: StringWord, inverse: bool, exclude=None):
         first = Letter(a.name, inverse)
         if not _can_append(table, word, first):
             continue
-        w = append_letter(table, word, first)
+        w = append_letter(word, first)
         segment = [first]
         while True:
             step = None
@@ -362,7 +352,7 @@ def _attach(table: AlgebraTable, word: StringWord, inverse: bool, exclude=None):
                     break
             if step is None:
                 break
-            w = append_letter(table, w, step)
+            w = append_letter(w, step)
             segment.append(step)
         return SideOp(w, "hook" if inverse else "cohook", tuple(segment))
     return None

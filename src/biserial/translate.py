@@ -17,14 +17,9 @@ from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
 from .reps import (RepMap, _rad_mod_soc_words, decompose_rad_mod_soc, projective,
                    vstack_maps)
 from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
-                      directed_runs, is_band, left_op, letter_target,
-                      reverse_word, right_op, side_ops, string_module,
-                      validate_string, word_key, word_source, word_target,
-                      words_equal)
-
-
-class BandInput(DomainError):
-    pass
+                      directed_runs, left_op, letter_target, reverse_word,
+                      right_op, side_ops, string_module, validate_string,
+                      word_key, word_source, word_target, words_equal)
 
 
 class NotSelfinjectiveSB(DomainError):
@@ -183,47 +178,44 @@ def _two_sided(table: AlgebraTable, word: StringWord, mode: str):
 
 # -- tau and tau-inverse ---------------------------------------------------
 
-def _require_input(table: AlgebraTable, word: StringWord, cyclic: bool = False):
+def _require_input(table: AlgebraTable, word: StringWord):
     """The precondition shared by tau, tau_inv and the AR and cone maps.
 
-    A selfinjective special biserial table and a valid string that is
-    neither a band (when cyclic) nor a simple projective module.  A word
-    is validated once per table; a word that raises is never recorded.
+    A selfinjective special biserial table and a valid string that is not
+    a simple projective module.  A word is validated once per table; a
+    word that raises is never recorded.
     """
     require_selfinjective_sb(table)
     if word not in table._valid_words:
         validate_string(table, word)
         table._valid_words.add(word)
-    if cyclic and is_band(table, word):
-        raise BandInput("band modules have tau-period one and are excluded")
     if word.is_trivial() and not table.quiver.out_arrows[word.vertex]:
         raise ProjectiveInput(f"{word} is the simple projective module at the "
                               f"arrow-less vertex {word.vertex}; it has no AR "
                               f"translate")
 
 
-def tau(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> StringWord:
+def tau(table: AlgebraTable, word: StringWord) -> StringWord:
     """AR translate of the string module M_word."""
-    return _translate(table, "tau", word, cyclic)
+    return _translate(table, "tau", word)
 
 
-def tau_inv(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> StringWord:
+def tau_inv(table: AlgebraTable, word: StringWord) -> StringWord:
     """Inverse AR translate of the string module M_word."""
-    return _translate(table, "tauinv", word, cyclic)
+    return _translate(table, "tauinv", word)
 
 
-def _translate(table: AlgebraTable, mode: str, word: StringWord,
-               cyclic: bool) -> StringWord:
+def _translate(table: AlgebraTable, mode: str, word: StringWord) -> StringWord:
     """tau (mode 'tau') or tau^{-1} (mode 'tauinv'), memoized per table.
 
     A landmark (P/soc P for tau, rad P for tau^{-1}) goes to its partner;
     any other string goes through the two-sided surgery.
     """
-    key = (mode, word, cyclic)
+    key = (mode, word)
     out = table._translates.get(key)
     if out is not None:
         return out
-    _require_input(table, word, cyclic)
+    _require_input(table, word)
     if mode == "tau":
         v, partner = as_proj_quotient(table, word), rad_word
     else:
@@ -249,9 +241,9 @@ class ARSequence:
     right: StringWord
 
 
-def ar_sequence(table: AlgebraTable, word: StringWord, cyclic: bool = False) -> ARSequence:
+def ar_sequence(table: AlgebraTable, word: StringWord) -> ARSequence:
     """The almost split sequence terminating at M_word."""
-    _require_input(table, word, cyclic)
+    _require_input(table, word)
     q = table.quiver
     v = as_proj_quotient(table, word)
     if v is not None:
@@ -391,10 +383,9 @@ def reversal_map(table: AlgebraTable, word: StringWord) -> RepMap:
                      f"the reversal of {word}")
 
 
-def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord,
-                             cyclic: bool = False) -> CanonicalMap:
+def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord) -> CanonicalMap:
     """The diagram-intersection morphism M -> tau^{-1}M with its case tag."""
-    _require_input(table, word, cyclic)
+    _require_input(table, word)
     q = table.quiver
     v = as_rad_of_projective(table, word)
     if v is not None:
@@ -425,10 +416,9 @@ def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord,
     return CanonicalMap(case, fmap, canonical_form(q, surg.word))
 
 
-def cone_of_canonical_map(table: AlgebraTable, word: StringWord,
-                          cyclic: bool = False) -> ConeResult:
+def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
     """Mapping cone of the canonical map, as two directed string summands."""
-    _require_input(table, word, cyclic)
+    _require_input(table, word)
     q = table.quiver
     v = as_rad_of_projective(table, word)
     if v is not None:

@@ -9,7 +9,10 @@ family of random presentations and on three presentations whose tables
 ``build_table`` gets wrong.  ``reference_normal_form`` and
 ``reference_basis`` rewrite by the linear scan of every rule at every
 position that ``AlgebraTable.normal_form`` made before it looked rules up
-by their first arrow.
+by their first arrow.  ``reference_arms``, ``reference_continuations`` and
+the two ``reference_*_witnesses`` test "nonzero and outside the socle" on
+``nf_vector`` and ``in_socle`` by hand, as the library did before
+``AlgebraTable.off_socle`` answered it.
 """
 
 import itertools
@@ -127,6 +130,73 @@ def reference_basis(table) -> set:
         basis.update(grown)
         frontier = grown
     return basis
+
+
+def reference_arms(table, vertex) -> tuple:
+    """``table.arms(vertex)``, unmemoized, from vectors and ``in_socle``."""
+    q = table.quiver
+    out = []
+    for start in q.out_arrows[vertex]:
+        arrows = [start.name]
+        vec = table.nf_vector(tuple(arrows))
+        if not vec:
+            continue
+        while not table.in_socle(vec):
+            best = None
+            for a in q.out_arrows[q.target(arrows[-1])]:
+                cand = table.nf_vector(tuple(arrows) + (a.name,))
+                if not cand:
+                    continue
+                if not table.in_socle(cand):
+                    best = (a.name, cand)
+                    break
+                if best is None:
+                    best = (a.name, cand)
+            if best is None:
+                break
+            arrows.append(best[0])
+            vec = best[1]
+        out.append(q.path(tuple(arrows)))
+    return tuple(out)
+
+
+def reference_continuations(table, arrow, socle_free, before=False) -> list:
+    """Arrows b with arrow*b (b*arrow when before) nonzero, and outside
+    the socle if socle_free, from vectors and ``in_socle``."""
+    q = table.quiver
+    out = []
+    for b in (q.in_arrows[q.source(arrow)] if before else q.out_arrows[q.target(arrow)]):
+        vec = table.nf_vector((b.name, arrow) if before else (arrow, b.name))
+        if vec and not (socle_free and table.in_socle(vec)):
+            out.append(b.name)
+    return out
+
+
+def _reference_continuation_witnesses(table, socle_free, suffix):
+    out = []
+    for a in table.quiver.arrows:
+        conts = reference_continuations(table, a.name, socle_free)
+        if len(conts) > 1:
+            out.append((a.name, "right-continuations" + suffix, tuple(conts)))
+        coconts = reference_continuations(table, a.name, socle_free, before=True)
+        if len(coconts) > 1:
+            out.append((a.name, "left-continuations" + suffix, tuple(coconts)))
+    return out
+
+
+def reference_special_biserial_witnesses(table) -> list:
+    """The witnesses of ``checks.check_special_biserial``: each vertex of
+    degree above 2, then each arrow's right and left continuations."""
+    witnesses = [(f"vertex {v}", "degree", (i, o))
+                 for v, (i, o) in table.quiver.degrees().items() if i > 2 or o > 2]
+    return witnesses + _reference_continuation_witnesses(table, False, "")
+
+
+def reference_stably_biserial_witnesses(table) -> list:
+    """The witnesses of ``checks._stably_biserial_conditions``."""
+    bounded = all(i <= 2 and o <= 2 for i, o in table.quiver.degrees().values())
+    witnesses = [] if bounded else [("quiver", "degree", None)]
+    return witnesses + _reference_continuation_witnesses(table, True, "-mod-socle")
 
 
 def random_presentation_text(seed: int) -> str:

@@ -7,6 +7,8 @@ from biserial.core import (AlgebraElement, AlgebraPresentation, DomainError,
                            ZeroRelation, build_table,
                            check_selfinjective_symmetric, multiply,
                            opposite_presentation)
+from biserial.checks import (_continuations, _stably_biserial_conditions,
+                             check_special_biserial)
 from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
                                 loop_algebra, random_node_presentation,
@@ -17,7 +19,10 @@ from biserial.sweep import run_sweep
 from table_reference import (ASSOCIATIVE_BUT_WRONG_TEXT, NON_CONFLUENT_TEXT,
                              TAIL_DROP_TEXT, ZERO_BEFORE_SUBSTITUTION_TEXT,
                              dense_socle, random_presentation_text,
-                             reference_basis, reference_normal_form,
+                             reference_arms, reference_basis,
+                             reference_continuations, reference_normal_form,
+                             reference_special_biserial_witnesses,
+                             reference_stably_biserial_witnesses,
                              verify_associativity)
 
 
@@ -338,3 +343,49 @@ def test_first_arrow_index_keeps_named_outcomes():
         table, ("x", "y", "y"))
     assert table.normal_form(("y", "x", "y")) == {("y", "y", "x"): 1}
     assert_matches_the_linear_scan(table)
+
+
+def nonzero_prefixed_paths(table):
+    """Composable arrow paths up to length loewy_length + 1 whose proper
+    prefixes are nonzero; a path with a zero prefix is zero."""
+    q = table.quiver
+    level = [(a.name,) for a in q.arrows]
+    for _ in range(table.loewy_length + 1):
+        yield from level
+        level = [p + (a.name,) for p in level if table.nf_vector(p)
+                 for a in q.out_arrows[q.target(p[-1])]]
+
+
+def test_off_socle_matches_the_vector_tests():
+    """off_socle, the continuations, the witness lists and arms agree with
+    nf_vector and in_socle tested by hand."""
+    fixtures = [make(f) for f in FIELDS
+                for make in (alg_n2, alg_l2, alg_l2d, alg_a3z, loop_algebra)]
+    nodes = [random_node_presentation(seed) for seed in range(20)]
+    counts = {"tables": 0, "off socle": 0, "sb witnessed": 0, "stb witnessed": 0}
+    tables = itertools.chain(
+        map(build_table, itertools.chain(fixtures, standard_and_deformed(range(100)), nodes)),
+        random_tables(range(300)))
+    for table in tables:
+        for arrows in nonzero_prefixed_paths(table):
+            vec = table.nf_vector(arrows)
+            assert table.off_socle(arrows) == (bool(vec) and not table.in_socle(vec)), arrows
+            counts["off socle"] += table.off_socle(arrows)
+        for a in table.quiver.arrows:
+            for socle_free, before in itertools.product((False, True), repeat=2):
+                assert (_continuations(table, a.name, socle_free, before)
+                        == reference_continuations(table, a.name, socle_free, before))
+        sb = reference_special_biserial_witnesses(table)
+        stb = reference_stably_biserial_witnesses(table)
+        report = check_special_biserial(table.pres, table)
+        assert (report.is_special_biserial, report.is_stably_biserial,
+                report.witnesses) == (not sb, not stb, sb)
+        assert _stably_biserial_conditions(table) == (not stb, stb)
+        for v in table.quiver.vertices:
+            assert table.arms(v) == reference_arms(table, v), v
+        counts["tables"] += 1
+        counts["sb witnessed"] += bool(sb)
+        counts["stb witnessed"] += bool(stb)
+    # 20 fixtures, 20 node, 568 standard and deformed, 294 random tables
+    assert counts["tables"] == 902 and counts["off socle"] > 10_000
+    assert counts["sb witnessed"] > 300 and counts["stb witnessed"] > 100

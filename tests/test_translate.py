@@ -14,10 +14,9 @@ from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero,
                               canonical_form, enumerate_strings, left_op,
                               node_vertices, reverse_word, right_op,
                               string_module, words_equal)
-from biserial.translate import (BandInput, LocalNakayamaExcluded,
-                                NotSelfinjectiveSB, _node_map, _quotient_node,
-                                ar_right_map, ar_sequence,
-                                canonical_map_to_tau_inv,
+from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
+                                _node_map, _quotient_node, ar_right_map,
+                                ar_sequence, canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
                                 cone_of_canonical_map, proj_quotient_word,
                                 rad_word, reversal_map, tau, tau_inv)
@@ -223,9 +222,9 @@ def test_warm_translates_agree_with_a_fresh_table(swept_tables, fixture):
         for x in (c, reverse_word(c)):
             for op in (tau, tau_inv):
                 assert op(warm, x) == op(build_table(fixture()), x), (op.__name__, str(x))
-    for (mode, x, cyclic), value in warm._translates.items():
+    for (mode, x), value in warm._translates.items():
         op = tau if mode == "tau" else tau_inv
-        assert value == op(build_table(fixture()), x, cyclic)
+        assert value == op(build_table(fixture()), x)
 
 
 def test_translate_errors_are_never_cached():
@@ -234,12 +233,9 @@ def test_translate_errors_are_never_cached():
     for _ in range(2):
         with pytest.raises(SubwordInSocleOrZero):
             tau(t, word("a", "b"))
-        with pytest.raises(BandInput):
-            tau_inv(t, band, cyclic=True)
-        # as a string, not a band, the same word has a translate
         assert tau(t, tau_inv(t, band)) == canonical_form(t.quiver, band)
-    assert ("tauinv", band, True) not in t._translates
-    assert ("tauinv", band, False) in t._translates
+    assert ("tau", word("a", "b")) not in t._translates
+    assert ("tauinv", band) in t._translates
 
 
 # -- the per-table one-sided surgery cache -----------------------------------

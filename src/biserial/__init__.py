@@ -12,14 +12,14 @@ here, so ``biserial.tau is biserial.translate.tau`` always holds.
 """
 
 __all__ = [
-    "AlgebraElement", "AlgebraPresentation", "AlgebraTable", "Arrow",
-    "EqualityRelation", "Field", "InconsistentRelations", "Letter",
-    "NonAdmissible", "Path", "QQ", "Quiver", "SocleDeformation", "StringWord",
-    "UnsupportedRelation", "ZeroRelation", "EMPTY", "ar_sequence",
+    "AlgebraPresentation", "AlgebraTable", "Arrow", "EqualityRelation",
+    "Field", "InconsistentRelations", "Letter", "NonAdmissible", "Path", "QQ",
+    "Quiver", "SocleDeformation", "StringWord", "UnsupportedRelation",
+    "ZeroRelation", "EMPTY", "ar_sequence",
     "build_table", "canonical_form", "canonical_map_to_tau_inv",
     "check_selfinjective_symmetric", "check_tau_period_one_exclusions",
     "cone_of_canonical_map", "enumerate_strings", "format_presentation",
-    "is_band", "load_presentation", "maximal_directed_extensions", "multiply",
+    "is_band", "load_presentation", "maximal_directed_extensions",
     "opposite_presentation", "parse_presentation", "string_module", "tau",
     "tau_inv", "validate_string",
 ]
@@ -28,11 +28,11 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it provides
 _LAZY = (
-    ("core", ("AlgebraElement", "AlgebraPresentation", "AlgebraTable", "Arrow",
-              "EqualityRelation", "InconsistentRelations", "NonAdmissible",
-              "Path", "Quiver", "SocleDeformation", "UnsupportedRelation",
-              "ZeroRelation", "build_table", "check_selfinjective_symmetric",
-              "multiply", "opposite_presentation")),
+    ("core", ("AlgebraPresentation", "AlgebraTable", "Arrow", "EqualityRelation",
+              "InconsistentRelations", "NonAdmissible", "Path", "Quiver",
+              "SocleDeformation", "UnsupportedRelation", "ZeroRelation",
+              "build_table", "check_selfinjective_symmetric",
+              "opposite_presentation")),
     ("fields", ("Field", "QQ")),
     ("presentations", ("format_presentation", "load_presentation",
                        "parse_presentation")),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (AlgebraPresentation, AlgebraTable, DomainError, Quiver,
+from .core import (AlgebraTable, DomainError, Quiver,
                    check_selfinjective_symmetric)
 
 
@@ -58,7 +58,7 @@ def is_local_nakayama(table: AlgebraTable) -> bool:
     return len(table.quiver.vertices) == 1 and len(table.quiver.arrows) == 1
 
 
-def check_special_biserial(pres: AlgebraPresentation, table: AlgebraTable) -> ClassReport:
+def check_special_biserial(table: AlgebraTable) -> ClassReport:
     """Degrees <= 2 and unique nonzero continuation on both sides per arrow.
 
     The stably biserial flag reports the relation-level socle conditions,
@@ -79,17 +79,17 @@ def _stably_biserial_conditions(table: AlgebraTable):
     return not witnesses, witnesses
 
 
-def check_stably_biserial(pres: AlgebraPresentation, table: AlgebraTable) -> ClassReport:
+def check_stably_biserial(table: AlgebraTable) -> ClassReport:
     """Stably biserial test; requires a selfinjective table."""
     verdict = check_selfinjective_symmetric(table).verdict
     if verdict == "not-selfinjective":
         raise NotSelfinjective("stably biserial algebras are selfinjective by definition")
     stb, witnesses = _stably_biserial_conditions(table)
-    sb = check_special_biserial(pres, table).is_special_biserial
+    sb = check_special_biserial(table).is_special_biserial
     return ClassReport(sb, stb, witnesses, table.quiver.degrees())
 
 
-def check_one_in_one_out(quiver: Quiver, table: AlgebraTable):
+def check_one_in_one_out(quiver: Quiver):
     """One arrow enters a vertex iff one arrow leaves it; with witnesses."""
     witnesses = []
     for v, (i, o) in quiver.degrees().items():

@@ -81,33 +81,51 @@ def _load(path: str) -> AlgebraPresentation:
         raise CliError(str(exc))
 
 
+def _table(args):
+    """The built table of the presentation file args.file."""
+    return build_table(_load(args.file))
+
+
+def _word(table, text: str):
+    """A CLI string argument, parsed and validated on the table."""
+    from .strings import validate_string
+    word = parse_string_arg(table.quiver, text)
+    validate_string(table, word)
+    return word
+
+
+def _write(path: str, pres: AlgebraPresentation):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_presentation(pres))
+    except OSError as exc:
+        raise CliError(str(exc))
+
+
 def cmd_check(args) -> dict:
     from .checks import (check_arrow_bound, check_one_in_one_out,
                          check_special_biserial)
-    pres = _load(args.file)
-    table = build_table(pres)
+    table = _table(args)
     table.certify()
     sym = check_selfinjective_symmetric(table)
-    report = check_special_biserial(pres, table)
+    report = check_special_biserial(table)
     payload = {
         "dimension": table.dim,
         "loewy_length": table.loewy_length,
         "selfinjectivity": sym.verdict,
         "special_biserial": report.is_special_biserial,
         "stably_biserial_conditions": report.is_stably_biserial,
-        "arrow_bound": check_arrow_bound(pres.quiver),
+        "arrow_bound": check_arrow_bound(table.quiver),
         "witnesses": [list(map(str, w)) for w in report.witnesses],
         "in_out_degrees": {v: list(d) for v, d in report.in_out_degrees.items()},
     }
     if sym.verdict != "not-selfinjective":
-        ok, wit = check_one_in_one_out(pres.quiver, table)
-        payload["one_in_one_out"] = ok
+        payload["one_in_one_out"] = check_one_in_one_out(table.quiver)[0]
     return payload
 
 
 def cmd_basis(args) -> dict:
-    pres = _load(args.file)
-    table = build_table(pres)
+    table = _table(args)
     return {
         "dimension": table.dim,
         "loewy_length": table.loewy_length,
@@ -118,21 +136,19 @@ def cmd_basis(args) -> dict:
 
 def _resolve_module(table, spec: str):
     from .reps import projective
-    from .strings import string_module, validate_string
+    from .strings import string_module
     if spec.startswith("proj:"):
         v = spec[5:]
         if v not in set(table.quiver.vertices):
             raise CliError(f"unknown vertex {v!r}")
         return projective(table, v), f"proj:{v}"
-    word = parse_string_arg(table.quiver, spec)
-    validate_string(table, word)
+    word = _word(table, spec)
     return string_module(table, word), str(word)
 
 
 def cmd_hom(args) -> dict:
     from .reps import hom, stable_hom_dim
-    pres = _load(args.file)
-    table = build_table(pres)
+    table = _table(args)
     M, mname = _resolve_module(table, args.source)
     N, nname = _resolve_module(table, args.target)
     payload = {"from": mname, "to": nname, "hom_dim": len(hom(table, M, N))}
@@ -142,24 +158,18 @@ def cmd_hom(args) -> dict:
 
 
 def cmd_tau(args) -> dict:
-    from .strings import validate_string
     from .translate import tau, tau_inv
-    pres = _load(args.file)
-    table = build_table(pres)
-    word = parse_string_arg(pres.quiver, args.string)
-    validate_string(table, word)
+    table = _table(args)
+    word = _word(table, args.string)
     op = tau_inv if args.inverse else tau
     return {"input": str(word), "inverse": bool(args.inverse),
             "result": str(op(table, word))}
 
 
 def cmd_ar(args) -> dict:
-    from .strings import validate_string
     from .translate import ar_sequence
-    pres = _load(args.file)
-    table = build_table(pres)
-    word = parse_string_arg(pres.quiver, args.string)
-    validate_string(table, word)
+    table = _table(args)
+    word = _word(table, args.string)
     seq = ar_sequence(table, word)
     return {
         "left": str(seq.left),
@@ -170,12 +180,9 @@ def cmd_ar(args) -> dict:
 
 
 def cmd_cone(args) -> dict:
-    from .strings import validate_string
     from .translate import canonical_map_to_tau_inv, cone_of_canonical_map
-    pres = _load(args.file)
-    table = build_table(pres)
-    word = parse_string_arg(pres.quiver, args.string)
-    validate_string(table, word)
+    table = _table(args)
+    word = _word(table, args.string)
     cm = canonical_map_to_tau_inv(table, word)
     cone = cone_of_canonical_map(table, word)
     return {
@@ -187,8 +194,7 @@ def cmd_cone(args) -> dict:
 
 def cmd_strings(args) -> dict:
     from .strings import enumerate_strings
-    pres = _load(args.file)
-    table = build_table(pres)
+    table = _table(args)
     words = enumerate_strings(table, args.max_len)
     return {"max_len": args.max_len, "count": len(words),
             "strings": [str(w) for w in words]}
@@ -197,12 +203,8 @@ def cmd_strings(args) -> dict:
 def cmd_bricks(args) -> dict:
     from .bricks import (check_bounded_maximality, check_orthogonal_system,
                          endpoint_multiplicity_check)
-    from .strings import validate_string
-    pres = _load(args.file)
-    table = build_table(pres)
-    words = [parse_string_arg(pres.quiver, tok) for tok in args.set.split(",")]
-    for w in words:
-        validate_string(table, w)
+    table = _table(args)
+    words = [_word(table, tok) for tok in args.set.split(",")]
     ok, violation = check_orthogonal_system(table, words)
     payload = {"orthogonal_system": ok}
     if violation:
@@ -222,32 +224,30 @@ def cmd_bricks(args) -> dict:
 
 def cmd_nodes(args) -> dict:
     from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
-    pres = _load(args.file)
-    table = build_table(pres)
-    report = detect_nodes(pres, table)
+    table = _table(args)
+    report = detect_nodes(table)
     payload = {
         "nodes": report.nodes,
         "evidence": report.evidence,
         "nonprojective_simple_count": nonprojective_simple_count(table),
     }
     if args.split:
-        split = split_nodes(pres)
+        split = split_nodes(table)
         split_table = build_table(split)
         payload["split"] = {
             "vertices": split.quiver.vertices,
-            "nodes_after": detect_nodes(split, split_table).nodes,
+            "nodes_after": detect_nodes(split_table).nodes,
             "nonprojective_simple_count": nonprojective_simple_count(split_table),
         }
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(format_presentation(split))
+            _write(args.output, split)
             payload["split"]["written_to"] = args.output
     return payload
 
 
-def _normalized_payload(pres, out) -> dict:
+def _normalized_payload(out) -> dict:
     """The --json tree of a normalizer.NormalizedOutput."""
-    f = pres.field
+    f = out.base.field
     return {
         "pi": dict(sorted(out.pi_data.pi.items())),
         "cycles": [list(c) for c in out.pi_data.cycles],
@@ -262,13 +262,10 @@ def _normalized_payload(pres, out) -> dict:
 
 def cmd_normalize(args) -> dict:
     from .normalizer import deformed_presentation, normalize
-    pres = _load(args.file)
-    table = build_table(pres)
-    out = normalize(pres, table)
-    payload = _normalized_payload(pres, out)
+    out = normalize(_table(args))
+    payload = _normalized_payload(out)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(format_presentation(deformed_presentation(out)))
+        _write(args.output, deformed_presentation(out))
         payload["written_to"] = args.output
     return payload
 
@@ -300,13 +297,11 @@ def cmd_ssb(args) -> dict:
     payload = {
         "dimension": table.dim,
         "selfinjectivity": check_selfinjective_symmetric(table).verdict,
-        "special_biserial":
-            check_special_biserial(built, table).is_special_biserial,
+        "special_biserial": check_special_biserial(table).is_special_biserial,
         "presentation": format_presentation(built).splitlines(),
     }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(format_presentation(built))
+        _write(args.output, built)
         payload["written_to"] = args.output
     return payload
 

@@ -187,29 +187,6 @@ def broken_relation(table: "AlgebraTable", mats: dict, relations):
     return None
 
 
-class AlgebraElement:
-    """A formal linear combination of paths with exact coefficients."""
-
-    def __init__(self, field: Field, terms=None):
-        self.field = field
-        self.terms = {}
-        for path, coeff in (terms or {}).items():
-            if coeff != field.zero:
-                self.terms[path] = coeff
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{self.field.format(c)}*{p}" for p, c in sorted(
-            self.terms.items(), key=lambda t: (t[0].length, t[0].arrows)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
 _MAX_REWRITE_STEPS = 200_000
 _MAX_MULTIPLICITY = 8     # scales the cap on basis path length
 
@@ -476,16 +453,6 @@ class AlgebraTable:
                     sub_multiple(out, f.mul(minus_ci, cj), prod, f)
         return out
 
-    def vec_of_element(self, elem: AlgebraElement) -> dict:
-        f = self.field
-        out = {}
-        for path, coeff in elem.terms.items():
-            sub_multiple(out, f.neg(coeff), self.nf_vector(path.arrows, path.source), f)
-        return out
-
-    def element_of_vec(self, vec: dict) -> AlgebraElement:
-        return AlgebraElement(self.field, {self.basis[i]: c for i, c in vec.items()})
-
     def identity_vec(self) -> dict:
         return {self.index[("e", v)]: self.field.one for v in self.quiver.vertices}
 
@@ -661,11 +628,6 @@ class AlgebraTable:
 
 def build_table(pres: AlgebraPresentation) -> AlgebraTable:
     return AlgebraTable(pres)
-
-
-def multiply(table: AlgebraTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return table.element_of_vec(table.mult_vec(table.vec_of_element(x),
-                                               table.vec_of_element(y)))
 
 
 @dataclass

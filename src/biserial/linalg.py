@@ -25,7 +25,7 @@ from __future__ import annotations
 from .fields import Field
 
 
-def identity(n: int, field: Field):
+def identity(n: int):
     return [{i: 1} for i in range(n)]
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (AlgebraPresentation, AlgebraTable, EqualityRelation,
-                   Quiver, QuiverError, SocleDeformation, ZeroRelation,
-                   build_table)
+                   Quiver, QuiverError, SocleDeformation, ZeroRelation)
 
 
 @dataclass
@@ -20,7 +19,7 @@ class NodeReport:
     evidence: dict   # vertex -> {non_projective, non_injective, compositions_vanish}
 
 
-def detect_nodes(pres: AlgebraPresentation, table: AlgebraTable) -> NodeReport:
+def detect_nodes(table: AlgebraTable) -> NodeReport:
     q = table.quiver
     nodes = []
     evidence = {}
@@ -36,14 +35,15 @@ def detect_nodes(pres: AlgebraPresentation, table: AlgebraTable) -> NodeReport:
     return NodeReport(nodes, evidence)
 
 
-def split_nodes(pres: AlgebraPresentation) -> AlgebraPresentation:
-    """Replace each node vertex by a sink (incoming) and a source (outgoing)."""
-    table = build_table(pres)
-    report = detect_nodes(pres, table)
+def split_nodes(table: AlgebraTable) -> AlgebraPresentation:
+    """Replace each node vertex of table.pres by a sink (incoming) and a
+    source (outgoing); table.pres itself when the table has no node."""
+    pres = table.pres
+    report = detect_nodes(table)
     if not report.nodes:
         return pres
     node_set = set(report.nodes)
-    q = pres.quiver
+    q = table.quiver
     vertices = []
     for v in q.vertices:
         if v in node_set:

@@ -101,7 +101,7 @@ def _require_symmetric_stably_biserial(table: AlgebraTable):
     return report
 
 
-def construct_pi(pres: AlgebraPresentation, table: AlgebraTable) -> PiData:
+def construct_pi(table: AlgebraTable) -> PiData:
     """The successor permutation on arrows, by the soc-membership cases."""
     _require_symmetric_stably_biserial(table)
     q = table.quiver
@@ -333,8 +333,7 @@ def _scan_socle_relations(table: AlgebraTable, pi_data: PiData, images: dict):
     return found
 
 
-def eliminate_socle_relations(pres: AlgebraPresentation, table: AlgebraTable,
-                              pi_data: PiData) -> NormalizedOutput:
+def eliminate_socle_relations(table: AlgebraTable, pi_data: PiData) -> NormalizedOutput:
     """Make the presentation special biserial by generator substitutions.
 
     Over characteristic two, loops with pi(a) != a keep their square
@@ -384,14 +383,14 @@ def eliminate_socle_relations(pres: AlgebraPresentation, table: AlgebraTable,
             deformations.append((b, l))
     base = build_from_standard_data(q, pi_data.pi,
                                     {cyc: m for cyc, m in pi_data.mult.items()},
-                                    [], pres.field)
+                                    [], f)
     return NormalizedOutput(base, pi_data, deformations, substitutions, images)
 
 
-def normalize(pres: AlgebraPresentation, table: AlgebraTable) -> NormalizedOutput:
+def normalize(table: AlgebraTable) -> NormalizedOutput:
     """Full pipeline: pi, multiplicities, rescaling, elimination."""
-    pi_data = socle_paths(table, construct_pi(pres, table))
-    out = eliminate_socle_relations(pres, table, pi_data)
+    pi_data = socle_paths(table, construct_pi(table))
+    out = eliminate_socle_relations(table, pi_data)
     verify_normalization(table, out)
     return out
 
@@ -453,21 +452,21 @@ def build_from_standard_data(quiver: Quiver, pi: dict, mult: dict,
             raise InvalidPermutation(f"e({a}) != s(pi({a}))")
     cycles = _cycles_of(pi, names)
     pi_inverse = {b: a for a, b in pi.items()}
+    by_arrows = {frozenset(cyc): cyc for cyc in cycles}
+    given = {}              # cycle -> multiplicity, matched on arrow sets
+    for key, m in mult.items():
+        cyc = by_arrows.get(frozenset(key))
+        if cyc is None:
+            raise InvalidPermutation(
+                f"multiplicity entry {' '.join(key)!r} names no cycle of pi")
+        if cyc in given:
+            raise InvalidPermutation(f"cycle {cyc} is given a multiplicity twice")
+        given[cyc] = m
     socle_length = {}       # arrow -> multiplicity times cycle length
     for cyc in cycles:
-        key = None
-        for cand in (cyc, tuple(sorted(cyc))):
-            if cand in mult:
-                key = cand
-                break
-        if key is None:
-            for cand, m in mult.items():
-                if set(cand) == set(cyc):
-                    key = cand
-                    break
-        if key is None:
+        if cyc not in given:
             raise InvalidPermutation(f"no multiplicity given for cycle {cyc}")
-        m = mult[key]
+        m = given[cyc]
         if m < 1:
             raise InvalidPermutation(f"multiplicity of {cyc} must be positive")
         for a in cyc:

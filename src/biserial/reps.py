@@ -438,7 +438,7 @@ def _identity_in_span(out, back) -> bool:
             span.add(g.compose(h).flatten())
         if span.rank == len(out):
             return True      # the composites span End X
-    identity = RepMap(X, X, {v: la.identity(n, f) for v, n in X.dims.items()})
+    identity = RepMap(X, X, {v: la.identity(n) for v, n in X.dims.items()})
     return not span.reduce(identity.flatten())
 
 

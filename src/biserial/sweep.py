@@ -59,7 +59,7 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
 
     sym = check_selfinjective_symmetric(table)
     record("classify", True, sym.verdict)
-    report = check_special_biserial(pres, table)
+    report = check_special_biserial(table)
     record("degree-bound", all(i <= 2 and o <= 2
                                for i, o in report.in_out_degrees.values()))
 
@@ -99,7 +99,7 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
                   and sym.verdict != "not-selfinjective")
     if selfinj_sb:
         with guarded("one-in-one-out"):
-            record("one-in-one-out", *check_one_in_one_out(q, table))
+            record("one-in-one-out", *check_one_in_one_out(q))
     else:
         skip("one-in-one-out", "not a selfinjective special biserial table")
 
@@ -170,15 +170,13 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
 
     nodes = []
     with guarded("node-detection"):
-        nodes = detect_nodes(pres, table).nodes
+        nodes = detect_nodes(table).nodes
         record("node-detection", True, nodes)
     if nodes:
         split_table = None
         with guarded("split-removes-nodes"):
-            split = split_nodes(pres)
-            split_table = build_table(split)
-            record("split-removes-nodes",
-                   not detect_nodes(split, split_table).nodes)
+            split_table = build_table(split_nodes(table))
+            record("split-removes-nodes", not detect_nodes(split_table).nodes)
         if split_table is not None:
             with guarded("split-preserves-count"):
                 record("split-preserves-count",
@@ -187,22 +185,20 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
             if report.is_special_biserial:
                 with guarded("split-preserves-special-biserial"):
                     record("split-preserves-special-biserial",
-                           check_special_biserial(split, split_table)
-                           .is_special_biserial)
+                           check_special_biserial(split_table).is_special_biserial)
 
     if sym.verdict == "symmetric" and report.is_stably_biserial \
             and not is_local_nakayama(table):
         out = None
         with guarded("normalizer-isomorphism"):
-            out = normalize(pres, table)
+            out = normalize(table)
             record("normalizer-isomorphism", True,
                    f"{len(out.substitutions)} substitutions, "
                    f"{len(out.deformations)} deformations")
         if out is not None:
             with guarded("normalizer-base-special-biserial"):
-                base_table = build_table(out.base)
                 record("normalizer-base-special-biserial",
-                       check_special_biserial(out.base, base_table)
+                       check_special_biserial(build_table(out.base))
                        .is_special_biserial)
             if pres.field.char != 2:
                 record("normalizer-deformation-free", not out.deformations)

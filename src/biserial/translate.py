@@ -40,7 +40,7 @@ class NotDirected(DomainError):
 
 def require_selfinjective_sb(table: AlgebraTable):
     if table._sb_selfinjective is None:
-        report = check_special_biserial(table.pres, table)
+        report = check_special_biserial(table)
         verdict = check_selfinjective_symmetric(table).verdict
         table._sb_selfinjective = (report.is_special_biserial
                                    and verdict != "not-selfinjective")

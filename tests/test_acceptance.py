@@ -178,14 +178,14 @@ def test_criterion_5_endpoints_and_nodes(named_fixtures, random_pool):
     node_runs = 0
     for pres in [alg_a3z()] + [random_node_presentation(s) for s in range(6)]:
         table = build_table(pres)
-        report = detect_nodes(pres, table)
+        report = detect_nodes(table)
         assert report.nodes
-        split = split_nodes(pres)
+        split = split_nodes(table)
         split_table = build_table(split)
-        assert detect_nodes(split, split_table).nodes == []
+        assert detect_nodes(split_table).nodes == []
         assert (nonprojective_simple_count(split_table)
                 == nonprojective_simple_count(table))
-        assert check_special_biserial(split, split_table).is_special_biserial
+        assert check_special_biserial(split_table).is_special_biserial
         node_runs += 1
     print(f"\nACCEPTANCE 5 PASS endpoint multiplicity <= 2 on {systems} "
           f"systems; node splitting clean on {node_runs} presentations")
@@ -208,10 +208,10 @@ def test_criterion_6_normalizer():
                 defs = [(chosen[0], field.one)]
             pres = build_from_standard_data(quiver, pi, mult, defs, field)
             table = build_table(pres)
-            out = normalize(pres, table)  # replay isomorphism verified inside
+            out = normalize(table)  # replay isomorphism verified inside
             base_table = build_table(out.base)
             assert base_table.dim == table.dim
-            assert check_special_biserial(out.base, base_table).is_special_biserial
+            assert check_special_biserial(base_table).is_special_biserial
             if char == 2:
                 assert sorted(out.deformations) == sorted(defs), seed
             else:
@@ -220,10 +220,10 @@ def test_criterion_6_normalizer():
     assert len(runs) >= 20
     # golden case over the rationals and over F2
     pres = alg_l2d()
-    out = normalize(pres, build_table(pres))
+    out = normalize(build_table(pres))
     assert [s for s in out.substitutions if s.coeff is not None][0].path == ("b",)
     assert out.deformations == []
-    out2 = normalize(alg_l2d(Field(2)), build_table(alg_l2d(Field(2))))
+    out2 = normalize(build_table(alg_l2d(Field(2))))
     assert out2.deformations == [("a", 1)]
     print(f"\nACCEPTANCE 6 PASS normalizer exact on {len(runs)} randomized "
           f"deformed runs over Q, F3, F2 plus the golden fixture")
@@ -232,13 +232,13 @@ def test_criterion_6_normalizer():
 def test_criterion_7_recognizer_coherence(random_pool):
     checked = 0
     for name, pres, table, data in random_pool:
-        rep = check_special_biserial(pres, table)
+        rep = check_special_biserial(table)
         assert rep.is_special_biserial, name
         assert rep.is_stably_biserial, name
         assert check_selfinjective_symmetric(table).verdict == "symmetric"
-        stb = check_stably_biserial(pres, table)
+        stb = check_stably_biserial(table)
         assert stb.is_stably_biserial
-        ok, _ = check_one_in_one_out(pres.quiver, table)
+        ok, _ = check_one_in_one_out(pres.quiver)
         assert ok, name
         checked += 1
     print(f"\nACCEPTANCE 7 PASS recognizers coherent on {checked} "

@@ -10,7 +10,7 @@ from biserial.instances import alg_a3z, alg_l2, alg_l2d, alg_n2
 def test_special_biserial_fixtures():
     for pres in (alg_n2(), alg_l2(), alg_a3z()):
         t = build_table(pres)
-        rep = check_special_biserial(pres, t)
+        rep = check_special_biserial(t)
         assert rep.is_special_biserial
         assert not rep.witnesses
 
@@ -18,7 +18,7 @@ def test_special_biserial_fixtures():
 def test_l2d_not_special_biserial():
     pres = alg_l2d()
     t = build_table(pres)
-    rep = check_special_biserial(pres, t)
+    rep = check_special_biserial(t)
     assert not rep.is_special_biserial
     offenders = {w[0] for w in rep.witnesses}
     assert "a" in offenders  # a*a and a*b both survive
@@ -28,34 +28,32 @@ def test_l2d_not_special_biserial():
 def test_stably_biserial():
     pres = alg_l2d()
     t = build_table(pres)
-    rep = check_stably_biserial(pres, t)
+    rep = check_stably_biserial(t)
     assert rep.is_stably_biserial
     assert not rep.is_special_biserial
-    rep2 = check_stably_biserial(alg_n2(), build_table(alg_n2()))
+    rep2 = check_stably_biserial(build_table(alg_n2()))
     assert rep2.is_stably_biserial and rep2.is_special_biserial
 
 
 def test_stably_biserial_needs_selfinjective():
     pres = alg_a3z()
     with pytest.raises(NotSelfinjective):
-        check_stably_biserial(pres, build_table(pres))
+        check_stably_biserial(build_table(pres))
 
 
 def test_special_implies_stably_flag():
     # relation-level inclusion holds on every fixture
     for pres in (alg_n2(), alg_l2(), alg_a3z()):
         t = build_table(pres)
-        rep = check_special_biserial(pres, t)
+        rep = check_special_biserial(t)
         assert rep.is_special_biserial <= rep.is_stably_biserial
 
 
 def test_one_in_one_out():
     for pres in (alg_n2(), alg_l2()):
-        t = build_table(pres)
-        ok, wit = check_one_in_one_out(pres.quiver, t)
+        ok, wit = check_one_in_one_out(pres.quiver)
         assert ok and not wit
-    pres = alg_a3z()
-    ok, wit = check_one_in_one_out(pres.quiver, build_table(pres))
+    ok, wit = check_one_in_one_out(alg_a3z().quiver)
     assert not ok  # sources and sinks break the rule; not selfinjective
 
 

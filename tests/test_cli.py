@@ -217,6 +217,31 @@ def test_ssb_deformation_of_an_unknown_arrow_is_a_domain_error(capsys, algs):
     assert capsys.readouterr().err == "error: unknown arrow 'zz' in --deform\n"
 
 
+@pytest.mark.parametrize("mult, message", [
+    ("a b:1,zz:3", "multiplicity entry 'zz' names no cycle of pi"),
+    ("a b:1,b a:2", "cycle ('a', 'b') is given a multiplicity twice"),
+], ids=["unknown-cycle", "cycle-named-twice"])
+def test_ssb_multiplicity_entries_are_checked(capsys, algs, mult, message):
+    assert main(["ssb", "--quiver", algs["l2"], "--pi", "a>b,b>a", "--mult", mult]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "a3z", "--split"],
+    ["normalize", "l2d"],
+    ["ssb", "--quiver", "l2", "--pi", "a>b,b>a", "--mult", "a b:1"],
+], ids=["nodes", "normalize", "ssb"])
+def test_unwritable_output_is_a_domain_error(algs, tmp_path, argv):
+    argv = [algs.get(a, a) for a in argv] + ["-o", str(tmp_path / "missing" / "x.alg")]
+    env = dict(os.environ, PYTHONPATH=str(Path(biserial.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "biserial.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_undecodable_alg_file_is_a_domain_error(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_bytes(b"field Q\nvertex 1\xff\n")

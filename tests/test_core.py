@@ -2,11 +2,10 @@ import itertools
 
 import pytest
 
-from biserial.core import (AlgebraElement, AlgebraPresentation, DomainError,
+from biserial.core import (AlgebraPresentation, DomainError,
                            InconsistentRelations, NonAdmissible, Quiver,
                            ZeroRelation, build_table,
-                           check_selfinjective_symmetric, multiply,
-                           opposite_presentation)
+                           check_selfinjective_symmetric, opposite_presentation)
 from biserial.checks import (_continuations, _stably_biserial_conditions,
                              check_special_biserial)
 from biserial.fields import Field
@@ -54,23 +53,19 @@ def test_one_loop_algebra():
 
 def test_multiply_examples():
     t = build_table(alg_n2())
-    q = t.quiver
-    f = t.field
-    a = AlgebraElement(f, {q.path(("a",)): f.one})
-    b = AlgebraElement(f, {q.path(("b",)): f.one})
-    ab = multiply(t, a, b)
-    assert list(ab.terms) == [q.path(("a", "b"))]
-    ba = AlgebraElement(f, {q.path(("b", "a")): f.one})
-    assert multiply(t, a, ba).is_zero()  # aba = 0
+    a = t.nf_vector(("a",))
+    ab = t.mult_vec(a, t.nf_vector(("b",)))
+    assert [(str(t.basis[i]), c) for i, c in ab.items()] == [("a b", t.field.one)]
+    assert ab == t.nf_vector(("a", "b"))
+    assert t.mult_vec(a, t.nf_vector(("b", "a"))) == {}  # aba = 0
 
 
 def test_multiply_deformed():
     t = build_table(alg_l2d())
-    q = t.quiver
-    f = t.field
-    a = AlgebraElement(f, {q.path(("a",)): f.one})
-    sq = multiply(t, a, a)
-    assert list(sq.terms) == [q.path(("a", "b"))]
+    a = t.nf_vector(("a",))
+    sq = t.mult_vec(a, a)
+    assert [str(t.basis[i]) for i in sq] == ["a b"]
+    assert sq == t.nf_vector(("a", "a"))
 
 
 def socle_paths(table, v):
@@ -377,7 +372,7 @@ def test_off_socle_matches_the_vector_tests():
                         == reference_continuations(table, a.name, socle_free, before))
         sb = reference_special_biserial_witnesses(table)
         stb = reference_stably_biserial_witnesses(table)
-        report = check_special_biserial(table.pres, table)
+        report = check_special_biserial(table)
         assert (report.is_special_biserial, report.is_stably_biserial,
                 report.witnesses) == (not sb, not stb, sb)
         assert _stably_biserial_conditions(table) == (not stb, stb)

@@ -8,42 +8,41 @@ from biserial.nodes import (detect_nodes, nonprojective_simple_count,
 def test_detect_nodes_fixtures():
     pres = alg_a3z()
     t = build_table(pres)
-    report = detect_nodes(pres, t)
+    report = detect_nodes(t)
     assert report.nodes == ["2"]
     ev = report.evidence["2"]
     assert ev["non_projective"] and ev["non_injective"] and ev["compositions_vanish"]
     t2 = build_table(alg_n2())
-    assert detect_nodes(alg_n2(), t2).nodes == []
+    assert detect_nodes(t2).nodes == []
 
 
 def test_simple_projective_never_a_node():
     pres = alg_a3z()
     t = build_table(pres)
-    ev = detect_nodes(pres, t).evidence
+    ev = detect_nodes(t).evidence
     assert not ev["3"]["non_projective"]  # S3 = P3 at the sink
 
 
 def test_split_a3z():
-    pres = alg_a3z()
-    split = split_nodes(pres)
+    split = split_nodes(build_table(alg_a3z()))
     assert split.quiver.vertices == ["1", "2_in", "2_out", "3"]
     arrows = {(a.name, a.source, a.target) for a in split.quiver.arrows}
     assert arrows == {("a", "1", "2_in"), ("b", "2_out", "3")}
     assert split.relations == []
     t = build_table(split)
-    assert detect_nodes(split, t).nodes == []
+    assert detect_nodes(t).nodes == []
 
 
 def test_split_identity_on_node_free():
     pres = alg_n2()
-    assert split_nodes(pres) is pres
+    assert split_nodes(build_table(pres)) is pres
 
 
 def test_counts():
     pres = alg_a3z()
     t = build_table(pres)
     assert nonprojective_simple_count(t) == 2
-    split = split_nodes(pres)
+    split = split_nodes(t)
     assert nonprojective_simple_count(build_table(split)) == 2
 
 
@@ -57,10 +56,10 @@ def test_adjacent_nodes_chain():
         ZeroRelation(q.path(("b", "c"))),
     ])
     t = build_table(pres)
-    assert detect_nodes(pres, t).nodes == ["2", "3"]
-    split = split_nodes(pres)
+    assert detect_nodes(t).nodes == ["2", "3"]
+    split = split_nodes(t)
     t2 = build_table(split)
-    assert detect_nodes(split, t2).nodes == []
+    assert detect_nodes(t2).nodes == []
     assert nonprojective_simple_count(t2) == nonprojective_simple_count(t)
 
 
@@ -68,11 +67,11 @@ def test_randomized_node_suite():
     for seed in range(12):
         pres = random_node_presentation(seed)
         t = build_table(pres)
-        report = detect_nodes(pres, t)
+        report = detect_nodes(t)
         assert report.nodes, f"seed {seed} produced no nodes"
-        assert check_special_biserial(pres, t).is_special_biserial
-        split = split_nodes(pres)
+        assert check_special_biserial(t).is_special_biserial
+        split = split_nodes(t)
         t2 = build_table(split)
-        assert detect_nodes(split, t2).nodes == []
+        assert detect_nodes(t2).nodes == []
         assert nonprojective_simple_count(t2) == nonprojective_simple_count(t)
-        assert check_special_biserial(split, t2).is_special_biserial
+        assert check_special_biserial(t2).is_special_biserial

@@ -10,7 +10,7 @@ from biserial.normalizer import (ExcludedLocalCase, InvalidDeformation,
                                  RootNotInField, build_from_standard_data,
                                  construct_pi, deformed_presentation,
                                  normalize, socle_paths, verify_normalization)
-from biserial.presentations import parse_presentation
+from biserial.presentations import format_presentation, parse_presentation
 
 
 def test_construct_pi_fixtures():
@@ -18,7 +18,7 @@ def test_construct_pi_fixtures():
                            (alg_l2(), {"a": "b", "b": "a"}),
                            (alg_l2d(), {"a": "b", "b": "a"})):
         t = build_table(pres)
-        data = construct_pi(pres, t)
+        data = construct_pi(t)
         assert data.pi == expected
         # properties (1) and (2) on the table
         for a in pres.quiver.arrows:
@@ -32,20 +32,20 @@ def test_construct_pi_fixtures():
 def test_pi_case_trace_l2d():
     pres = alg_l2d()
     t = build_table(pres)
-    data = construct_pi(pres, t)
+    data = construct_pi(t)
     assert data.case_trace["a"].startswith("II|Q0|=1")
 
 
 def test_socle_paths_fixtures():
     pres = alg_n2()
     t = build_table(pres)
-    data = socle_paths(t, construct_pi(pres, t))
+    data = socle_paths(t, construct_pi(t))
     assert data.k == {"a": 2, "b": 2}
     assert data.sc["a"] == ("a", "b")
     assert data.mult == {("a", "b"): 1}
     pres2 = alg_l2d()
     t2 = build_table(pres2)
-    data2 = socle_paths(t2, construct_pi(pres2, t2))
+    data2 = socle_paths(t2, construct_pi(t2))
     assert data2.k == {"a": 2, "b": 2}
     assert data2.n == {"a": 2, "b": 2}
 
@@ -54,20 +54,20 @@ def test_excluded_local_case():
     pres = loop_algebra()
     t = build_table(pres)
     with pytest.raises(ExcludedLocalCase):
-        construct_pi(pres, t)
+        construct_pi(t)
 
 
 def test_not_symmetric():
     pres = alg_a3z()
     t = build_table(pres)
     with pytest.raises(NotSymmetric):
-        construct_pi(pres, t)
+        construct_pi(t)
 
 
 def test_golden_l2d_rationals():
     pres = alg_l2d()
     t = build_table(pres)
-    out = normalize(pres, t)
+    out = normalize(t)
     assert out.deformations == []
     assert len(out.substitutions) == 1
     sub = out.substitutions[0]
@@ -75,7 +75,7 @@ def test_golden_l2d_rationals():
     assert sub.coeff == t.field.of("1/2")
     base_table = build_table(out.base)
     assert base_table.dim == 4
-    assert check_special_biserial(out.base, base_table).is_special_biserial
+    assert check_special_biserial(base_table).is_special_biserial
     # the witness replay is an exact isomorphism
     verify_normalization(t, out)
 
@@ -83,29 +83,28 @@ def test_golden_l2d_rationals():
 def test_golden_l2d_char_two():
     pres = alg_l2d(Field(2))
     t = build_table(pres)
-    out = normalize(pres, t)
+    out = normalize(t)
     assert out.deformations == [("a", 1)]
     assert out.substitutions == []
     verify_normalization(t, out)
     d = deformed_presentation(out)
     td = build_table(d)
     assert td.dim == 4
-    assert not check_special_biserial(d, td).is_special_biserial
+    assert not check_special_biserial(td).is_special_biserial
 
 
 def test_golden_l2d_char_three():
     pres = alg_l2d(Field(3))
     t = build_table(pres)
-    out = normalize(pres, t)
+    out = normalize(t)
     assert out.deformations == []
-    assert check_special_biserial(
-        out.base, build_table(out.base)).is_special_biserial
+    assert check_special_biserial(build_table(out.base)).is_special_biserial
 
 
 def test_already_standard_is_identity():
     pres = alg_l2()
     t = build_table(pres)
-    out = normalize(pres, t)
+    out = normalize(t)
     assert out.deformations == [] and out.substitutions == []
 
 
@@ -130,7 +129,7 @@ def test_rescale_example():
     pres = parse_presentation(SCALED_SOCLE.format(c=4))
     t = build_table(pres)
     assert check_selfinjective_symmetric(t).verdict == "symmetric"
-    out = normalize(pres, t)
+    out = normalize(t)
     scales = [s for s in out.substitutions if s.scale is not None]
     assert scales and scales[0].arrow == "c"
     assert scales[0].scale == t.field.of(2)
@@ -143,7 +142,7 @@ def test_root_not_in_field():
     t = build_table(pres)
     assert check_selfinjective_symmetric(t).verdict == "symmetric"
     with pytest.raises(RootNotInField):
-        normalize(pres, t)
+        normalize(t)
 
 
 def test_build_from_standard_data_fixture_shapes():
@@ -165,7 +164,7 @@ def test_build_from_standard_data_fixture_shapes():
                                       {("a", "b"): 1}, [("a", 1)], Field(0))
     t2 = build_table(built2)
     assert t2.dim == 4
-    assert not check_special_biserial(built2, t2).is_special_biserial
+    assert not check_special_biserial(t2).is_special_biserial
 
 
 def test_build_validation_errors():
@@ -187,13 +186,30 @@ def test_build_validation_errors():
                                  {("a", "b"): 1}, [("a", 1)], Field(0))
 
 
+def test_multiplicity_entries_name_each_cycle_once():
+    q = alg_l2().quiver
+    pi = {"a": "b", "b": "a"}
+    with pytest.raises(InvalidPermutation, match="'zz' names no cycle of pi"):
+        build_from_standard_data(q, pi, {("a", "b"): 1, ("zz",): 3}, [], Field(0))
+    with pytest.raises(InvalidPermutation, match="'a' names no cycle of pi"):
+        build_from_standard_data(q, pi, {("a",): 1}, [], Field(0))
+    with pytest.raises(InvalidPermutation, match=r"\('a', 'b'\) is given a multiplicity twice"):
+        build_from_standard_data(q, pi, {("a", "b"): 1, ("b", "a"): 2}, [], Field(0))
+    with pytest.raises(InvalidPermutation, match="no multiplicity given"):
+        build_from_standard_data(q, pi, {}, [], Field(0))
+    # a cycle may be named from either of its arrows
+    texts = {format_presentation(build_from_standard_data(q, pi, {key: 2}, [], Field(0)))
+             for key in (("a", "b"), ("b", "a"))}
+    assert len(texts) == 1
+
+
 def test_cyclic_nakayama_multiplicity_two():
     # one 2-cycle with multiplicity 2: k = 4 = n * m
     pres0 = alg_n2()
     built = build_from_standard_data(pres0.quiver, {"a": "b", "b": "a"},
                                      {("a", "b"): 2}, [], Field(0))
     t = build_table(built)
-    out = normalize(built, t)
+    out = normalize(t)
     assert out.pi_data.k == {"a": 4, "b": 4}
     assert out.pi_data.mult == {("a", "b"): 2}
 
@@ -246,28 +262,26 @@ def test_case_two_three_vertices():
     pres = parse_presentation(MESSY_THREE_VERTICES)
     t = build_table(pres)
     assert check_selfinjective_symmetric(t).verdict == "symmetric"
-    assert not check_special_biserial(pres, t).is_special_biserial
-    out = normalize(pres, t)
+    assert not check_special_biserial(t).is_special_biserial
+    out = normalize(t)
     assert out.pi_data.pi == {"al": "b1", "b1": "al",
                               "b2": "g", "g": "d", "d": "b2"}
     assert out.pi_data.case_trace["al"] == "II|Q0|>2"
     subs = [s for s in out.substitutions if s.coeff is not None]
     assert len(subs) == 1 and subs[0].arrow == "b2" and subs[0].path == ("b1",)
-    assert check_special_biserial(
-        out.base, build_table(out.base)).is_special_biserial
+    assert check_special_biserial(build_table(out.base)).is_special_biserial
 
 
 def test_case_two_two_vertices():
     pres = parse_presentation(MESSY_TWO_VERTICES)
     t = build_table(pres)
     assert check_selfinjective_symmetric(t).verdict == "symmetric"
-    out = normalize(pres, t)
+    out = normalize(t)
     assert out.pi_data.pi == {"al": "b1", "b1": "al", "a2": "b2", "b2": "a2"}
     assert out.pi_data.case_trace["al"].startswith("II|Q0|=2")
     subs = [s for s in out.substitutions if s.coeff is not None]
     assert len(subs) == 1 and subs[0].arrow == "b2"
-    assert check_special_biserial(
-        out.base, build_table(out.base)).is_special_biserial
+    assert check_special_biserial(build_table(out.base)).is_special_biserial
 
 
 def test_randomized_roundtrip():
@@ -275,7 +289,7 @@ def test_randomized_roundtrip():
         quiver, pi, mult = random_standard_data(seed)
         pres = build_from_standard_data(quiver, pi, mult, [], Field(0))
         t = build_table(pres)
-        out = normalize(pres, t)
+        out = normalize(t)
         got = {(tuple(sorted(c)), m) for c, m in out.pi_data.mult.items()}
         want = {(tuple(sorted(c)), m) for c, m in mult.items()}
         assert got == want

@@ -8,10 +8,11 @@ must derive from it.  Table-level caches live in one place: every private
 attribute the library reads or writes on a table is declared in
 AlgebraTable.__init__, and every one on a module in ModuleRep.__init__;
 no module binds a mutable container that could serve as a second cache.
-No module imports a name it never reads, and no private function or
-method is left without a caller; a public function of ``linalg`` has a
-caller in the library or a span in the tracer.  ``import biserial`` loads
-no submodule: the package resolves its public names on first access.
+No module imports a name it never reads, no function takes a parameter
+it never reads, and no private function or method is left without a
+caller; a public function of ``linalg`` has a caller in the library or a
+span in the tracer.  ``import biserial`` loads no submodule: the package
+resolves its public names on first access.
 """
 
 import ast
@@ -203,6 +204,46 @@ def test_no_module_imports_an_unused_name():
                "from dataclasses import dataclass, field\n"
                "def f() -> dataclass:\n    from .x import y as z\n    return os\n")
     assert _unused_imports(ast.parse(planted)) == [("field", 3), ("z", 5)]
+
+
+def _unused_parameters(tree):
+    """(function, parameter, line) for each parameter its body never reads.
+
+    Functions, methods, nested functions and lambdas are all scanned; a
+    read in a nested body counts for the enclosing one, and ``self`` and
+    ``cls`` are exempt.
+    """
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [p for p in (*args.posonlyargs, *args.args, args.vararg,
+                              *args.kwonlyargs, args.kwarg) if p]
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unused += [(getattr(node, "name", "<lambda>"), p.arg, node.lineno) for p in params
+                   if p.arg not in ("self", "cls", *read)]
+    return sorted(unused, key=lambda u: u[2])
+
+
+def test_no_function_takes_an_unused_parameter():
+    found = [f"{path.name}:{line} {name}({param})" for path in sorted(LIBRARY.glob("*.py"))
+             for name, param, line
+             in _unused_parameters(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    # the scan sees a planted parameter in a function, a method, a nested
+    # function and a lambda, also a keyword-only one and *args; a read in a
+    # nested body counts, and a default that names the parameter does not
+    planted = ("def f(used, unused):\n    return used\n"
+               "class C:\n    def m(self, x, *args, key=None):\n        return x\n"
+               "    @classmethod\n    def k(cls):\n        pass\n"
+               "def outer(a, b):\n    def inner(c):\n        return a\n    return inner\n"
+               "g = lambda u, v: u\n"
+               "def h(n=0, m=n):\n    return n\n")
+    assert _unused_parameters(ast.parse(planted)) == [
+        ("f", "unused", 1), ("m", "args", 4), ("m", "key", 4), ("outer", "b", 9),
+        ("inner", "c", 10), ("<lambda>", "v", 13), ("h", "m", 14)]
 
 
 def _private_definitions(tree):

@@ -274,7 +274,11 @@ def cmd_ssb(args) -> dict:
     from .checks import check_special_biserial
     from .normalizer import build_from_standard_data
     pres = _load(args.quiver)
-    pi = dict(args.pi)
+    pi = {}
+    for a, b in args.pi:
+        if a in pi:
+            raise CliError(f"arrow {a!r} is mapped twice in --pi")
+        pi[a] = b
     mult = {}
     names = set(pres.quiver.arrow_by_name)
     for cyc, m in args.mult:
@@ -282,6 +286,8 @@ def cmd_ssb(args) -> dict:
         if len(arrows) == 1 and arrows[0] not in names \
                 and all(ch in names for ch in arrows[0]):
             arrows = tuple(arrows[0])  # compact form for one-letter arrows
+        if arrows in mult:
+            raise CliError(f"cycle {' '.join(arrows)!r} is named twice in --mult")
         mult[arrows] = m
     deformations = []
     for a, c in args.deform:

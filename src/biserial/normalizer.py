@@ -484,6 +484,8 @@ def build_from_standard_data(quiver: Quiver, pi: dict, mult: dict,
             raise InvalidDeformation(f"{arrow} is not a loop")
         if pi[arrow] == arrow:
             raise InvalidDeformation(f"{arrow} is fixed by pi")
+        if arrow in deform:
+            raise InvalidDeformation(f"{arrow} is deformed twice")
         c = field.of(c)
         if c == field.zero:
             raise InvalidDeformation(f"deformation scalar of {arrow} is zero")

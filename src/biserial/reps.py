@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .checks import NotSelfinjective
-from .core import (AlgebraTable, DomainError, broken_relation, build_table,
-                   check_selfinjective_symmetric, opposite_presentation)
+from .core import (AlgebraTable, DomainError, _socle_lines, broken_relation,
+                   build_table, check_selfinjective_symmetric, opposite_presentation)
 
 
 class ModuleRep:
@@ -142,7 +142,6 @@ def projective(table: AlgebraTable, vertex: str) -> ModuleRep:
         return cache[vertex]
     by_vertex, mats = table.regular_action(vertex)
     rep = ModuleRep(table, {w: len(idxs) for w, idxs in by_vertex.items()}, mats)
-    rep.projective_basis = by_vertex  # basis indices per vertex, in fiber order
     cache[vertex] = rep
     return rep
 
@@ -271,13 +270,6 @@ def _top_generators(M: ModuleRep):
     return gens
 
 
-def top_dims(M: ModuleRep) -> dict:
-    tops = {v: 0 for v in M.table.quiver.vertices}
-    for v, _ in _top_generators(M):
-        tops[v] += 1
-    return tops
-
-
 def _generator_map(table: AlgebraTable, M: ModuleRep, v: str, row) -> RepMap:
     """The map e_v A -> M sending e_v to row, so each basis path b to row . b.
 
@@ -356,10 +348,6 @@ def syzygy(table: AlgebraTable, M: ModuleRep) -> ModuleRep:
     return projective_cover(table, M)[2]
 
 
-def cosyzygy(table: AlgebraTable, M: ModuleRep) -> ModuleRep:
-    return injective_hull(table, M)[2]
-
-
 def _factoring_maps(table: AlgebraTable, M: ModuleRep, N: ModuleRep):
     """Spanning set of the maps M -> N that factor through a projective.
 
@@ -384,15 +372,6 @@ def stable_hom_dim(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> int:
         return 0
     factoring = [g.flatten() for g in _factoring_maps(table, M, N)]
     return len(maps) - la.span_rank(factoring, table.field)
-
-
-def stable_class_is_zero(table: AlgebraTable, fmap: RepMap) -> bool:
-    """Does a hom vanish in the stable category?"""
-    vec = fmap.flatten()
-    if not vec:
-        return True
-    factoring = [g.flatten() for g in _factoring_maps(table, fmap.source, fmap.target)]
-    return not la.Echelon(table.field, factoring).reduce(vec)
 
 
 # random combinations of a Hom(M, N) basis tried after the basis maps
@@ -496,33 +475,38 @@ def is_isomorphic(table: AlgebraTable, M: ModuleRep, N: ModuleRep) -> bool:
 def strip_projectives(table: AlgebraTable, C: ModuleRep):
     """Split off every projective summand in one step; return (reduced, vertices).
 
-    Hom(P_v, C) ~ C_v, and a composite P_v -> C -> P_v is invertible iff
-    its coefficient at e_v is nonzero (e_v A e_v is local with residue
-    field k).  So the multiplicity of P_v in C is the rank of the pairing
-    C_v x Hom(C, P_v) -> k, x, g |-> coefficient of e_v in g(x), and the
-    Hom(C, P_v) basis maps with independent pairing columns, stacked over
-    all vertices, give G: C -> (+) P_v^{m_v} whose composite with the
-    matching maps out of the projectives is invertible modulo the radical.
-    G is then a split epimorphism, and ker G is the projective-free
+    Over a selfinjective table e_v A is injective with a one-line socle
+    k s_v in e_v A e_nu(v) (``core._socle_lines``), so a map e_v A -> C
+    splits iff it is nonzero on s_v.  The multiplicity of e_v A in C is
+    the rank of the action of s_v, C_v -> C_nu(v), and the unit vectors
+    of C_v with independent images generate copies of e_v A.  nu permutes
+    the vertices, so the socles of all these copies stay independent: they
+    span an injective submodule, and C modulo it is the projective-free
     complement.
     """
+    lines = _socle_lines(table)
+    if lines is None:
+        raise NotSelfinjective("projective summands split off only over selfinjective tables")
     f = table.field
-    chosen, stripped = [], []
-    for v in table.quiver.vertices:
-        P = projective(table, v)
-        if not C.dims[v] or P.total_dim > C.total_dim:
-            continue
-        top = next(t for t, i in enumerate(P.projective_basis[v])
-                   if not table.basis[i].length)
-        pairing = la.Echelon(f)
-        for g in hom(table, C, P):
-            column = {i: row[top] for i, row in enumerate(g.blocks[v]) if top in row}
-            if pairing.add(column):
-                chosen.append(g)
+    rows, stripped = {}, []
+    for v, s in lines.items():
+        n = C.dims[v]
+        images = [{} for _ in range(n)]      # row i: the unit vector i times s_v
+        for k, c in s.items():
+            action = la.identity(n)
+            for a in table.basis[k].arrows:
+                action = la.mat_mul(action, C.mats[a], f)
+            for image, part in zip(images, action):
+                la.sub_multiple(image, f.neg(c), part, f)
+        independent = la.Echelon(f)
+        for i, image in enumerate(images):
+            if independent.add(image):
+                for w, block in _generator_map(table, C, v, {i: 1}).blocks.items():
+                    rows.setdefault(w, []).extend(block)
                 stripped.append(v)
-    if not chosen:
+    if not stripped:
         return C, []
-    reduced, _ = kernel_of_map(stack_maps(*chosen))
+    reduced, _ = quotient_rep(C, rows)
     return reduced, stripped
 
 

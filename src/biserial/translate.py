@@ -473,13 +473,13 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
                                    f"the rad/soc summand at {v}"))
         # the projective P_v maps onto P_v/soc through its path basis; the
         # socle path has no node and dies
-        P = projective(table, v)
+        by_vertex = table.regular_action(v)[0]
         node = {arm.arrows[:j]: _quotient_node(arms, idx, j)
                 for idx, arm in enumerate(arms) for j in range(len(arm.arrows))}
-        comps.append(_node_map(P, M_real,
+        comps.append(_node_map(projective(table, v), M_real,
                                (((u, t), node.get(table.basis[b].arrows))
                                 for u in q.vertices
-                                for t, b in enumerate(P.projective_basis[u])),
+                                for t, b in enumerate(by_vertex[u])),
                                f"the projective at {v}"))
     else:
         M_real = string_module(table, word)

@@ -12,13 +12,19 @@ position that ``AlgebraTable.normal_form`` made before it looked rules up
 by their first arrow.  ``reference_arms``, ``reference_continuations`` and
 the two ``reference_*_witnesses`` test "nonzero and outside the socle" on
 ``nf_vector`` and ``in_socle`` by hand, as the library did before
-``AlgebraTable.off_socle`` answered it.
+``AlgebraTable.off_socle`` answered it.  ``reference_strip_projectives``
+splits off projective summands by solving Hom(C, e_v A) at every vertex,
+as ``reps.strip_projectives`` did before it read the rank of the socle
+line.  ``top_dims``, ``cosyzygy`` and ``stable_class_is_zero`` are module
+queries that only tests ask.
 """
 
 import itertools
 import random
 
-from biserial.linalg import row_nullspace
+from biserial.linalg import Echelon, row_nullspace
+from biserial.reps import (_factoring_maps, _top_generators, hom, injective_hull,
+                           kernel_of_map, projective, stack_maps)
 
 
 def verify_associativity(table) -> bool:
@@ -197,6 +203,60 @@ def reference_stably_biserial_witnesses(table) -> list:
     bounded = all(i <= 2 and o <= 2 for i, o in table.quiver.degrees().values())
     witnesses = [] if bounded else [("quiver", "degree", None)]
     return witnesses + _reference_continuation_witnesses(table, True, "-mod-socle")
+
+
+def reference_strip_projectives(table, C):
+    """``reps.strip_projectives`` by Hom(C, e_v A); (reduced, vertices).
+
+    Hom(P_v, C) ~ C_v, and a composite P_v -> C -> P_v is invertible iff
+    its coefficient at e_v is nonzero (e_v A e_v is local with residue
+    field k).  So the multiplicity of P_v in C is the rank of the pairing
+    C_v x Hom(C, P_v) -> k, x, g |-> coefficient of e_v in g(x), and the
+    Hom(C, P_v) basis maps with independent pairing columns, stacked over
+    all vertices, give G: C -> (+) P_v^{m_v} whose composite with the
+    matching maps out of the projectives is invertible modulo the radical.
+    G is then a split epimorphism, and ker G is the projective-free
+    complement.
+    """
+    chosen, stripped = [], []
+    for v in table.quiver.vertices:
+        P = projective(table, v)
+        if not C.dims[v] or P.total_dim > C.total_dim:
+            continue
+        top = next(t for t, i in enumerate(table.regular_action(v)[0][v])
+                   if not table.basis[i].length)
+        pairing = Echelon(table.field)
+        for g in hom(table, C, P):
+            column = {i: row[top] for i, row in enumerate(g.blocks[v]) if top in row}
+            if pairing.add(column):
+                chosen.append(g)
+                stripped.append(v)
+    if not chosen:
+        return C, []
+    reduced, _ = kernel_of_map(stack_maps(*chosen))
+    return reduced, stripped
+
+
+def top_dims(M) -> dict:
+    """Vertex -> dimension of the top of M at that vertex."""
+    tops = {v: 0 for v in M.table.quiver.vertices}
+    for v, _ in _top_generators(M):
+        tops[v] += 1
+    return tops
+
+
+def cosyzygy(table, M):
+    """The cokernel of the injective hull of M."""
+    return injective_hull(table, M)[2]
+
+
+def stable_class_is_zero(table, fmap) -> bool:
+    """Does a hom vanish in the stable category?"""
+    vec = fmap.flatten()
+    if not vec:
+        return True
+    factoring = [g.flatten() for g in _factoring_maps(table, fmap.source, fmap.target)]
+    return not Echelon(table.field, factoring).reduce(vec)
 
 
 def random_presentation_text(seed: int) -> str:

@@ -220,9 +220,22 @@ def test_ssb_deformation_of_an_unknown_arrow_is_a_domain_error(capsys, algs):
 @pytest.mark.parametrize("mult, message", [
     ("a b:1,zz:3", "multiplicity entry 'zz' names no cycle of pi"),
     ("a b:1,b a:2", "cycle ('a', 'b') is given a multiplicity twice"),
-], ids=["unknown-cycle", "cycle-named-twice"])
+    ("a b:1,a b:2", "cycle 'a b' is named twice in --mult"),
+], ids=["unknown-cycle", "cycle-named-twice", "entry-repeated"])
 def test_ssb_multiplicity_entries_are_checked(capsys, algs, mult, message):
     assert main(["ssb", "--quiver", algs["l2"], "--pi", "a>b,b>a", "--mult", mult]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("pi, deform, message", [
+    ("a>a,a>b,b>a", "", "arrow 'a' is mapped twice in --pi"),
+    ("a>b,b>a", "a:1,a:2", "a is deformed twice"),
+], ids=["pi", "deform"])
+def test_ssb_entry_given_twice_is_a_domain_error(capsys, algs, pi, deform, message):
+    argv = ["ssb", "--quiver", algs["l2"], "--pi", pi, "--mult", "a b:1"]
+    assert main(argv + (["--deform", deform] if deform else [])) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

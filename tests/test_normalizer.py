@@ -186,6 +186,13 @@ def test_build_validation_errors():
                                  {("a", "b"): 1}, [("a", 1)], Field(0))
 
 
+def test_a_loop_is_deformed_at_most_once():
+    q = alg_l2().quiver
+    with pytest.raises(InvalidDeformation, match="a is deformed twice"):
+        build_from_standard_data(q, {"a": "b", "b": "a"}, {("a", "b"): 1},
+                                 [("a", 1), ("a", 2)], Field(0))
+
+
 def test_multiplicity_entries_name_each_cycle_once():
     q = alg_l2().quiver
     pi = {"a": "b", "b": "a"}

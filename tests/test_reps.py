@@ -4,6 +4,7 @@ import random
 import pytest
 
 import biserial.linalg as la
+import biserial.reps
 from biserial.checks import NotSelfinjective
 from biserial.core import build_table, check_selfinjective_symmetric
 from biserial.fields import Field
@@ -11,13 +12,15 @@ from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2, loop_algebra,
                                 random_standard_data)
 from biserial.normalizer import build_from_standard_data
 from biserial.presentations import parse_presentation
-from biserial.reps import (ModuleRep, RepMap, Undecided, cokernel_of_map, cosyzygy,
+from biserial.reps import (ModuleRep, RepMap, Undecided, cokernel_of_map,
                            decompose_rad_mod_soc, direct_sum, find_isomorphism,
                            hom, injective_hull, is_isomorphic, kernel_of_map,
-                           projective, projective_cover, stable_hom_dim,
+                           mapping_cone_rep, projective, projective_cover, stable_hom_dim,
                            strip_projectives, syzygy)
 from biserial.strings import Letter, StringWord, enumerate_strings, string_module
 from biserial.sweep import run_sweep
+from biserial.translate import canonical_map_to_tau_inv
+from table_reference import cosyzygy, reference_strip_projectives, top_dims
 
 FIELDS = [Field(0), Field(2), Field(3), Field(5)]
 FIXTURES = {"n2": alg_n2, "l2d": alg_l2d, "a3z": alg_a3z}
@@ -67,7 +70,6 @@ def test_projective_cover_syzygies():
 
 
 def test_cover_minimality():
-    from biserial.reps import top_dims
     t = build_table(alg_n2())
     for w in (word("a"), word("b"), StringWord.trivial("1")):
         M = string_module(t, w)
@@ -289,6 +291,52 @@ def test_strip_projectives_splits_every_projective_summand(field):
     # a module with no projective summand comes back whole
     reduced, stripped = strip_projectives(t, X)
     assert stripped == [] and reduced is X
+
+
+def _cones(t, max_len):
+    """(word, mapping cone of its canonical map to tau^-1) for every string."""
+    return [(w, mapping_cone_rep(t, canonical_map_to_tau_inv(t, w).rep_map))
+            for w in enumerate_strings(t, max_len)]
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(0)], ids=repr)
+def test_strip_projectives_matches_the_hom_route(field):
+    stripping = 0
+    for seed in range(20):
+        t = build_table(build_from_standard_data(*random_standard_data(seed), [], field))
+        for w, C in _cones(t, 3):
+            reduced, stripped = strip_projectives(t, C)
+            ref_reduced, ref_stripped = reference_strip_projectives(t, C)
+            assert stripped == ref_stripped, (seed, str(w))
+            g = find_isomorphism(t, reduced, ref_reduced)
+            assert g is not None and g.intertwines(), (seed, str(w))
+            stripping += bool(stripped)
+    assert stripping > 100      # the pool exercises the split, not only C itself
+
+
+def test_strip_projectives_solves_no_hom(monkeypatch):
+    def no_hom(*args):
+        raise AssertionError("strip_projectives solved a Hom")
+
+    stripping = 0
+    for alg in (alg_n2, alg_l2):
+        t = build_table(alg())
+        cones = _cones(t, 6)
+        with monkeypatch.context() as m:
+            m.setattr(biserial.reps, "hom", no_hom)
+            results = [strip_projectives(t, C) for _, C in cones]
+        for (w, C), (reduced, stripped) in zip(cones, results):
+            ref_reduced, ref_stripped = reference_strip_projectives(t, C)
+            assert stripped == ref_stripped, str(w)
+            assert is_isomorphic(t, reduced, ref_reduced), str(w)
+            stripping += bool(stripped)
+    assert stripping        # the l2 cones carry projective summands
+
+
+def test_strip_projectives_needs_selfinjective_table():
+    t = build_table(alg_a3z())
+    with pytest.raises(NotSelfinjective):
+        strip_projectives(t, projective(t, "1"))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

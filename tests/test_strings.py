@@ -248,8 +248,7 @@ def test_cached_projectives_and_regular_actions_are_never_changed(swept_tables, 
         fresh = build_table(t.pres)
         for v, P in t._projective_cache.items():
             Q = projective(fresh, v)
-            assert (P.dims, P.mats, P.projective_basis) == (Q.dims, Q.mats,
-                                                            Q.projective_basis), v
+            assert (P.dims, P.mats) == (Q.dims, Q.mats), v
         for v, action in t._regular.items():
             assert action == fresh.regular_action(v), v
 

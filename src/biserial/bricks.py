@@ -11,20 +11,16 @@ from dataclasses import dataclass
 
 from .core import AlgebraTable, DomainError
 from .linalg import multiple_of
-from .reps import is_isomorphic, projective_cover, stable_hom_dim
+from .reps import stable_hom_dim
 from .strings import (Letter, StringWord, _can_append, canonical_form,
                       directed_runs, enumerate_strings, node_vertices,
                       reverse_word, string_module, word_key, word_source,
                       word_target, words_equal)
-from .translate import ar_sequence, rad_word, tau, tau_inv
-
-
-class UnclassifiableDiagram(DomainError):
-    pass
+from .translate import _peaks, ar_sequence, omega_word, tau, tau_inv
 
 
 class BadSystemMember(DomainError):
-    """A word that is not a member of the system, or has no s-projective cover."""
+    """A word that is not a member of the system."""
 
 
 def is_stable_brick(table: AlgebraTable, word: StringWord) -> bool:
@@ -74,29 +70,6 @@ def check_bounded_maximality(table: AlgebraTable, words, max_len: int):
     return True, None
 
 
-def omega_word(table: AlgebraTable, word: StringWord):
-    """The syzygy of a string module as a string word (None if projective).
-
-    Simples map straight to rad P; other kernels are identified against
-    the bounded string enumeration.
-    """
-    q = table.quiver
-    if word.is_trivial():
-        return canonical_form(q, rad_word(table, word.vertex))
-    M = string_module(table, word)
-    _, _, K, _ = projective_cover(table, M)
-    if K.total_dim == 0:
-        return None
-    target_dims = K.dim_vector()
-    for cand in enumerate_strings(table, K.total_dim - 1):
-        if cand.length != K.total_dim - 1:
-            continue
-        C = string_module(table, cand)
-        if C.dim_vector() == target_dims and is_isomorphic(table, C, K):
-            return cand
-    raise UnclassifiableDiagram(f"syzygy of {word} is not a bounded string")
-
-
 @dataclass
 class SProjectiveInfo:
     word: StringWord            # N = tau^{-1} Omega(M)
@@ -111,10 +84,7 @@ def s_projective(table: AlgebraTable, system, member: StringWord) -> SProjective
     keys = {word_key(q, canonical_form(q, w)) for w in system}
     if word_key(q, member) not in keys:
         raise BadSystemMember(f"{member} is not a system member")
-    om = omega_word(table, member)
-    if om is None:
-        raise BadSystemMember(f"{member} has projective cover kernel zero")
-    n_word = tau_inv(table, om)
+    n_word = tau_inv(table, omega_word(table, member))
     seq = ar_sequence(table, n_word)
     return SProjectiveInfo(n_word, member, list(seq.middle_strings))
 
@@ -183,16 +153,7 @@ def _deep_vertices(quiver, word: StringWord):
 
 def _peak_vertices(quiver, word: StringWord):
     verts = node_vertices(quiver, word)
-    if word.is_trivial():
-        return [word.vertex]
-    out = []
-    n = word.length
-    for i in range(n + 1):
-        enters = (i >= 1 and not word.letters[i - 1].inverse) or \
-                 (i < n and word.letters[i].inverse)
-        if not enters:
-            out.append(verts[i])
-    return out
+    return [verts[i] for i, _, _ in _peaks(word)]
 
 
 def _maximal_directed(table: AlgebraTable, word: StringWord, side: str) -> bool:

@@ -248,6 +248,35 @@ def cokernel_of_map(fmap: RepMap):
     return quotient_rep(fmap.target, fmap.blocks)
 
 
+def exactness_defect(f: RepMap, g: RepMap) -> str:
+    """Why 0 -> L -f-> E -g-> R -> 0 is not short exact, or "" if it is.
+
+    f must map into the module g maps out of, and g must be a module map
+    (its callers build it as one).  The sequence is exact iff dim E =
+    dim L + dim R, f intertwines, f g = 0, f is injective and g is
+    surjective: then f(L) lies in ker g and both have dimension
+    dim E - dim R, so L ~ ker g.  Each defect disproves exactness.
+    """
+    if f.target is not g.source:
+        raise ValueError("the two maps do not meet at one module")
+    if g.source.total_dim != f.source.total_dim + g.target.total_dim:
+        return "dimensions do not add up"
+    if not f.intertwines():
+        return "left map does not intertwine"
+    if any(row for rows in f.compose(g).blocks.values() for row in rows):
+        return "composite is not zero"
+    if not f.is_injective():
+        return "left map not injective"
+    if not g.is_surjective():
+        return "right map not surjective"
+    return ""
+
+
+def is_short_exact(f: RepMap, g: RepMap) -> bool:
+    """Whether 0 -> L -f-> E -g-> R -> 0 is short exact; see exactness_defect."""
+    return not exactness_defect(f, g)
+
+
 def radical_rows(M: ModuleRep) -> dict:
     """Per-vertex spanning rows of rad(M) = sum of arrow images."""
     table = M.table
@@ -291,15 +320,18 @@ def _generator_map(table: AlgebraTable, M: ModuleRep, v: str, row) -> RepMap:
     return RepMap(projective(table, v), M, blocks)
 
 
-def projective_cover(table: AlgebraTable, M: ModuleRep):
-    """Minimal projective cover (P, cover map, kernel, kernel inclusion).
-
-    One summand e_v A per top generator, in _top_generators order.
-    """
+def _cover_map(table: AlgebraTable, M: ModuleRep) -> RepMap:
+    """The projective cover P -> M: one summand e_v A per top generator,
+    in _top_generators order, each sent to its generator."""
     gens = _top_generators(M)
     if not gens and M.total_dim:
         raise ValueError("nonzero module with zero top")
-    cover = vstack_maps([_generator_map(table, M, v, row) for v, row in gens], M)
+    return vstack_maps([_generator_map(table, M, v, row) for v, row in gens], M)
+
+
+def projective_cover(table: AlgebraTable, M: ModuleRep):
+    """Minimal projective cover (P, cover map, kernel, kernel inclusion)."""
+    cover = _cover_map(table, M)
     K, incl = kernel_of_map(cover)
     return cover.source, cover, K, incl
 
@@ -318,30 +350,25 @@ def dual_rep(table_op: AlgebraTable, M: ModuleRep) -> ModuleRep:
     return ModuleRep(table_op, dict(M.dims), mats)
 
 
-def dual_map(table_op: AlgebraTable, fmap: RepMap) -> RepMap:
-    blocks = {v: la.transpose(fmap.blocks[v], fmap.target.dims[v])
-              for v in fmap.source.table.quiver.vertices}
-    return RepMap(dual_rep(table_op, fmap.target), dual_rep(table_op, fmap.source), blocks)
+def _hull_embedding(table: AlgebraTable, M: ModuleRep) -> RepMap:
+    """The injective hull M -> I(M), the dual of a projective cover over
+    the opposite table.
 
-
-def injective_hull(table: AlgebraTable, M: ModuleRep):
-    """Minimal injective copresentation (I, embedding, cokernel, projection).
-
-    Requires a selfinjective table (injectives coincide with projectives);
-    computed by dualizing a projective cover over the opposite algebra.
+    Requires a selfinjective table (injectives coincide with projectives).
     """
     if check_selfinjective_symmetric(table).verdict == "not-selfinjective":
         raise NotSelfinjective("injective hulls computed only over selfinjective tables")
     opT = opposite_table(table)
-    DM = dual_rep(opT, M)
-    P, cover, K, incl = projective_cover(opT, DM)
-    I = dual_rep(table, P)
-    embedding = dual_map(table, cover)     # M -> I in standard coordinates
-    embedding = RepMap(M, I, embedding.blocks)
-    coker = dual_rep(table, K)
-    projection = dual_map(table, incl)
-    projection = RepMap(I, coker, projection.blocks)
-    return I, embedding, coker, projection
+    cover = _cover_map(opT, dual_rep(opT, M))
+    blocks = {v: la.transpose(cover.blocks[v], M.dims[v]) for v in M.dims}
+    return RepMap(M, dual_rep(table, cover.source), blocks)
+
+
+def injective_hull(table: AlgebraTable, M: ModuleRep):
+    """Minimal injective copresentation (I, embedding, cokernel, projection)."""
+    embedding = _hull_embedding(table, M)
+    coker, projection = cokernel_of_map(embedding)
+    return embedding.target, embedding, coker, projection
 
 
 def syzygy(table: AlgebraTable, M: ModuleRep) -> ModuleRep:
@@ -538,8 +565,7 @@ def mapping_cone_rep(table: AlgebraTable, fmap: RepMap):
     The result represents the cone only up to projective summands; use
     strip_projectives before comparing with a combinatorial answer.
     """
-    _, emb, _, _ = injective_hull(table, fmap.source)
-    stacked = stack_maps(fmap, emb)
+    stacked = stack_maps(fmap, _hull_embedding(table, fmap.source))
     cone, _ = cokernel_of_map(stacked)
     return cone
 

@@ -18,13 +18,13 @@ from .checks import (check_one_in_one_out, check_special_biserial,
 from .core import AlgebraPresentation, build_table, check_selfinjective_symmetric
 from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
 from .normalizer import normalize
-from .reps import (direct_sum, is_isomorphic, kernel_of_map, mapping_cone_rep,
-                   opposite_table, stable_hom_dim, strip_projectives, syzygy)
+from .reps import (direct_sum, exactness_defect, is_isomorphic, mapping_cone_rep,
+                   opposite_table, stable_hom_dim, strip_projectives)
 from .strings import (canonical_form, enumerate_strings, reverse_word,
                       string_module as string_module_fn, words_equal)
-from .translate import (ar_right_map, canonical_map_to_tau_inv,
+from .translate import (ar_left_map, ar_right_map, canonical_map_to_tau_inv,
                         check_tau_period_one_exclusions, cone_of_canonical_map,
-                        reversal_map, tau, tau_inv)
+                        omega_sequence, omega_word, reversal_map, tau, tau_inv)
 
 
 def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
@@ -69,17 +69,24 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
     def check_words(name, holds, listed=True):
         """Record whether holds(w) for every word.
 
-        An exception fails only its word and is reported with it, so an
+        holds returns a bool, or a string naming what fails ("" when
+        nothing does), which a listed check reports with the word.  An
+        exception fails only its word and is reported with it, so an
         Undecided oracle verdict or a bug cannot abort the sweep.  Listed
         checks report every failing word; the others only the exceptions.
         """
         bad, errors = [], []
         for w in words:
             try:
-                if not holds(w):
-                    bad.append(str(w))
+                verdict = holds(w)
             except Exception as exc:
                 errors.append(f"{w}: {exc!r}")
+                continue
+            if isinstance(verdict, str):
+                if verdict:
+                    bad.append(f"{w}: {verdict}")
+            elif not verdict:
+                bad.append(str(w))
         record(name, not bad and not errors,
                bad + errors if listed else "; ".join(errors))
 
@@ -111,19 +118,30 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
                     lambda w: words_equal(q, tau_inv(table, tau(table, w)),
                                           canonical_form(q, w)), listed=False)
         if sym.verdict == "symmetric":
+            steps = {}
+
+            def omega_step(x):
+                """(Omega x, the defect of its witnessed sequence), once per word."""
+                if x not in steps:
+                    steps[x] = (omega_word(table, x),
+                                exactness_defect(*omega_sequence(table, x)))
+                return steps[x]
+
             def tau_is_syzygy_squared(w):
-                M = string_module_fn(table, w)
-                O2 = syzygy(table, syzygy(table, M))
-                return is_isomorphic(table, string_module_fn(table, tau(table, w)), O2)
+                once, defect = omega_step(w)
+                if defect:
+                    return f"Omega w: {defect}"
+                twice, defect = omega_step(once)
+                if defect:
+                    return f"Omega Omega w: {defect}"
+                return "" if words_equal(q, twice, tau(table, w)) else "Omega(Omega w) != tau w"
             check_words("tau-syzygy-oracle", tau_is_syzygy_squared)
         else:
             skip("tau-syzygy-oracle", "table not symmetric")
 
         def ar_exact(w):
-            seq, g = ar_right_map(table, w)
-            K, _ = kernel_of_map(g)
-            return g.is_surjective() and is_isomorphic(
-                table, K, string_module_fn(table, tau(table, w)))
+            _, g = ar_right_map(table, w)
+            return exactness_defect(ar_left_map(table, w, g.source), g)
         check_words("ar-sequence-exactness", ar_exact)
 
         def cone_matches(w):

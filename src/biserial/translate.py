@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg as la
 from .checks import check_special_biserial, is_local_nakayama
 from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
-from .reps import (RepMap, _rad_mod_soc_words, decompose_rad_mod_soc, projective,
-                   vstack_maps)
+from .reps import (RepMap, _generator_map, _rad_mod_soc_words, decompose_rad_mod_soc,
+                   projective, vstack_maps)
 from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
-                      directed_runs, left_op, letter_target, reverse_word,
-                      right_op, side_ops, string_module, validate_string,
-                      word_key, word_source, word_target, words_equal)
+                      directed_runs, left_op, letter_target, node_vertices,
+                      reverse_word, right_op, side_ops, string_module,
+                      validate_string, word_key, word_source, word_target,
+                      words_equal)
 
 
 class NotSelfinjectiveSB(DomainError):
@@ -496,6 +498,224 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
     if not g.intertwines():
         raise RuntimeError(f"right map construction failed for {word}")
     return seq, g
+
+
+# -- witnessed sequences: the syzygy and the AR left map -------------------
+
+def _path_row(table: AlgebraTable, v: str, arrows, vertex: str, c) -> dict:
+    """c times the path ``arrows`` from v, as a row of e_v A at ``vertex``."""
+    if table.quiver.target(arrows[-1]) != vertex:
+        raise RuntimeError(f"node alignment failed at the path {' '.join(arrows)}")
+    f = table.field
+    by_vertex = table.regular_action(v)[0][vertex]
+    pos = {b: t for t, b in enumerate(by_vertex)}
+    return {pos[b]: f.mul(c, x) for b, x in table.nf_vector(arrows).items()}
+
+
+def _offsets(modules, vertices) -> list:
+    """For each module of a direct sum, its first coordinate at each vertex."""
+    out, shift = [], dict.fromkeys(vertices, 0)
+    for N in modules:
+        out.append(dict(shift))
+        for v in vertices:
+            shift[v] += N.dims[v]
+    return out
+
+
+def _peaks(word: StringWord):
+    """(node, left run, right run) of each peak of the word, left to right.
+
+    A peak is a node no letter points into; its left run is the inverse
+    run ending there and its right run the direct run starting there, as
+    letter counts.
+    """
+    letters = word.letters
+    n = len(letters)
+    out = []
+    for i in range(n + 1):
+        if (i and not letters[i - 1].inverse) or (i < n and letters[i].inverse):
+            continue
+        left = right = 0
+        while left < i and letters[i - 1 - left].inverse:
+            left += 1
+        while i + right < n and not letters[i + right].inverse:
+            right += 1
+        out.append((i, left, right))
+    return out
+
+
+def _omega_walk(table: AlgebraTable, word: StringWord):
+    """The syzygy word of a string, read off its peaks.
+
+    Returns (word, peaks, marks).  ``peaks`` holds (node, vertex) of each
+    peak, left to right: the projective cover is the sum of the e_peak A.
+    ``marks`` sends node 0 and every node entered by an inverse letter to
+    its designated element of the cover, a list of (peak index, path,
+    sign); the inclusion maps such a node to a multiple of it, and every
+    other node to the product of its left neighbour with the letter.
+
+    At peak i the runs l and r are prefixes of two arms alpha, beta of
+    e_p A (an unused side takes the other arm).  The kernel there is
+    spanned by alpha[:l+1] A and beta[:r+1] A, which meet in the socle:
+    the word V_i descends alpha[l+1:] to the socle and climbs beta[r+1:]
+    back.  At the deep between peaks i-1 and i the element
+    beta_{i-1}[:r] - alpha_i[:l] lies in the kernel, joined to its
+    neighbours by the letters beta_{i-1}[r]^-1 and alpha_i[l].
+    """
+    q = table.quiver
+    letters = word.letters
+    vertices = node_vertices(q, word)
+    out, peaks, marks = [], [], {}
+    previous = None              # (peak index, beta, r) of the last peak
+    for i, (node, l, r) in enumerate(_peaks(word)):
+        p = vertices[node]
+        peaks.append((node, p))
+        arms = {arm.arrows[0]: arm.arrows for arm in table.arms(p)}
+        alpha = arms.pop(letters[node - 1].arrow) if l else None
+        beta = arms.pop(letters[node].arrow) if r else None
+        rest = list(arms.values())
+        alpha = alpha or (rest.pop(0) if rest else None)
+        beta = beta or (rest.pop(0) if rest else None)
+        if previous is None:
+            marks[0] = [(i, alpha[:l + 1] if alpha else beta, 1)]
+        else:
+            j, prev_beta, prev_r = previous
+            out.append(Letter(prev_beta[prev_r], True))
+            marks[len(out)] = [(j, prev_beta[:prev_r], 1), (i, alpha[:l], -1)]
+            out.append(Letter(alpha[l]))
+        if alpha:
+            out += [Letter(a) for a in alpha[l + 1:]]
+        if beta:
+            for k in range(len(beta) - 1, r, -1):
+                out.append(Letter(beta[k], True))
+                marks[len(out)] = [(i, beta[:k], 1)]
+        previous = (i, beta, r)
+    if out:
+        return StringWord(tuple(out)), peaks, marks
+    (_, arrows, _), = marks[0]
+    return StringWord.trivial(q.target(arrows[-1])), peaks, marks
+
+
+def omega_word(table: AlgebraTable, word: StringWord) -> StringWord:
+    """The syzygy of M_word as a canonical string word, memoized per table.
+
+    Over a selfinjective special biserial algebra the syzygy of a
+    non-projective string module is a string module (Wald-Waschbusch
+    1985); ``omega_sequence`` witnesses it.
+    """
+    key = ("omega", word)
+    out = table._translates.get(key)
+    if out is None:
+        _require_input(table, word)
+        out = table._translates[key] = canonical_form(
+            table.quiver, _omega_walk(table, word)[0])
+    return out
+
+
+def omega_sequence(table: AlgebraTable, word: StringWord):
+    """(inclusion, cover) of 0 -> M(Omega w) -> P(w) -> M(w) -> 0.
+
+    The cover sends the summand e_p A of each peak to its node.  The
+    inclusion walks the syzygy word: a node entered by a direct letter goes
+    to the product of its left neighbour's image with the letter, and a
+    marked node to its designated element, scaled so that the letter
+    before it carries it onto its left neighbour's image.
+    """
+    _require_input(table, word)
+    f = table.field
+    omega, peaks, marks = _omega_walk(table, word)
+    M = string_module(table, word)
+    cover = vstack_maps([_generator_map(table, M, p, {M.node_positions[node][1]: 1})
+                         for node, p in peaks], M)
+    P = cover.source
+    vertices = table.quiver.vertices
+    offsets = _offsets([projective(table, p) for _, p in peaks], vertices)
+    K = string_module(table, omega)
+    images = []
+    for k in range(omega.length + 1):
+        u = K.node_positions[k][0]
+        if k not in marks:
+            images.append(la.row_vec_mul(images[-1], P.mats[omega.letters[k - 1].arrow], f))
+            continue
+        image = {}
+        for i, arrows, sign in marks[k]:
+            image.update((offsets[i][u] + t, x) for t, x in
+                         _path_row(table, peaks[i][1], arrows, u, sign).items())
+        if k:
+            c = la.multiple_of(images[-1],
+                               la.row_vec_mul(image, P.mats[omega.letters[k - 1].arrow], f), f)
+            if c is None:
+                raise RuntimeError(f"the syzygy inclusion of {word} breaks at node {k}")
+            image = la.sub_multiple({}, f.neg(c), image, f)
+        images.append(image)
+    blocks = {u: [None] * K.dims[u] for u in vertices}
+    for k, (u, row) in K.node_positions.items():
+        blocks[u][row] = images[k]
+    return RepMap(K, P, blocks), cover
+
+
+def ar_left_map(table: AlgebraTable, word: StringWord, middle) -> RepMap:
+    """The left map M(tau w) -> E of the almost split sequence ending at M_word.
+
+    ``middle`` is the source of ``ar_right_map``'s right map, whose
+    summands this map reaches in the same order.  Node k of the surgery
+    word goes to node k - shift of the right-op middle minus node k of
+    the left-op middle.  For w ~ P_v/soc P_v the left term is rad P_v:
+    its nodes go to their arm prefixes in P_v, scaled along the second
+    arm to meet the first at the socle, minus the same multiple of their
+    nodes in the rad/soc summands.
+    """
+    _require_input(table, word)
+    f = table.field
+    vertices = table.quiver.vertices
+    v = as_proj_quotient(table, word)
+    if v is None:
+        surg = _two_sided(table, word, "tau")
+        L = string_module(table, surg.word)
+        right, left = side_ops(table, word, "tau")
+        parts = [(string_module(table, op.word), shift, sign)
+                 for op, shift, sign in ((right, surg.shift, f.one),
+                                         (left, 0, f.neg(f.one)))
+                 if not isinstance(op.word, EmptyWord)]
+        offsets = _offsets([S for S, _, _ in parts], vertices)
+        blocks = {u: [{} for _ in range(L.dims[u])] for u in vertices}
+        for k, (u, row) in L.node_positions.items():
+            for (S, shift, sign), offset in zip(parts, offsets):
+                node = S.node_positions.get(k - shift)
+                if node is None:
+                    continue
+                if node[0] != u:
+                    raise RuntimeError(f"node alignment failed for the left map of {word}")
+                blocks[u][row][offset[u] + node[1]] = sign
+        return RepMap(L, middle, blocks)
+    arms = [arm.arrows for arm in table.arms(v)]
+    L = string_module(table, rad_word(table, v))
+    summands = {idx: string_module(table, inner)
+                for idx, inner in _rad_mod_soc_words(table, v)}
+    offsets = _offsets([*summands.values(), projective(table, v)], vertices)
+    summand_offsets = dict(zip(summands, offsets))
+    # node i of rad P_v is the prefix of length i + 1 of arm 0, then the
+    # word climbs arm 1 from the socle
+    prefixes = [(0, m) for m in range(1, len(arms[0]) + 1)]
+    if len(arms) == 2:
+        prefixes += [(1, m) for m in range(len(arms[1]) - 1, 0, -1)]
+    scale = {0: f.one}
+    if len(arms) == 2:
+        scale[1] = la.multiple_of(table.nf_vector(arms[0]), table.nf_vector(arms[1]), f)
+        if not scale[1]:
+            raise RuntimeError(f"the arms at {v} do not meet in the socle")
+    blocks = {u: [{} for _ in range(L.dims[u])] for u in vertices}
+    for k, (idx, m) in enumerate(prefixes):
+        u, row = L.node_positions[k]
+        c = scale[idx]
+        image = {offsets[-1][u] + t: x for t, x in
+                 _path_row(table, v, arms[idx][:m], u, c).items()}
+        if idx in summands and m < len(arms[idx]):
+            S = summands[idx]
+            node = S.node_positions[m - 1]
+            image[summand_offsets[idx][u] + node[1]] = f.neg(c)
+        blocks[u][row] = image
+    return RepMap(L, middle, blocks)
 
 
 # -- tau-period-one exclusions ---------------------------------------------

@@ -15,8 +15,11 @@ the two ``reference_*_witnesses`` test "nonzero and outside the socle" on
 ``AlgebraTable.off_socle`` answered it.  ``reference_strip_projectives``
 splits off projective summands by solving Hom(C, e_v A) at every vertex,
 as ``reps.strip_projectives`` did before it read the rank of the socle
-line.  ``top_dims``, ``cosyzygy`` and ``stable_class_is_zero`` are module
-queries that only tests ask.
+line.  ``reference_tau_syzygy`` and ``reference_ar_exact`` are the
+``tau-syzygy-oracle`` and ``ar-sequence-exactness`` sweep checks by
+kernels and an isomorphism search, as the sweep made them before it
+checked witnessed exact sequences.  ``top_dims``, ``cosyzygy`` and
+``stable_class_is_zero`` are module queries that only tests ask.
 """
 
 import itertools
@@ -24,7 +27,10 @@ import random
 
 from biserial.linalg import Echelon, row_nullspace
 from biserial.reps import (_factoring_maps, _top_generators, hom, injective_hull,
-                           kernel_of_map, projective, stack_maps)
+                           is_isomorphic, kernel_of_map, projective, stack_maps,
+                           syzygy)
+from biserial.strings import string_module
+from biserial.translate import ar_right_map, tau
 
 
 def verify_associativity(table) -> bool:
@@ -235,6 +241,21 @@ def reference_strip_projectives(table, C):
         return C, []
     reduced, _ = kernel_of_map(stack_maps(*chosen))
     return reduced, stripped
+
+
+def reference_tau_syzygy(table, word) -> bool:
+    """Whether M(tau w) ~ Omega^2 M(w), by two projective covers and Hom."""
+    M = string_module(table, word)
+    return is_isomorphic(table, string_module(table, tau(table, word)),
+                         syzygy(table, syzygy(table, M)))
+
+
+def reference_ar_exact(table, word) -> bool:
+    """Whether ``ar_right_map`` is onto with kernel M(tau w), by Hom."""
+    _, g = ar_right_map(table, word)
+    K, _ = kernel_of_map(g)
+    return g.is_surjective() and is_isomorphic(
+        table, K, string_module(table, tau(table, word)))
 
 
 def top_dims(M) -> dict:

@@ -2,25 +2,29 @@ from collections import Counter
 
 import pytest
 
+import biserial.sweep
+import biserial.translate
 from biserial.core import build_table
 from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
                                 loop_algebra, random_standard_data)
 from biserial.normalizer import build_from_standard_data
-from biserial.reps import (direct_sum, find_isomorphism, is_isomorphic,
-                           kernel_of_map, mapping_cone_rep, strip_projectives,
-                           syzygy)
+from biserial.reps import (RepMap, direct_sum, exactness_defect, find_isomorphism,
+                           is_isomorphic, is_short_exact, kernel_of_map,
+                           mapping_cone_rep, strip_projectives, syzygy)
 from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero,
                               canonical_form, enumerate_strings, left_op,
                               node_vertices, reverse_word, right_op,
                               string_module, words_equal)
 from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
-                                _node_map, _quotient_node, ar_right_map,
+                                _node_map, _quotient_node, ar_left_map, ar_right_map,
                                 ar_sequence, canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
-                                cone_of_canonical_map, proj_quotient_word,
-                                rad_word, reversal_map, tau, tau_inv)
-from table_reference import cosyzygy, stable_class_is_zero
+                                cone_of_canonical_map, omega_sequence, omega_word,
+                                proj_quotient_word, rad_word, reversal_map, tau,
+                                tau_inv)
+from table_reference import (cosyzygy, reference_ar_exact, reference_tau_syzygy,
+                             stable_class_is_zero)
 
 
 SEEDS = range(40)
@@ -215,16 +219,16 @@ def test_ar_right_map_exact_and_almost_split():
 
 @pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
 def test_warm_translates_agree_with_a_fresh_table(swept_tables, fixture):
-    """tau and tau_inv after a sweep equal their values on a cold table."""
+    """tau, tau_inv and omega_word after a sweep equal their values on a cold table."""
     warm = swept_tables(fixture(), max_len=4)[0]
     assert warm._translates
     for c in enumerate_strings(warm, 4):
         for x in (c, reverse_word(c)):
             for op in (tau, tau_inv):
                 assert op(warm, x) == op(build_table(fixture()), x), (op.__name__, str(x))
+    ops = {"tau": tau, "tauinv": tau_inv, "omega": omega_word}
     for (mode, x), value in warm._translates.items():
-        op = tau if mode == "tau" else tau_inv
-        assert value == op(build_table(fixture()), x)
+        assert value == ops[mode](build_table(fixture()), x)
 
 
 def test_translate_errors_are_never_cached():
@@ -294,7 +298,7 @@ def test_cone_does_not_depend_on_the_reading_direction():
             assert cone.case == mirror.case, str(c)
             assert Counter(cone.summands) == Counter(mirror.summands), str(c)
             compared += 1
-    assert compared > 2000
+    assert compared > 1800
 
 
 def test_invalid_word_raises_on_every_translate_call():
@@ -352,3 +356,105 @@ def test_reversal_map_is_the_reverse_isomorphism(fixture, field):
             planted += 1
     # the strings of a3z all differ in their dimension vectors
     assert planted or fixture is alg_a3z
+
+
+# -- witnessed exact sequences ---------------------------------------------
+
+def standard_tables(max_dim):
+    """The standard algebras of seeds 0-39 over F3, Q and F2 up to dimension max_dim."""
+    for seed in SEEDS:
+        data = random_standard_data(seed)
+        for field in (Field(3), Field(0), Field(2)):
+            table = build_table(build_from_standard_data(*data, [], field))
+            if table.dim <= max_dim:
+                yield table
+
+
+def test_witnessed_checks_agree_with_the_hom_route():
+    """The witnessed sequences give the verdicts of the kernel-and-Hom
+    checks, and omega_word is the syzygy found by a projective cover."""
+    compared = 0
+    for t in standard_tables(24):
+        for c in enumerate_strings(t, 4):
+            once = omega_word(t, c)
+            assert is_isomorphic(t, string_module(t, once),
+                                 syzygy(t, string_module(t, c))), str(c)
+            witnessed = (is_short_exact(*omega_sequence(t, c))
+                         and is_short_exact(*omega_sequence(t, once))
+                         and words_equal(t.quiver, omega_word(t, once), tau(t, c)))
+            assert witnessed == reference_tau_syzygy(t, c), str(c)
+            _, g = ar_right_map(t, c)
+            assert (is_short_exact(ar_left_map(t, c, g.source), g)
+                    == reference_ar_exact(t, c)), str(c)
+            compared += 1
+    assert compared > 1800
+
+
+def test_exactness_defect_names_the_condition():
+    t = build_table(alg_n2())
+    incl, cover = omega_sequence(t, word("a"))
+    assert exactness_defect(incl, cover) == ""
+    zero = RepMap(incl.source, incl.target,
+                  {v: [{} for _ in range(n)] for v, n in incl.source.dims.items()})
+    assert exactness_defect(zero, cover) == "left map not injective"
+    assert exactness_defect(incl, RepMap(cover.source, cover.target,
+                                         {v: [{} for _ in range(n)] for v, n in
+                                          cover.source.dims.items()})) \
+        == "right map not surjective"
+    with pytest.raises(ValueError):
+        exactness_defect(incl, omega_sequence(build_table(alg_n2()), word("a"))[1])
+
+
+WITNESSED = ("tau-syzygy-oracle", "ar-sequence-exactness")
+
+
+@pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
+def test_witnessed_checks_ask_no_oracle(fixture, monkeypatch):
+    def asked(*args):
+        raise AssertionError("an oracle was asked")
+
+    for name in ("hom", "is_isomorphic", "kernel_of_map", "syzygy"):
+        monkeypatch.setattr(f"biserial.reps.{name}", asked)
+    monkeypatch.setattr("biserial.sweep.is_isomorphic", asked)
+    result = {r["check"]: r for r in biserial.sweep.run_sweep(fixture(), 4)["results"]}
+    for name in WITNESSED:
+        assert result[name] == {"check": name, "pass": True, "detail": "[]"}
+    # the cone check still asks the oracle, so the patch took
+    assert "an oracle was asked" in result["cone-oracle"]["detail"]
+
+
+def _failing_details(fixture):
+    """The sweep's witnessed checks that fail on the fixture, with their details."""
+    return {r["check"]: r["detail"] for r in biserial.sweep.run_sweep(fixture(), 3)["results"]
+            if not r["pass"]}
+
+
+def test_planted_glue_sign_fails_the_syzygy_step_by_name(monkeypatch):
+    """The glue element beta - alpha, planted as beta + alpha, is not in the kernel."""
+    walk = biserial.translate._omega_walk
+
+    def unsigned(table, word):
+        omega, peaks, marks = walk(table, word)
+        return omega, peaks, {k: [(i, arrows, 1) for i, arrows, _ in terms]
+                              for k, terms in marks.items()}
+
+    monkeypatch.setattr(biserial.translate, "_omega_walk", unsigned)
+    failing = _failing_details(alg_l2)
+    assert list(failing) == ["tau-syzygy-oracle"]
+    assert ": Omega w: composite is not zero" in failing["tau-syzygy-oracle"]
+
+
+def test_planted_left_map_sign_fails_the_ar_check_by_name(monkeypatch):
+    """The left map with the sign of its left-op middle flipped is no
+    kernel of the right map."""
+    def unsigned(table, word, middle):
+        f = ar_left_map(table, word, middle)
+        minus_one = table.field.neg(table.field.one)
+        blocks = {v: [{j: abs(x) if x == minus_one else x for j, x in row.items()}
+                      for row in rows] for v, rows in f.blocks.items()}
+        return RepMap(f.source, f.target, blocks)
+
+    monkeypatch.setattr(biserial.sweep, "ar_left_map", unsigned)
+    failing = _failing_details(alg_l2)
+    assert list(failing) == ["ar-sequence-exactness"]
+    assert ": composite is not zero" in failing["ar-sequence-exactness"]

@@ -272,11 +272,6 @@ def exactness_defect(f: RepMap, g: RepMap) -> str:
     return ""
 
 
-def is_short_exact(f: RepMap, g: RepMap) -> bool:
-    """Whether 0 -> L -f-> E -g-> R -> 0 is short exact; see exactness_defect."""
-    return not exactness_defect(f, g)
-
-
 def radical_rows(M: ModuleRep) -> dict:
     """Per-vertex spanning rows of rad(M) = sum of arrow images."""
     table = M.table

@@ -7,9 +7,7 @@ only ever certified up to an explicit length bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import AlgebraTable, DomainError
+from .core import AlgebraTable, DomainError, Record
 from .linalg import multiple_of
 from .reps import stable_hom_dim
 from .strings import (Letter, StringWord, _can_append, canonical_form,
@@ -70,11 +68,10 @@ def check_bounded_maximality(table: AlgebraTable, words, max_len: int):
     return True, None
 
 
-@dataclass
-class SProjectiveInfo:
-    word: StringWord            # N = tau^{-1} Omega(M)
-    s_top: StringWord           # the member M
-    s_rad: list                 # up to two words
+class SProjectiveInfo(Record):
+    __slots__ = ("word",    # N = tau^{-1} Omega(M)
+                 "s_top",   # the member M
+                 "s_rad")   # up to two words
 
 
 def s_projective(table: AlgebraTable, system, member: StringWord) -> SProjectiveInfo:

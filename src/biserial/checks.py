@@ -8,9 +8,7 @@ are collected exhaustively for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import (AlgebraTable, DomainError, Quiver,
+from .core import (AlgebraTable, DomainError, Quiver, Record,
                    check_selfinjective_symmetric)
 
 
@@ -18,12 +16,9 @@ class NotSelfinjective(DomainError):
     pass
 
 
-@dataclass
-class ClassReport:
-    is_special_biserial: bool
-    is_stably_biserial: bool
-    witnesses: list = field(default_factory=list)
-    in_out_degrees: dict = field(default_factory=dict)
+class ClassReport(Record):
+    __slots__ = ("is_special_biserial", "is_stably_biserial", "witnesses",
+                 "in_out_degrees")
 
 
 def _continuations(table: AlgebraTable, arrow: str, socle_free: bool, before: bool = False):

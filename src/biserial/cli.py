@@ -7,9 +7,14 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 
 Each process runs one subcommand, so at module level this imports only
 what parsing, loading a presentation and reporting need; each ``cmd_*``
-imports the layers it runs.  ``basis`` loads no layer above ``core``, and
-only the subcommands that need the oracle or the translation calculus
-load ``reps`` and ``translate``.
+imports the layers it runs.  Beyond ``core`` and its helpers: ``basis``
+loads nothing more; ``check`` loads ``checks``; ``nodes`` ``nodes``;
+``strings`` ``strings``; ``normalize`` and ``ssb`` ``checks`` and
+``normalizer``; ``hom`` ``checks``, ``strings`` and ``reps``; ``tau``,
+``ar`` and ``cone`` ``checks``, ``strings`` and ``translate``, where
+``ar`` adds ``reps`` only for a word P/soc P; ``bricks`` loads those
+and ``bricks`` and ``reps``; ``sweep`` loads every layer but
+``instances``.
 """
 
 from __future__ import annotations
@@ -180,14 +185,13 @@ def cmd_ar(args) -> dict:
 
 
 def cmd_cone(args) -> dict:
-    from .translate import canonical_map_to_tau_inv, cone_of_canonical_map
+    from .translate import cone_of_canonical_map, tau_inv
     table = _table(args)
     word = _word(table, args.string)
-    cm = canonical_map_to_tau_inv(table, word)
     cone = cone_of_canonical_map(table, word)
     return {
         "case": cone.case,
-        "tau_inverse": str(cm.target_word),
+        "tau_inverse": str(tau_inv(table, word)),
         "summands": [str(s) for s in cone.summands],
     }
 

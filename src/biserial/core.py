@@ -14,11 +14,51 @@ share) and raises ``InconsistentRelations`` unless it is associative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .fields import Field
 from .linalg import Echelon, dot, mat_mul, sparse_nullspace, sub_multiple
+
+
+class Record:
+    """A plain record over its ``__slots__``, compared like a dataclass.
+
+    The constructor takes the fields in slot order.  Records are equal
+    when they have the same class and equal fields, and print as
+    ``Name(field=value, ...)``.  A subclass declared with ``frozen=True``
+    is hashed by its fields, so callers must not change its fields; any
+    other is unhashable.  Records built in hot loops define their own
+    ``__init__``, which is faster than this one.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=False):
+        super().__init_subclass__()
+        if not frozen:
+            cls.__hash__ = None
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(self.__slots__)}; got {len(values)} values")
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _record_values(self) == _record_values(other)
+
+    def __hash__(self):
+        return hash(_record_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _record_values(record: Record) -> tuple:
+    return tuple([getattr(record, name) for name in record.__slots__])
 
 
 class PresentationError(DomainError):
@@ -41,11 +81,13 @@ class UnsupportedRelation(PresentationError):
     pass
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(Record, frozen=True):
+    __slots__ = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str):
+        self.name = name
+        self.source = source
+        self.target = target
 
 
 class Quiver:
@@ -106,11 +148,13 @@ class Quiver:
         return Path(arrow_names, self.source(arrow_names[0]), self.target(arrow_names[-1]))
 
 
-@dataclass(frozen=True)
-class Path:
-    arrows: tuple
-    source: str
-    target: str
+class Path(Record, frozen=True):
+    __slots__ = ("arrows", "source", "target")
+
+    def __init__(self, arrows: tuple, source: str, target: str):
+        self.arrows = arrows
+        self.source = source
+        self.target = target
 
     @property
     def length(self) -> int:
@@ -120,34 +164,24 @@ class Path:
         return " ".join(self.arrows) if self.arrows else f"e_{self.source}"
 
 
-@dataclass(frozen=True)
-class ZeroRelation:
-    path: Path
+class ZeroRelation(Record, frozen=True):
+    __slots__ = ("path",)
 
 
-@dataclass(frozen=True)
-class EqualityRelation:
+class EqualityRelation(Record, frozen=True):
     """left = coeff * right for parallel paths with distinct first arrows."""
 
-    left: Path
-    coeff: object
-    right: Path
+    __slots__ = ("left", "coeff", "right")
 
 
-@dataclass(frozen=True)
-class SocleDeformation:
+class SocleDeformation(Record, frozen=True):
     """A length-2 product equal to a multiple of an admissible socle path."""
 
-    left: Path
-    coeff: object
-    right: Path
+    __slots__ = ("left", "coeff", "right")
 
 
-@dataclass
-class AlgebraPresentation:
-    field: Field
-    quiver: Quiver
-    relations: list
+class AlgebraPresentation(Record):
+    __slots__ = ("field", "quiver", "relations")
 
 
 def format_relation(rel, field: Field) -> str:
@@ -223,6 +257,7 @@ class AlgebraTable:
         self._string_modules = {}        # strings.string_module: word -> module
         self._translates = {}            # translate.tau/tau_inv: (mode, word) -> word
         self._side_ops = {}              # strings.right_op/left_op: (side, mode, word, exclude) -> SideOp
+        self._tails = {}                 # strings._tail: first letter of a hook or co-hook -> the run after it
 
     # -- rule compilation ------------------------------------------------
 
@@ -630,10 +665,9 @@ def build_table(pres: AlgebraPresentation) -> AlgebraTable:
     return AlgebraTable(pres)
 
 
-@dataclass
-class SymmetryReport:
-    verdict: str         # not-selfinjective | selfinjective | symmetric
-    form: dict | None    # basis index -> scalar, a symmetrizing functional phi
+class SymmetryReport(Record):
+    __slots__ = ("verdict",   # not-selfinjective | selfinjective | symmetric
+                 "form")      # basis index -> scalar, a symmetrizing functional phi, or None
 
 
 def check_selfinjective_symmetric(table: AlgebraTable) -> SymmetryReport:

@@ -7,16 +7,13 @@ sink and a source, preserving the count of non-projective simples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (AlgebraPresentation, AlgebraTable, EqualityRelation,
-                   Quiver, QuiverError, SocleDeformation, ZeroRelation)
+                   Quiver, QuiverError, Record, SocleDeformation, ZeroRelation)
 
 
-@dataclass
-class NodeReport:
-    nodes: list
-    evidence: dict   # vertex -> {non_projective, non_injective, compositions_vanish}
+class NodeReport(Record):
+    __slots__ = ("nodes",
+                 "evidence")   # vertex -> {non_projective, non_injective, compositions_vanish}
 
 
 def detect_nodes(table: AlgebraTable) -> NodeReport:

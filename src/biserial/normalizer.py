@@ -11,14 +11,12 @@ data; the inverse constructor rebuilds a presentation from that data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg as la
 from .checks import (_continuations, _stably_biserial_conditions,
                      is_local_nakayama)
 from .core import (AlgebraPresentation, AlgebraTable, DomainError,
-                   EqualityRelation, Quiver, SocleDeformation, ZeroRelation,
-                   build_table, check_selfinjective_symmetric)
+                   EqualityRelation, Quiver, Record, SocleDeformation,
+                   ZeroRelation, build_table, check_selfinjective_symmetric)
 from .fields import Field
 
 
@@ -50,25 +48,20 @@ class InvalidDeformation(DomainError):
     pass
 
 
-@dataclass
-class PiData:
-    pi: dict                    # arrow -> arrow
-    cycles: list                # list of arrow tuples
-    mult: dict                  # cycle tuple -> positive integer m
-    n: dict                     # arrow -> its cycle length
-    k: dict                     # arrow -> maximal nonzero power length
-    sc: dict                    # arrow -> socle path (tuple of arrows)
-    case_trace: dict = field(default_factory=dict)
+class PiData(Record):
+    __slots__ = ("pi",          # arrow -> arrow
+                 "cycles",      # list of arrow tuples
+                 "mult",        # cycle tuple -> positive integer m
+                 "n",           # arrow -> its cycle length
+                 "k",           # arrow -> maximal nonzero power length
+                 "sc",          # arrow -> socle path (tuple of arrows)
+                 "case_trace")
 
 
-@dataclass
-class Substitution:
+class Substitution(Record):
     """One generator substitution: arrow <- scale*arrow - coeff*path."""
 
-    arrow: str
-    scale: object
-    coeff: object
-    path: tuple
+    __slots__ = ("arrow", "scale", "coeff", "path")
 
     def describe(self, fmt) -> str:
         parts = []
@@ -80,13 +73,12 @@ class Substitution:
         return "; ".join(parts)
 
 
-@dataclass
-class NormalizedOutput:
-    base: AlgebraPresentation    # standard presentation from (Q, pi, m)
-    pi_data: PiData
-    deformations: list           # [(loop arrow, scalar)]
-    substitutions: list          # Substitution log, in application order
-    images: dict                 # arrow -> vector over the input table
+class NormalizedOutput(Record):
+    __slots__ = ("base",            # standard presentation from (Q, pi, m)
+                 "pi_data",
+                 "deformations",    # [(loop arrow, scalar)]
+                 "substitutions",   # Substitution log, in application order
+                 "images")          # arrow -> vector over the input table
 
 
 def _require_symmetric_stably_biserial(table: AlgebraTable):

@@ -25,11 +25,10 @@ with the generator maps e_v A -> N of the projective cover of N.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import linalg as la
 from .checks import NotSelfinjective
-from .core import (AlgebraTable, DomainError, _socle_lines, broken_relation,
+from .core import (AlgebraTable, DomainError, Record, _socle_lines, broken_relation,
                    build_table, check_selfinjective_symmetric, opposite_presentation)
 
 
@@ -65,16 +64,18 @@ class ModuleRep:
         return self.total_dim == 0
 
 
-@dataclass
-class RepMap:
+class RepMap(Record):
     """A homomorphism of representations as per-vertex blocks.
 
     blocks[v] holds source.dims[v] sparse rows over target.dims[v] columns.
     """
 
-    source: ModuleRep
-    target: ModuleRep
-    blocks: dict
+    __slots__ = ("source", "target", "blocks")
+
+    def __init__(self, source: ModuleRep, target: ModuleRep, blocks: dict):
+        self.source = source
+        self.target = target
+        self.blocks = blocks
 
     def intertwines(self) -> bool:
         f = self.source.field

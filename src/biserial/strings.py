@@ -8,10 +8,9 @@ one-sided operations with alignment metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import AlgebraTable, DomainError, Quiver
+from .core import AlgebraTable, DomainError, Quiver, Record
 
 
 class StringError(DomainError):
@@ -313,20 +312,22 @@ def is_band(table: AlgebraTable, word: StringWord) -> bool:
 
 # -- one-sided surgeries -------------------------------------------------
 
-@dataclass(frozen=True)
-class SideOp:
+class SideOp(Record, frozen=True):
     """Result of a one-sided surgery with alignment metadata.
 
     kind: 'cohook' | 'hook' (letters attached) or 'hook-delete' |
     'cohook-delete' (letters removed).  For attachments, ``segment`` holds
     the attached letters in word order; for deletions it holds the removed
     letters.  ``word`` is the resulting word or EMPTY.  Results are
-    memoized per table and shared, so they are frozen.
+    memoized per table and shared, so callers must not change them.
     """
 
-    word: object
-    kind: str
-    segment: tuple
+    __slots__ = ("word", "kind", "segment")
+
+    def __init__(self, word, kind: str, segment: tuple):
+        self.word = word
+        self.kind = kind
+        self.segment = segment
 
 
 def _attach(table: AlgebraTable, word: StringWord, inverse: bool, exclude=None):
@@ -334,28 +335,39 @@ def _attach(table: AlgebraTable, word: StringWord, inverse: bool, exclude=None):
     other, if valid: a co-hook (direct letter, inverse climb) or a hook
     (inverse letter, direct descent)."""
     q = table.quiver
-    firsts, steps = (q.in_arrows, q.out_arrows) if inverse else (q.out_arrows, q.in_arrows)
-    for a in firsts[word_target(q, word)]:
+    for a in (q.in_arrows if inverse else q.out_arrows)[word_target(q, word)]:
         if word.is_trivial() and a.name == exclude:
             continue
         first = Letter(a.name, inverse)
         if not _can_append(table, word, first):
             continue
-        w = append_letter(word, first)
-        segment = [first]
-        while True:
-            step = None
-            for b in steps[word_target(q, w)]:
-                cand = Letter(b.name, not inverse)
-                if _can_append(table, w, cand):
-                    step = cand
-                    break
-            if step is None:
-                break
-            w = append_letter(w, step)
-            segment.append(step)
-        return SideOp(w, "hook" if inverse else "cohook", tuple(segment))
+        segment = (first, *_tail(table, first))
+        return SideOp(StringWord(word.letters + segment),
+                      "hook" if inverse else "cohook", segment)
     return None
+
+
+def _tail(table: AlgebraTable, first: Letter) -> tuple:
+    """The maximal run of the other direction after ``first``, memoized per table.
+
+    The run depends on ``first`` alone: each step's reversal check sees
+    only the letter before it, and its trailing run starts after ``first``.
+    """
+    tail = table._tails.get(first)
+    if tail is None:
+        q = table.quiver
+        steps = q.out_arrows if first.inverse else q.in_arrows
+        w = StringWord((first,))
+        while True:
+            for b in steps[word_target(q, w)]:
+                cand = Letter(b.name, not first.inverse)
+                if _can_append(table, w, cand):
+                    w = append_letter(w, cand)
+                    break
+            else:
+                break
+        tail = table._tails[first] = w.letters[1:]
+    return tail
 
 
 def _truncate(word: StringWord, quiver: Quiver, keep: int):

@@ -6,17 +6,15 @@ co-hooks.  Quotients P/soc P and radicals rad P are recognized first and
 routed through the projective-middle sequence.  The canonical diagram
 map M -> tau^{-1}M is classified into the mono / epi / mixed / radical
 cases and its mapping cone is returned as two explicit string words.
+The functions that build module maps import ``reps`` when they run, so
+tau, tau^{-1}, the cone and most AR sequences load no oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg as la
 from .checks import check_special_biserial, is_local_nakayama
-from .core import AlgebraTable, DomainError, check_selfinjective_symmetric
-from .reps import (RepMap, _generator_map, _rad_mod_soc_words, decompose_rad_mod_soc,
-                   projective, vstack_maps)
+from .core import AlgebraTable, DomainError, Record, check_selfinjective_symmetric
 from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
                       directed_runs, left_op, letter_target, node_vertices,
                       reverse_word, right_op, side_ops, string_module,
@@ -125,8 +123,7 @@ def as_rad_of_projective(table: AlgebraTable, word: StringWord):
 
 # -- two-sided surgery ----------------------------------------------------
 
-@dataclass
-class Surgery:
+class Surgery(Record):
     """A full two-sided surgery with node-alignment data.
 
     Node i of the input word lands at node i + shift of the result, when
@@ -134,10 +131,13 @@ class Surgery:
     deletes letters, so a node survives iff its target index is in range.
     """
 
-    word: object                 # StringWord or EMPTY
-    right_kind: str
-    left_kind: str
-    shift: int = 0               # letters attached on the left minus letters deleted there
+    __slots__ = ("word", "right_kind", "left_kind", "shift")
+
+    def __init__(self, word, right_kind: str, left_kind: str, shift: int = 0):
+        self.word = word                # StringWord or EMPTY
+        self.right_kind = right_kind
+        self.left_kind = left_kind
+        self.shift = shift              # letters attached on the left minus letters deleted there
 
 
 def _left_shift(op) -> int:
@@ -235,12 +235,8 @@ def _translate(table: AlgebraTable, mode: str, word: StringWord) -> StringWord:
     return out
 
 
-@dataclass
-class ARSequence:
-    left: StringWord
-    middle_strings: list
-    middle_projective: str | None
-    right: StringWord
+class ARSequence(Record):
+    __slots__ = ("left", "middle_strings", "middle_projective", "right")
 
 
 def ar_sequence(table: AlgebraTable, word: StringWord) -> ARSequence:
@@ -249,6 +245,7 @@ def ar_sequence(table: AlgebraTable, word: StringWord) -> ARSequence:
     q = table.quiver
     v = as_proj_quotient(table, word)
     if v is not None:
+        from .reps import decompose_rad_mod_soc
         middles = [canonical_form(q, w) for w in decompose_rad_mod_soc(table, v)]
         return ARSequence(canonical_form(q, rad_word(table, v)), middles, v,
                           canonical_form(q, word))
@@ -260,17 +257,15 @@ def ar_sequence(table: AlgebraTable, word: StringWord) -> ARSequence:
 
 # -- the canonical map to tau^{-1} and its cone ----------------------------
 
-@dataclass
-class CanonicalMap:
-    case: str                  # 'i' | 'ii' | 'iii' | "iii'" | 'iv' | 'iv-uniserial'
-    rep_map: object            # RepMap from M to tau^{-1} M
-    target_word: object        # StringWord (or the quotient landmark word)
+class CanonicalMap(Record):
+    __slots__ = ("case",          # 'i' | 'ii' | 'iii' | "iii'" | 'iv' | 'iv-uniserial'
+                 "rep_map",       # RepMap from M to tau^{-1} M
+                 "target_word")   # StringWord (or the quotient landmark word)
 
 
-@dataclass
-class ConeResult:
-    case: str
-    summands: list             # up to two StringWords
+class ConeResult(Record):
+    __slots__ = ("case",
+                 "summands")      # up to two StringWords
 
 
 def _single_run(word: StringWord) -> bool:
@@ -353,12 +348,13 @@ def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
     return StringWord(tuple(letters))
 
 
-def _node_map(S, T, pairs, what: str) -> RepMap:
+def _node_map(S, T, pairs, what: str):
     """The diagram map S -> T sending basis vectors of S to nodes of T.
 
     ``pairs`` holds (source position (vertex, row), target node j); a pair
     whose j is not a node of T sends its vector to zero.
     """
+    from .reps import RepMap
     f = S.field
     blocks = {u: [{} for _ in range(S.dims[u])] for u in S.table.quiver.vertices}
     for (u, row), j in pairs:
@@ -371,7 +367,7 @@ def _node_map(S, T, pairs, what: str) -> RepMap:
     return RepMap(S, T, blocks)
 
 
-def reversal_map(table: AlgebraTable, word: StringWord) -> RepMap:
+def reversal_map(table: AlgebraTable, word: StringWord):
     """The isomorphism M(w) -> M(w^-1) sending node i to node n - i.
 
     The reversed word walks the same n + 1 nodes backwards, so this
@@ -458,6 +454,7 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
     Middle summands embed or project onto M_word by node correspondence,
     and a projective middle maps through its path basis.
     """
+    from .reps import _rad_mod_soc_words, projective, vstack_maps
     _require_input(table, word)
     q = table.quiver
     seq = ar_sequence(table, word)
@@ -621,6 +618,7 @@ def omega_sequence(table: AlgebraTable, word: StringWord):
     marked node to its designated element, scaled so that the letter
     before it carries it onto its left neighbour's image.
     """
+    from .reps import RepMap, _generator_map, projective, vstack_maps
     _require_input(table, word)
     f = table.field
     omega, peaks, marks = _omega_walk(table, word)
@@ -654,7 +652,7 @@ def omega_sequence(table: AlgebraTable, word: StringWord):
     return RepMap(K, P, blocks), cover
 
 
-def ar_left_map(table: AlgebraTable, word: StringWord, middle) -> RepMap:
+def ar_left_map(table: AlgebraTable, word: StringWord, middle):
     """The left map M(tau w) -> E of the almost split sequence ending at M_word.
 
     ``middle`` is the source of ``ar_right_map``'s right map, whose
@@ -665,6 +663,7 @@ def ar_left_map(table: AlgebraTable, word: StringWord, middle) -> RepMap:
     arm to meet the first at the socle, minus the same multiple of their
     nodes in the rad/soc summands.
     """
+    from .reps import RepMap, _rad_mod_soc_words, projective
     _require_input(table, word)
     f = table.field
     vertices = table.quiver.vertices

@@ -365,7 +365,8 @@ def test_sweep_check_exception_fails_only_that_check(monkeypatch):
 
 
 # python -m biserial.cli in a fresh interpreter, then the biserial modules
-# it loaded, as the last line of standard error
+# it loaded and which of the standard modules that compile or introspect
+# code it loaded, as the last line of standard error
 MODULE_PROBE = """
 import json, runpy, sys
 sys.argv[0] = "biserial"
@@ -374,36 +375,43 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
-                               if m.startswith("biserial."))]), file=sys.stderr)
+                               if m.startswith("biserial.")),
+                  [m for m in ("dataclasses", "inspect", "ast") if m in sys.modules]]),
+      file=sys.stderr)
 """
 
 BASE_LAYERS = ["core", "errors", "fields", "linalg", "presentations"]
 ORACLE_LAYERS = ["checks", "reps", "strings"]
-LAYERS_RUN = (
-    (["basis", "n2"], []),
-    (["check", "l2"], ["checks"]),
-    (["nodes", "n2", "--split"], ["nodes"]),
-    (["strings", "l2", "--max-len", "3"], ["strings"]),
-    (["normalize", "l2"], ["checks", "normalizer"]),
-    (["ssb", "--quiver", "l2", "--pi", "a>b,b>a", "--mult", "a b:1"],
-     ["checks", "normalizer"]),
-    (["hom", "n2", "--from", "@1", "--to", "a"], ORACLE_LAYERS),
-    (["tau", "n2", "--string", "a"], [*ORACLE_LAYERS, "translate"]),
-    (["ar", "n2", "--string", "a"], [*ORACLE_LAYERS, "translate"]),
-    (["cone", "n2", "--string", "a"], [*ORACLE_LAYERS, "translate"]),
-    (["bricks", "n2", "--set", "@1,@2", "--max-len", "2"],
-     ["bricks", *ORACLE_LAYERS, "translate"]),
-)
+CALCULUS_LAYERS = ["checks", "strings", "translate"]
+# id -> (argv, layers beyond BASE_LAYERS)
+LAYERS_RUN = {
+    "basis": (["basis", "n2"], []),
+    "check": (["check", "l2"], ["checks"]),
+    "nodes": (["nodes", "n2", "--split"], ["nodes"]),
+    "strings": (["strings", "l2", "--max-len", "3"], ["strings"]),
+    "normalize": (["normalize", "l2"], ["checks", "normalizer"]),
+    "ssb": (["ssb", "--quiver", "l2", "--pi", "a>b,b>a", "--mult", "a b:1"],
+            ["checks", "normalizer"]),
+    "hom": (["hom", "n2", "--from", "@1", "--to", "a"], ORACLE_LAYERS),
+    "tau": (["tau", "n2", "--string", "a"], CALCULUS_LAYERS),
+    # "a" is P_1/soc P_1 on n2: the middle term rad/soc comes from reps
+    "ar": (["ar", "n2", "--string", "a"], [*CALCULUS_LAYERS, "reps"]),
+    "ar-non-landmark": (["ar", "n2", "--string", "@1"], CALCULUS_LAYERS),
+    "cone": (["cone", "n2", "--string", "a"], CALCULUS_LAYERS),
+    "bricks": (["bricks", "n2", "--set", "@1,@2", "--max-len", "2"],
+               ["bricks", *ORACLE_LAYERS, "translate"]),
+}
 
 
-@pytest.mark.parametrize("argv, layers", LAYERS_RUN,
-                         ids=[argv[0] for argv, _ in LAYERS_RUN])
+@pytest.mark.parametrize("argv, layers", LAYERS_RUN.values(), ids=list(LAYERS_RUN))
 def test_each_subcommand_loads_only_its_layers(algs, argv, layers):
-    """A command imports the layers it runs, and no others."""
+    """A command imports the layers it runs, and no others; none compiles
+    dataclasses or loads inspect or ast."""
     argv = [algs.get(a, a) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(biserial.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, "--json", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
-    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    code, loaded, introspection = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0 and json.loads(proc.stdout)
     assert loaded == sorted(BASE_LAYERS + layers)
+    assert introspection == []

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from biserial.core import (AlgebraPresentation, DomainError,
-                           InconsistentRelations, NonAdmissible, Quiver,
+from biserial.core import (AlgebraPresentation, Arrow, DomainError,
+                           EqualityRelation, InconsistentRelations, NonAdmissible,
+                           Path, Quiver, SocleDeformation, SymmetryReport,
                            ZeroRelation, build_table,
                            check_selfinjective_symmetric, opposite_presentation)
 from biserial.checks import (_continuations, _stably_biserial_conditions,
@@ -14,7 +15,10 @@ from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
                                 random_standard_data)
 from biserial.normalizer import build_from_standard_data
 from biserial.presentations import parse_presentation
+from biserial.reps import RepMap
+from biserial.strings import EMPTY, Letter, SideOp
 from biserial.sweep import run_sweep
+from biserial.translate import Surgery
 from table_reference import (ASSOCIATIVE_BUT_WRONG_TEXT, NON_CONFLUENT_TEXT,
                              TAIL_DROP_TEXT, ZERO_BEFORE_SUBSTITUTION_TEXT,
                              dense_socle, random_presentation_text,
@@ -27,6 +31,38 @@ from table_reference import (ASSOCIATIVE_BUT_WRONG_TEXT, NON_CONFLUENT_TEXT,
 
 def basis_strings(table):
     return [str(p) for p in table.basis]
+
+
+def test_records_compare_hash_and_print_like_dataclasses():
+    """Records are equal by class and fields, frozen ones hash by value, the
+    others are unhashable, and each prints as Name(field=value, ...)."""
+    a = Arrow("a", "1", "2")
+    assert repr(a) == "Arrow(name='a', source='1', target='2')"
+    assert a == Arrow("a", "1", "2") and hash(a) == hash(Arrow("a", "1", "2"))
+    assert a != Arrow("a", "1", "3") and a != ("a", "1", "2")
+    p = Path(("a",), "1", "2")
+    assert repr(ZeroRelation(p)) == ("ZeroRelation(path=Path(arrows=('a',), "
+                                     "source='1', target='2'))")
+    assert len({p, Path(("a",), "1", "2"), ZeroRelation(p), ZeroRelation(p)}) == 2
+    left, right = Path(("a", "b"), "1", "1"), Path(("c", "d"), "1", "1")
+    assert EqualityRelation(left, 2, right) == EqualityRelation(left, 2, right)
+    assert EqualityRelation(left, 2, right) != SocleDeformation(left, 2, right)
+    assert EqualityRelation(left, 2, right) != EqualityRelation(left, 3, right)
+    op = SideOp(EMPTY, "hook-delete", (Letter("a"),))
+    assert repr(op) == ("SideOp(word=<empty>, kind='hook-delete', "
+                        "segment=(Letter(arrow='a', inverse=False),))")
+    assert hash(op) == hash(SideOp(EMPTY, "hook-delete", (Letter("a"),)))
+    assert repr(Surgery(EMPTY, "hook", "cohook")) == (
+        "Surgery(word=<empty>, right_kind='hook', left_kind='cohook', shift=0)")
+    report = SymmetryReport("symmetric", {0: 1})
+    assert repr(report) == "SymmetryReport(verdict='symmetric', form={0: 1})"
+    assert report == SymmetryReport("symmetric", {0: 1})
+    for record in (report, Surgery(EMPTY, "hook", "cohook"), RepMap(None, None, {}),
+                   AlgebraPresentation(Field(3), Quiver(["1"], []), [])):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    with pytest.raises(TypeError, match="ZeroRelation takes the fields path; got 2 values"):
+        ZeroRelation(p, p)
 
 
 def test_alg_n2_table():

@@ -368,3 +368,29 @@ def test_package_names_resolve_to_their_definitions():
     with pytest.raises(AttributeError, match="no_such_name"):
         biserial.no_such_name
     assert not hasattr(biserial, "reversal_map")
+
+
+def _imported_modules(tree):
+    """(module, line) for every import statement, function-local ones too."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.module, node.lineno))
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    """Records are __slots__ classes over core.Record: dataclasses loads
+    inspect and ast and compiles generated methods at import, which every
+    CLI process would pay."""
+    found = [f"{path.name}:{line}" for path in sorted(LIBRARY.glob("*.py"))
+             for module, line in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+             if module.split(".")[0] == "dataclasses"]
+    assert found == []
+    # the scan sees both import forms, also inside a function
+    planted = ("import json\nfrom dataclasses import dataclass\n"
+               "def f():\n    import dataclasses as dc\n    from .core import Record\n")
+    assert _imported_modules(ast.parse(planted)) == [
+        ("json", 1), ("dataclasses", 2), ("dataclasses", 4)]

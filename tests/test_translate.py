@@ -12,7 +12,7 @@ from biserial.normalizer import build_from_standard_data
 from biserial.reps import (RepMap, direct_sum, exactness_defect, find_isomorphism,
                            is_isomorphic, kernel_of_map, mapping_cone_rep,
                            strip_projectives, syzygy)
-from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero,
+from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero, _tail,
                               canonical_form, enumerate_strings, left_op,
                               node_vertices, reverse_word, right_op,
                               string_module, words_equal)
@@ -266,6 +266,15 @@ def test_side_ops_are_shared_and_bad_modes_never_cached():
     assert all(mode != "tua" for _, mode, _, _ in t._side_ops)
 
 
+@pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
+def test_warm_tails_agree_with_a_fresh_table(swept_tables, fixture):
+    """Every hook and co-hook tail cached by a sweep equals a cold table's."""
+    warm = swept_tables(fixture(), max_len=4)[0]
+    assert {first.inverse for first in warm._tails} == {False, True}
+    for first, tail in warm._tails.items():
+        assert tail == _tail(build_table(fixture()), first), str(first)
+
+
 # -- node correspondences ----------------------------------------------------
 
 def test_quotient_node_places_every_arm_prefix():
@@ -286,6 +295,31 @@ def test_quotient_node_places_every_arm_prefix():
                     checked += 1
             assert sorted(nodes.values()) == list(range(len(verts))), v
     assert checked > 500
+
+
+def test_cone_tau_inverse_matches_the_canonical_map():
+    """The CLI's cone reports tau^{-1} w from the calculus, a canonical word;
+    it is the target of the canonical map M(w) -> tau^{-1} M(w), or both
+    raise alike."""
+    def outcome(fn, *args):
+        try:
+            return str(fn(*args))
+        except Exception as exc:
+            return type(exc)
+
+    compared = 0
+    for seed in SEEDS:
+        data = random_standard_data(seed)
+        for field in (Field(3), Field(0), Field(2)):
+            t = build_table(build_from_standard_data(*data, [], field))
+            if t.dim > 30:
+                continue
+            for c in enumerate_strings(t, 4):
+                calculus = outcome(tau_inv, t, c)
+                mapped = outcome(lambda: canonical_map_to_tau_inv(t, c).target_word)
+                assert calculus == mapped, (seed, field, str(c))
+                compared += 1
+    assert compared > 2000
 
 
 def test_cone_does_not_depend_on_the_reading_direction():

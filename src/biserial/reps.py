@@ -252,10 +252,9 @@ def cokernel_of_map(fmap: RepMap):
 def exactness_defect(f: RepMap, g: RepMap) -> str:
     """Why 0 -> L -f-> E -g-> R -> 0 is not short exact, or "" if it is.
 
-    f must map into the module g maps out of, and g must be a module map
-    (its callers build it as one).  The sequence is exact iff dim E =
-    dim L + dim R, f intertwines, f g = 0, f is injective and g is
-    surjective: then f(L) lies in ker g and both have dimension
+    f must map into the module g maps out of.  The sequence is exact iff
+    dim E = dim L + dim R, f and g intertwine, f g = 0, f is injective and
+    g is surjective: then f(L) lies in ker g and both have dimension
     dim E - dim R, so L ~ ker g.  Each defect disproves exactness.
     """
     if f.target is not g.source:
@@ -264,6 +263,8 @@ def exactness_defect(f: RepMap, g: RepMap) -> str:
         return "dimensions do not add up"
     if not f.intertwines():
         return "left map does not intertwine"
+    if not g.intertwines():
+        return "right map does not intertwine"
     if any(row for rows in f.compose(g).blocks.values() for row in rows):
         return "composite is not zero"
     if not f.is_injective():
@@ -533,8 +534,9 @@ def strip_projectives(table: AlgebraTable, C: ModuleRep):
     return reduced, stripped
 
 
-def stack_maps(*maps: RepMap) -> RepMap:
-    """(f1, ..., fn): M -> N1 (+) ... (+) Nn from maps with a common source."""
+def stack_maps(maps, target: ModuleRep) -> RepMap:
+    """(f1, ..., fn): M -> target from maps with a common source, where
+    target is the sum N1 (+) ... (+) Nn of their targets."""
     M = maps[0].source
     blocks = {}
     for v, n in M.dims.items():
@@ -544,7 +546,7 @@ def stack_maps(*maps: RepMap) -> RepMap:
                 row.update((shift + j, x) for j, x in part.items())
             shift += m.target.dims[v]
         blocks[v] = rows
-    return RepMap(M, direct_sum(*[m.target for m in maps]), blocks)
+    return RepMap(M, target, blocks)
 
 
 def vstack_maps(maps, target: ModuleRep) -> RepMap:
@@ -561,7 +563,8 @@ def mapping_cone_rep(table: AlgebraTable, fmap: RepMap):
     The result represents the cone only up to projective summands; use
     strip_projectives before comparing with a combinatorial answer.
     """
-    stacked = stack_maps(fmap, _hull_embedding(table, fmap.source))
+    maps = (fmap, _hull_embedding(table, fmap.source))
+    stacked = stack_maps(maps, direct_sum(*[m.target for m in maps]))
     cone, _ = cokernel_of_map(stacked)
     return cone
 

@@ -22,7 +22,7 @@ from .reps import (direct_sum, exactness_defect, is_isomorphic, mapping_cone_rep
                    opposite_table, stable_hom_dim, strip_projectives)
 from .strings import (canonical_form, enumerate_strings, reverse_word,
                       string_module as string_module_fn, words_equal)
-from .translate import (ar_left_map, ar_right_map, canonical_map_to_tau_inv,
+from .translate import (ar_right_map, canonical_map_to_tau_inv,
                         check_tau_period_one_exclusions, cone_of_canonical_map,
                         omega_sequence, omega_word, reversal_map, tau, tau_inv)
 
@@ -139,10 +139,8 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
         else:
             skip("tau-syzygy-oracle", "table not symmetric")
 
-        def ar_exact(w):
-            _, g = ar_right_map(table, w)
-            return exactness_defect(ar_left_map(table, w, g.source), g)
-        check_words("ar-sequence-exactness", ar_exact)
+        check_words("ar-sequence-exactness",
+                    lambda w: exactness_defect(*ar_right_map(table, w)))
 
         def cone_matches(w):
             cm = canonical_map_to_tau_inv(table, w)

@@ -6,8 +6,12 @@ co-hooks.  Quotients P/soc P and radicals rad P are recognized first and
 routed through the projective-middle sequence.  The canonical diagram
 map M -> tau^{-1}M is classified into the mono / epi / mixed / radical
 cases and its mapping cone is returned as two explicit string words.
-The functions that build module maps import ``reps`` when they run, so
-tau, tau^{-1}, the cone and most AR sequences load no oracle.
+Two exact sequences are built as pairs of maps, by node correspondence:
+``omega_sequence`` gives 0 -> Omega M -> P -> M -> 0 and ``ar_right_map``
+the almost split sequence 0 -> tau M -> E -> M -> 0, both maps from one
+walk over the middle summands, so ``reps.exactness_defect`` can witness
+each.  The functions that build module maps import ``reps`` when they
+run, so tau, tau^{-1}, the cone and most AR sequences load no oracle.
 """
 
 from __future__ import annotations
@@ -259,8 +263,7 @@ def ar_sequence(table: AlgebraTable, word: StringWord) -> ARSequence:
 
 class CanonicalMap(Record):
     __slots__ = ("case",          # 'i' | 'ii' | 'iii' | "iii'" | 'iv' | 'iv-uniserial'
-                 "rep_map",       # RepMap from M to tau^{-1} M
-                 "target_word")   # StringWord (or the quotient landmark word)
+                 "rep_map")       # RepMap from M to tau^{-1} M
 
 
 class ConeResult(Record):
@@ -348,14 +351,13 @@ def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
     return StringWord(tuple(letters))
 
 
-def _node_map(S, T, pairs, what: str):
-    """The diagram map S -> T sending basis vectors of S to nodes of T.
+def _node_map(S, T, pairs, what: str, c=1):
+    """The diagram map S -> T sending basis vectors of S to c times nodes of T.
 
     ``pairs`` holds (source position (vertex, row), target node j); a pair
     whose j is not a node of T sends its vector to zero.
     """
     from .reps import RepMap
-    f = S.field
     blocks = {u: [{} for _ in range(S.dims[u])] for u in S.table.quiver.vertices}
     for (u, row), j in pairs:
         node = T.node_positions.get(j)
@@ -363,7 +365,7 @@ def _node_map(S, T, pairs, what: str):
             continue
         if node[0] != u:
             raise RuntimeError(f"node alignment failed for {what}")
-        blocks[u][row][node[1]] = f.one
+        blocks[u][row][node[1]] = c
     return RepMap(S, T, blocks)
 
 
@@ -384,7 +386,6 @@ def reversal_map(table: AlgebraTable, word: StringWord):
 def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord) -> CanonicalMap:
     """The diagram-intersection morphism M -> tau^{-1}M with its case tag."""
     _require_input(table, word)
-    q = table.quiver
     v = as_rad_of_projective(table, word)
     if v is not None:
         # rad P -> P/soc P killing all but the first arm: the image is one
@@ -400,7 +401,7 @@ def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord) -> Canonical
         if not fmap.intertwines():
             raise RuntimeError(f"radical canonical map failed for {v}")
         case = "iv-uniserial" if len(arms) == 1 else "iv"
-        return CanonicalMap(case, fmap, canonical_form(q, qword))
+        return CanonicalMap(case, fmap)
     surg = _two_sided(table, word, "tauinv")
     if isinstance(surg.word, EmptyWord):
         raise RuntimeError(f"tau-inverse of {word} is empty")
@@ -411,7 +412,7 @@ def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord) -> Canonical
                      f"the canonical map of {word}")
     if not fmap.intertwines():
         raise RuntimeError(f"canonical map construction failed for {word}")
-    return CanonicalMap(case, fmap, canonical_form(q, surg.word))
+    return CanonicalMap(case, fmap)
 
 
 def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
@@ -447,57 +448,7 @@ def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
     return ConeResult(case, [canonical_form(q, s) for s in summands])
 
 
-def ar_right_map(table: AlgebraTable, word: StringWord):
-    """The almost split sequence with an explicit right map E -> M_word.
-
-    Returns (sequence, right RepMap); its kernel realizes the left term.
-    Middle summands embed or project onto M_word by node correspondence,
-    and a projective middle maps through its path basis.
-    """
-    from .reps import _rad_mod_soc_words, projective, vstack_maps
-    _require_input(table, word)
-    q = table.quiver
-    seq = ar_sequence(table, word)
-    v = as_proj_quotient(table, word)
-    comps = []
-    if v is not None:
-        M_real = string_module(table, proj_quotient_word(table, v))
-        arms = table.arms(v)
-        # rad/soc summands: node j of an arm's inner word is its prefix of length j + 1
-        for idx, inner in _rad_mod_soc_words(table, v):
-            S = string_module(table, inner)
-            comps.append(_node_map(S, M_real,
-                                   ((pos, _quotient_node(arms, idx, j + 1))
-                                    for j, pos in S.node_positions.items()),
-                                   f"the rad/soc summand at {v}"))
-        # the projective P_v maps onto P_v/soc through its path basis; the
-        # socle path has no node and dies
-        by_vertex = table.regular_action(v)[0]
-        node = {arm.arrows[:j]: _quotient_node(arms, idx, j)
-                for idx, arm in enumerate(arms) for j in range(len(arm.arrows))}
-        comps.append(_node_map(projective(table, v), M_real,
-                               (((u, t), node.get(table.basis[b].arrows))
-                                for u in q.vertices
-                                for t, b in enumerate(by_vertex[u])),
-                               f"the projective at {v}"))
-    else:
-        M_real = string_module(table, word)
-        right, left = side_ops(table, word, "tau")
-        # a left surgery moved the nodes it kept; move them back
-        for op, shift in ((right, 0), (left, -_left_shift(left))):
-            if isinstance(op.word, EmptyWord):
-                continue
-            S = string_module(table, op.word)
-            comps.append(_node_map(S, M_real,
-                                   ((pos, j + shift) for j, pos in S.node_positions.items()),
-                                   f"the middle of {word}"))
-    g = vstack_maps(comps, M_real)
-    if not g.intertwines():
-        raise RuntimeError(f"right map construction failed for {word}")
-    return seq, g
-
-
-# -- witnessed sequences: the syzygy and the AR left map -------------------
+# -- witnessed sequences: the syzygy and the almost split sequence ---------
 
 def _path_row(table: AlgebraTable, v: str, arrows, vertex: str, c) -> dict:
     """c times the path ``arrows`` from v, as a row of e_v A at ``vertex``."""
@@ -652,69 +603,82 @@ def omega_sequence(table: AlgebraTable, word: StringWord):
     return RepMap(K, P, blocks), cover
 
 
-def ar_left_map(table: AlgebraTable, word: StringWord, middle):
-    """The left map M(tau w) -> E of the almost split sequence ending at M_word.
+def ar_right_map(table: AlgebraTable, word: StringWord):
+    """(f, g) of the almost split sequence 0 -> M(tau w) -> E -> M_word -> 0.
 
-    ``middle`` is the source of ``ar_right_map``'s right map, whose
-    summands this map reaches in the same order.  Node k of the surgery
-    word goes to node k - shift of the right-op middle minus node k of
-    the left-op middle.  For w ~ P_v/soc P_v the left term is rad P_v:
-    its nodes go to their arm prefixes in P_v, scaled along the second
-    arm to meet the first at the socle, minus the same multiple of their
-    nodes in the rad/soc summands.
+    One walk over the middle summands S builds both of S's parts: g's
+    S -> M and f's M(tau w) -> S, stacked through the one middle term
+    E = g.source.  Off the landmarks the middles are the one-sided
+    surgeries: a node of S goes to its node of M, moved back where a left
+    surgery moved it, and node k of the surgery word goes to node
+    k - shift of the right-op middle and to minus node k of the left-op
+    middle.  For w ~ P_v/soc P_v the middles are the rad/soc summands and
+    P_v, which maps onto P_v/soc P_v through its path basis; the left term
+    rad P_v goes to its arm prefixes in P_v, scaled along the second arm
+    to meet the first at the socle, and to minus the same multiple of
+    their nodes in the rad/soc summands.
     """
-    from .reps import RepMap, _rad_mod_soc_words, projective
+    from .reps import RepMap, _rad_mod_soc_words, projective, stack_maps, vstack_maps
     _require_input(table, word)
     f = table.field
-    vertices = table.quiver.vertices
+    q = table.quiver
+    parts = []                   # (f's part into S, g's part out of S) per summand
     v = as_proj_quotient(table, word)
     if v is None:
         surg = _two_sided(table, word, "tau")
-        L = string_module(table, surg.word)
+        L, M = string_module(table, surg.word), string_module(table, word)
         right, left = side_ops(table, word, "tau")
-        parts = [(string_module(table, op.word), shift, sign)
-                 for op, shift, sign in ((right, surg.shift, f.one),
-                                         (left, 0, f.neg(f.one)))
-                 if not isinstance(op.word, EmptyWord)]
-        offsets = _offsets([S for S, _, _ in parts], vertices)
-        blocks = {u: [{} for _ in range(L.dims[u])] for u in vertices}
-        for k, (u, row) in L.node_positions.items():
-            for (S, shift, sign), offset in zip(parts, offsets):
-                node = S.node_positions.get(k - shift)
-                if node is None:
-                    continue
-                if node[0] != u:
-                    raise RuntimeError(f"node alignment failed for the left map of {word}")
-                blocks[u][row][offset[u] + node[1]] = sign
-        return RepMap(L, middle, blocks)
-    arms = [arm.arrows for arm in table.arms(v)]
-    L = string_module(table, rad_word(table, v))
-    summands = {idx: string_module(table, inner)
-                for idx, inner in _rad_mod_soc_words(table, v)}
-    offsets = _offsets([*summands.values(), projective(table, v)], vertices)
-    summand_offsets = dict(zip(summands, offsets))
-    # node i of rad P_v is the prefix of length i + 1 of arm 0, then the
-    # word climbs arm 1 from the socle
-    prefixes = [(0, m) for m in range(1, len(arms[0]) + 1)]
-    if len(arms) == 2:
-        prefixes += [(1, m) for m in range(len(arms[1]) - 1, 0, -1)]
-    scale = {0: f.one}
-    if len(arms) == 2:
-        scale[1] = la.multiple_of(table.nf_vector(arms[0]), table.nf_vector(arms[1]), f)
-        if not scale[1]:
-            raise RuntimeError(f"the arms at {v} do not meet in the socle")
-    blocks = {u: [{} for _ in range(L.dims[u])] for u in vertices}
-    for k, (idx, m) in enumerate(prefixes):
-        u, row = L.node_positions[k]
-        c = scale[idx]
-        image = {offsets[-1][u] + t: x for t, x in
-                 _path_row(table, v, arms[idx][:m], u, c).items()}
-        if idx in summands and m < len(arms[idx]):
-            S = summands[idx]
-            node = S.node_positions[m - 1]
-            image[summand_offsets[idx][u] + node[1]] = f.neg(c)
-        blocks[u][row] = image
-    return RepMap(L, middle, blocks)
+        # a left surgery moved the nodes it kept; move them back
+        for op, f_shift, g_shift, sign in ((right, surg.shift, 0, 1),
+                                           (left, 0, -_left_shift(left), f.neg(1))):
+            if isinstance(op.word, EmptyWord):
+                continue
+            S = string_module(table, op.word)
+            what = f"the middle of {word}"
+            parts.append((_node_map(L, S, ((pos, k - f_shift)
+                                           for k, pos in L.node_positions.items()),
+                                    what, sign),
+                          _node_map(S, M, ((pos, j + g_shift)
+                                           for j, pos in S.node_positions.items()), what)))
+    else:
+        arms = table.arms(v)
+        L = string_module(table, rad_word(table, v))
+        M = string_module(table, proj_quotient_word(table, v))
+        # node k of rad P_v is the prefix of length k + 1 of arm 0, then
+        # the word climbs arm 1 from the socle
+        prefixes = [(0, m) for m in range(1, len(arms[0].arrows) + 1)]
+        scale = [1]
+        if len(arms) == 2:
+            prefixes += [(1, m) for m in range(len(arms[1].arrows) - 1, 0, -1)]
+            scale.append(la.multiple_of(table.nf_vector(arms[0].arrows),
+                                        table.nf_vector(arms[1].arrows), f))
+            if not scale[1]:
+                raise RuntimeError(f"the arms at {v} do not meet in the socle")
+        # node j of a rad/soc summand is its arm's prefix of length j + 1
+        for idx, inner in _rad_mod_soc_words(table, v):
+            S = string_module(table, inner)
+            what = f"the rad/soc summand at {v}"
+            parts.append((_node_map(L, S, ((L.node_positions[k], m - 1)
+                                           for k, (i, m) in enumerate(prefixes) if i == idx),
+                                    what, f.neg(scale[idx])),
+                          _node_map(S, M, ((pos, _quotient_node(arms, idx, j + 1))
+                                           for j, pos in S.node_positions.items()), what)))
+        P = projective(table, v)
+        blocks = {u: [None] * L.dims[u] for u in q.vertices}
+        for k, (idx, m) in enumerate(prefixes):
+            u, row = L.node_positions[k]
+            blocks[u][row] = _path_row(table, v, arms[idx].arrows[:m], u, scale[idx])
+        # the socle path of P_v has no node and dies
+        by_vertex = table.regular_action(v)[0]
+        node = {arm.arrows[:j]: _quotient_node(arms, idx, j)
+                for idx, arm in enumerate(arms) for j in range(len(arm.arrows))}
+        parts.append((RepMap(L, P, blocks),
+                      _node_map(P, M, (((u, t), node.get(table.basis[b].arrows))
+                                       for u in q.vertices
+                                       for t, b in enumerate(by_vertex[u])),
+                                f"the projective at {v}")))
+    g = vstack_maps([part for _, part in parts], M)
+    return stack_maps([part for part, _ in parts], g.source), g
 
 
 # -- tau-period-one exclusions ---------------------------------------------

@@ -26,9 +26,9 @@ import itertools
 import random
 
 from biserial.linalg import Echelon, row_nullspace
-from biserial.reps import (_factoring_maps, _top_generators, hom, injective_hull,
-                           is_isomorphic, kernel_of_map, projective, stack_maps,
-                           syzygy)
+from biserial.reps import (_factoring_maps, _top_generators, direct_sum, hom,
+                           injective_hull, is_isomorphic, kernel_of_map, projective,
+                           stack_maps, syzygy)
 from biserial.strings import string_module
 from biserial.translate import ar_right_map, tau
 
@@ -239,7 +239,7 @@ def reference_strip_projectives(table, C):
                 stripped.append(v)
     if not chosen:
         return C, []
-    reduced, _ = kernel_of_map(stack_maps(*chosen))
+    reduced, _ = kernel_of_map(stack_maps(chosen, direct_sum(*[g.target for g in chosen])))
     return reduced, stripped
 
 
@@ -251,8 +251,11 @@ def reference_tau_syzygy(table, word) -> bool:
 
 
 def reference_ar_exact(table, word) -> bool:
-    """Whether ``ar_right_map`` is onto with kernel M(tau w), by Hom."""
+    """Whether ``ar_right_map``'s right map is a module map onto M(w) with
+    kernel M(tau w), by Hom."""
     _, g = ar_right_map(table, word)
+    if not g.intertwines():
+        return False
     K, _ = kernel_of_map(g)
     return g.is_surjective() and is_isomorphic(
         table, K, string_module(table, tau(table, word)))

@@ -21,9 +21,9 @@ from biserial.instances import (acceptance_pool, alg_l2, alg_l2d, alg_n2,
 from biserial.nodes import (detect_nodes, nonprojective_simple_count,
                             split_nodes)
 from biserial.normalizer import build_from_standard_data, normalize
-from biserial.reps import (direct_sum, hom, is_isomorphic, kernel_of_map,
-                           mapping_cone_rep, projective, stable_hom_dim,
-                           strip_projectives, syzygy)
+from biserial.reps import (direct_sum, exactness_defect, hom, is_isomorphic,
+                           kernel_of_map, mapping_cone_rep, projective,
+                           stable_hom_dim, strip_projectives, syzygy)
 from biserial.strings import (StringWord, canonical_form, enumerate_strings,
                               reverse_word, words_equal)
 from biserial.strings import string_module as smod
@@ -80,7 +80,8 @@ def _almost_split_check(table, words):
     X_list += [(None, projective(table, v)) for v in table.quiver.vertices]
     checked = 0
     for c in words:
-        seq, g = ar_right_map(table, c)
+        f, g = ar_right_map(table, c)
+        assert exactness_defect(f, g) == "", str(c)
         K, _ = kernel_of_map(g)
         assert g.is_surjective(), str(c)
         assert is_isomorphic(table, K, smod(table, tau(table, c))), str(c)

@@ -10,8 +10,9 @@ AlgebraTable.__init__, and every one on a module in ModuleRep.__init__;
 no module binds a mutable container that could serve as a second cache.
 No module imports a name it never reads, no function takes a parameter
 it never reads, and no private function or method is left without a
-caller; a public function of ``linalg`` has a caller in the library or a
-span in the tracer.  ``import biserial`` loads no submodule: the package
+caller; a public function has a caller in the library, a span in the
+tracer or a place in ``biserial.__all__`` (the fixture module
+``instances`` is exempt).  ``import biserial`` loads no submodule: the package
 resolves its public names on first access.
 """
 
@@ -309,21 +310,31 @@ def _uncalled_public(sources, module, spanned):
     return _unreferenced(refs, module, public)
 
 
-def test_every_public_linalg_function_has_a_caller_or_a_span():
+def _uncalled_in_library(sources, spanned, exported):
+    """Public functions of every module but the fixture module ``instances``
+    that have no span, are not exported and have no caller."""
+    return [found for module in sources if module != "instances.py"
+            for found in _uncalled_public(sources, module,
+                                          (*spanned.get(module[:-3], ()), *exported))]
+
+
+def test_every_public_function_has_a_caller_or_a_span():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(LIBRARY.glob("*.py"))}
-    spanned = load_tracer().SPANNED["linalg"]
-    assert _uncalled_public(sources, "linalg.py", spanned) == []
+    assert _uncalled_in_library(sources, load_tracer().SPANNED, biserial.__all__) == []
     # the scan sees a planted helper left behind, also one that only calls
-    # itself; a spanned name, a private one and a caller elsewhere count
+    # itself, in linalg and elsewhere; a spanned name, an exported one, a
+    # private one, a caller elsewhere and the fixture module count
     planted = {"linalg.py": ("def used():\n    pass\n"
                              "def traced():\n    pass\n"
                              "def dense(row):\n    pass\n"
                              "def _kernel():\n    pass\n"
                              "def zeros(n):\n    return zeros(n - 1)\n"),
-               "reps.py": "from . import linalg as la\nla.used()\n"}
-    assert _uncalled_public(planted, "linalg.py", ("traced",)) == [
-        "linalg.py:5 dense", "linalg.py:9 zeros"]
+               "reps.py": "from . import linalg as la\nla.used()\n",
+               "strings.py": "def tau():\n    pass\ndef stray():\n    pass\n",
+               "instances.py": "def alg_n2():\n    pass\n"}
+    assert _uncalled_in_library(planted, {"linalg": ("traced",)}, ("tau",)) == [
+        "linalg.py:5 dense", "linalg.py:9 zeros", "strings.py:3 stray"]
 
 
 def _eager_imports(tree):

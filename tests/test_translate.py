@@ -9,15 +9,15 @@ from biserial.fields import Field
 from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
                                 loop_algebra, random_standard_data)
 from biserial.normalizer import build_from_standard_data
-from biserial.reps import (RepMap, direct_sum, exactness_defect, find_isomorphism,
-                           is_isomorphic, kernel_of_map, mapping_cone_rep,
-                           strip_projectives, syzygy)
+from biserial.reps import (RepMap, decompose_rad_mod_soc, direct_sum, exactness_defect,
+                           find_isomorphism, is_isomorphic, kernel_of_map,
+                           mapping_cone_rep, projective, strip_projectives, syzygy)
 from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero, _tail,
                               canonical_form, enumerate_strings, left_op,
                               node_vertices, reverse_word, right_op,
                               string_module, words_equal)
 from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
-                                _node_map, _quotient_node, ar_left_map, ar_right_map,
+                                _node_map, _quotient_node, ar_right_map,
                                 ar_sequence, canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
                                 cone_of_canonical_map, omega_sequence, omega_word,
@@ -194,13 +194,14 @@ def test_omega_inv_word_oracle():
 
 def test_ar_right_map_exact_and_almost_split():
     import biserial.linalg as la
-    from biserial.reps import hom, projective
+    from biserial.reps import hom
     t = build_table(alg_n2())
     words = enumerate_strings(t, 8)
     X_list = [(w, string_module(t, w)) for w in words]
     X_list += [(None, projective(t, v)) for v in t.quiver.vertices]
     for c in words:
-        seq, g = ar_right_map(t, c)
+        f, g = ar_right_map(t, c)
+        assert exactness_defect(f, g) == "", str(c)
         K, _ = kernel_of_map(g)
         assert g.is_surjective()
         assert is_isomorphic(t, K, string_module(t, tau(t, c)))
@@ -299,11 +300,11 @@ def test_quotient_node_places_every_arm_prefix():
 
 def test_cone_tau_inverse_matches_the_canonical_map():
     """The CLI's cone reports tau^{-1} w from the calculus, a canonical word;
-    it is the target of the canonical map M(w) -> tau^{-1} M(w), or both
-    raise alike."""
-    def outcome(fn, *args):
+    the canonical map M(w) -> tau^{-1} M(w) lands in the module of that
+    word or of its reverse, or both raise alike."""
+    def outcome(fn):
         try:
-            return str(fn(*args))
+            return fn()
         except Exception as exc:
             return type(exc)
 
@@ -315,9 +316,14 @@ def test_cone_tau_inverse_matches_the_canonical_map():
             if t.dim > 30:
                 continue
             for c in enumerate_strings(t, 4):
-                calculus = outcome(tau_inv, t, c)
-                mapped = outcome(lambda: canonical_map_to_tau_inv(t, c).target_word)
-                assert calculus == mapped, (seed, field, str(c))
+                calculus = outcome(lambda: tau_inv(t, c))
+                mapped = outcome(lambda: canonical_map_to_tau_inv(t, c).rep_map.target)
+                if isinstance(calculus, StringWord):
+                    assert (mapped is string_module(t, calculus)
+                            or mapped is string_module(t, reverse_word(calculus))), \
+                        (seed, field, str(c))
+                else:
+                    assert mapped is calculus, (seed, field, str(c))
                 compared += 1
     assert compared > 2000
 
@@ -417,11 +423,32 @@ def test_witnessed_checks_agree_with_the_hom_route():
                          and not exactness_defect(*omega_sequence(t, once))
                          and words_equal(t.quiver, omega_word(t, once), tau(t, c)))
             assert witnessed == reference_tau_syzygy(t, c), str(c)
-            _, g = ar_right_map(t, c)
-            assert ((not exactness_defect(ar_left_map(t, c, g.source), g))
+            assert ((not exactness_defect(*ar_right_map(t, c)))
                     == reference_ar_exact(t, c)), str(c)
             compared += 1
     assert compared > 1800
+
+
+def test_ar_sequence_at_every_projective_quotient():
+    """The witnessed almost split sequence ending at each P_v/soc P_v, at
+    every length, is exact through one middle term: the rad/soc summands
+    and e_v A."""
+    checked = longer = 0
+    for t in standard_tables(float("inf")):
+        for v in t.quiver.vertices:
+            if not t.quiver.out_arrows[v]:
+                continue
+            w = proj_quotient_word(t, v)
+            f, g = ar_right_map(t, w)
+            assert f.target is g.source
+            assert exactness_defect(f, g) == "", (str(w), v)
+            summands = [projective(t, v)] + [string_module(t, s)
+                                              for s in decompose_rad_mod_soc(t, v)]
+            assert g.source.dims == {u: sum(S.dims[u] for S in summands)
+                                     for u in t.quiver.vertices}, (str(w), v)
+            checked += 1
+            longer += w.length > 4
+    assert checked > 380 and longer > 150
 
 
 def test_exactness_defect_names_the_condition():
@@ -435,6 +462,10 @@ def test_exactness_defect_names_the_condition():
                                          {v: [{} for _ in range(n)] for v, n in
                                           cover.source.dims.items()})) \
         == "right map not surjective"
+    # the cover with its block at vertex 1 zeroed no longer commutes with a
+    broken = {**cover.blocks, "1": [{} for _ in cover.blocks["1"]]}
+    assert exactness_defect(incl, RepMap(cover.source, cover.target, broken)) \
+        == "right map does not intertwine"
     with pytest.raises(ValueError):
         exactness_defect(incl, omega_sequence(build_table(alg_n2()), word("a"))[1])
 
@@ -481,14 +512,14 @@ def test_planted_glue_sign_fails_the_syzygy_step_by_name(monkeypatch):
 def test_planted_left_map_sign_fails_the_ar_check_by_name(monkeypatch):
     """The left map with the sign of its left-op middle flipped is no
     kernel of the right map."""
-    def unsigned(table, word, middle):
-        f = ar_left_map(table, word, middle)
+    def unsigned(table, word):
+        f, g = ar_right_map(table, word)
         minus_one = table.field.neg(table.field.one)
         blocks = {v: [{j: abs(x) if x == minus_one else x for j, x in row.items()}
                       for row in rows] for v, rows in f.blocks.items()}
-        return RepMap(f.source, f.target, blocks)
+        return RepMap(f.source, f.target, blocks), g
 
-    monkeypatch.setattr(biserial.sweep, "ar_left_map", unsigned)
+    monkeypatch.setattr(biserial.sweep, "ar_right_map", unsigned)
     failing = _failing_details(alg_l2)
     assert list(failing) == ["ar-sequence-exactness"]
     assert ": composite is not zero" in failing["ar-sequence-exactness"]

@@ -628,13 +628,13 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
         surg = _two_sided(table, word, "tau")
         L, M = string_module(table, surg.word), string_module(table, word)
         right, left = side_ops(table, word, "tau")
+        what = f"the middle of {word}"
         # a left surgery moved the nodes it kept; move them back
         for op, f_shift, g_shift, sign in ((right, surg.shift, 0, 1),
                                            (left, 0, -_left_shift(left), f.neg(1))):
             if isinstance(op.word, EmptyWord):
                 continue
             S = string_module(table, op.word)
-            what = f"the middle of {word}"
             parts.append((_node_map(L, S, ((pos, k - f_shift)
                                            for k, pos in L.node_positions.items()),
                                     what, sign),
@@ -655,9 +655,9 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
             if not scale[1]:
                 raise RuntimeError(f"the arms at {v} do not meet in the socle")
         # node j of a rad/soc summand is its arm's prefix of length j + 1
+        what = f"the rad/soc summand at {v}"
         for idx, inner in _rad_mod_soc_words(table, v):
             S = string_module(table, inner)
-            what = f"the rad/soc summand at {v}"
             parts.append((_node_map(L, S, ((L.node_positions[k], m - 1)
                                            for k, (i, m) in enumerate(prefixes) if i == idx),
                                     what, f.neg(scale[idx])),
@@ -668,7 +668,8 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
         for k, (idx, m) in enumerate(prefixes):
             u, row = L.node_positions[k]
             blocks[u][row] = _path_row(table, v, arms[idx].arrows[:m], u, scale[idx])
-        # the socle path of P_v has no node and dies
+        # P_v maps onto P_v/soc P_v through its path basis; the socle path
+        # has no node and dies
         by_vertex = table.regular_action(v)[0]
         node = {arm.arrows[:j]: _quotient_node(arms, idx, j)
                 for idx, arm in enumerate(arms) for j in range(len(arm.arrows))}

@@ -12,8 +12,8 @@ No module imports a name it never reads, no function takes a parameter
 it never reads, and no private function or method is left without a
 caller; a public function has a caller in the library, a span in the
 tracer or a place in ``biserial.__all__`` (the fixture module
-``instances`` is exempt).  ``import biserial`` loads no submodule: the package
-resolves its public names on first access.
+``instances`` is exempt).  ``import biserial`` loads no submodule: the
+package resolves its public names on first access.
 """
 
 import ast

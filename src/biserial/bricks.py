@@ -133,19 +133,14 @@ def _diagram_case(word: StringWord) -> str:
 
 
 def _deep_vertices(quiver, word: StringWord):
-    """Vertices of the deeps of the diagram, endpoints included, in order."""
+    """Vertices of the deeps of the diagram, endpoints included, in order.
+
+    A deep is a node no arrow leaves: a peak of the word with every letter
+    turned round.
+    """
     verts = node_vertices(quiver, word)
-    if word.is_trivial():
-        return [word.vertex]
-    out = []
-    n = word.length
-    for i in range(n + 1):
-        # a deep: no arrow leaves z_i within the diagram
-        leaves = (i < n and not word.letters[i].inverse) or \
-                 (i >= 1 and word.letters[i - 1].inverse)
-        if not leaves:
-            out.append(verts[i])
-    return out
+    turned = StringWord(tuple(l.inv() for l in word.letters), word.vertex)
+    return [verts[i] for i, _, _ in _peaks(turned)]
 
 
 def _peak_vertices(quiver, word: StringWord):

@@ -11,9 +11,8 @@ imports the layers it runs.  Beyond ``core`` and its helpers: ``basis``
 loads nothing more; ``check`` loads ``checks``; ``nodes`` ``nodes``;
 ``strings`` ``strings``; ``normalize`` and ``ssb`` ``checks`` and
 ``normalizer``; ``hom`` ``checks``, ``strings`` and ``reps``; ``tau``,
-``ar`` and ``cone`` ``checks``, ``strings`` and ``translate``, where
-``ar`` adds ``reps`` only for a word P/soc P; ``bricks`` loads those
-and ``bricks`` and ``reps``; ``sweep`` loads every layer but
+``ar`` and ``cone`` ``checks``, ``strings`` and ``translate``;
+``bricks`` loads those and ``bricks`` and ``reps``; ``sweep`` loads every layer but
 ``instances``.
 """
 

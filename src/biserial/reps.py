@@ -569,21 +569,7 @@ def mapping_cone_rep(table: AlgebraTable, fmap: RepMap):
     return cone
 
 
-def _rad_mod_soc_words(table: AlgebraTable, vertex: str):
-    """(arm index, word) for each uniserial summand of rad(P_v)/soc(P_v).
-
-    The summand of an arm of length at least 2 is its inner word: the arm
-    without its first and last arrows, trivial at the first arrow's target.
-    """
-    from .strings import StringWord
-    q = table.quiver
-    for idx, arm in enumerate(table.arms(vertex)):
-        if arm.length >= 2:
-            inner = arm.arrows[1:-1]
-            yield idx, (StringWord.from_arrows(inner) if inner
-                        else StringWord.trivial(q.target(arm.arrows[0])))
-
-
 def decompose_rad_mod_soc(table: AlgebraTable, vertex: str):
     """String words of the uniserial summands of rad(P_v)/soc(P_v)."""
-    return [word for _, word in _rad_mod_soc_words(table, vertex)]
+    from .translate import rad_mod_soc_walks
+    return [word for word, _ in rad_mod_soc_walks(table, vertex)]

@@ -8,7 +8,7 @@ one-sided operations with alignment metadata.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import AlgebraTable, DomainError, Quiver, Record
 
@@ -29,11 +29,10 @@ class SubwordInSocleOrZero(StringError):
     pass
 
 
-class Letter(NamedTuple):
+class Letter(namedtuple("Letter", ("arrow", "inverse"), defaults=(False,))):
     """An arrow or its formal inverse; an immutable tuple, hashed in C."""
 
-    arrow: str
-    inverse: bool = False
+    __slots__ = ()
 
     def inv(self) -> "Letter":
         return Letter(self.arrow, not self.inverse)
@@ -42,19 +41,17 @@ class Letter(NamedTuple):
         return self.arrow + ("^-1" if self.inverse else "")
 
 
-class StringWord(NamedTuple):
-    """A tuple of letters, or a base vertex for a trivial string; immutable."""
+class StringWord(namedtuple("StringWord", ("letters", "vertex"), defaults=(None,))):
+    """A tuple of letters, or a base vertex for a trivial string; immutable.
 
-    letters: tuple
-    vertex: str | None = None   # base vertex, trivial strings only
+    ``vertex`` is the base vertex of a trivial string and None otherwise.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def trivial(vertex: str) -> "StringWord":
         return StringWord((), vertex)
-
-    @staticmethod
-    def from_arrows(arrows) -> "StringWord":
-        return StringWord(tuple(Letter(a) for a in arrows))
 
     @property
     def length(self) -> int:

@@ -143,9 +143,9 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
                     lambda w: exactness_defect(*ar_right_map(table, w)))
 
         def cone_matches(w):
-            cm = canonical_map_to_tau_inv(table, w)
+            fmap = canonical_map_to_tau_inv(table, w)
             cone = cone_of_canonical_map(table, w)
-            reduced, _ = strip_projectives(table, mapping_cone_rep(table, cm.rep_map))
+            reduced, _ = strip_projectives(table, mapping_cone_rep(table, fmap))
             expected = direct_sum(*[string_module_fn(table, s) for s in cone.summands])
             return is_isomorphic(table, reduced, expected)
         check_words("cone-oracle", cone_matches)

@@ -3,15 +3,18 @@
 tau is computed by adding co-hooks where possible and deleting hooks
 otherwise, on both ends; tau-inverse dually by adding hooks and deleting
 co-hooks.  Quotients P/soc P and radicals rad P are recognized first and
-routed through the projective-middle sequence.  The canonical diagram
-map M -> tau^{-1}M is classified into the mono / epi / mixed / radical
-cases and its mapping cone is returned as two explicit string words.
-Two exact sequences are built as pairs of maps, by node correspondence:
-``omega_sequence`` gives 0 -> Omega M -> P -> M -> 0 and ``ar_right_map``
-the almost split sequence 0 -> tau M -> E -> M -> 0, both maps from one
-walk over the middle summands, so ``reps.exactness_defect`` can witness
-each.  The functions that build module maps import ``reps`` when they
-run, so tau, tau^{-1}, the cone and most AR sequences load no oracle.
+routed through the projective-middle sequence; their words, the rad/soc
+summands and the cone's and Omega^{-1}'s pieces are walks along the
+arms of e_v A (``_arm_walk``), which name each node by its prefix path.
+The canonical diagram map M -> tau^{-1}M is a ``RepMap``; its mapping
+cone is returned as two explicit string words with the mono / epi /
+mixed / radical case.  Two exact sequences are built as pairs of maps,
+by node correspondence: ``omega_sequence`` gives
+0 -> Omega M -> P -> M -> 0 and ``ar_right_map`` the almost split
+sequence 0 -> tau M -> E -> M -> 0, both maps from one walk over the
+middle summands, so ``reps.exactness_defect`` can witness each.  The
+functions that build module maps import ``reps`` when they run, so tau,
+tau^{-1}, the cone and the AR sequences load no oracle.
 """
 
 from __future__ import annotations
@@ -54,50 +57,65 @@ def require_selfinjective_sb(table: AlgebraTable):
 
 # -- projective landmarks ------------------------------------------------
 
+def _arm_walk(table: AlgebraTable, v: str, legs):
+    """The string word along ``legs`` of the arms of e_v A, with its nodes.
+
+    A leg (arm index, start, end) walks the prefixes of one arm from
+    ``arrows[:start]`` to ``arrows[:end]`` (slice bounds): down by direct
+    letters, up by inverse letters.  Each leg starts where the last one
+    ended.  Returns the word and {prefix path: node}; a node two legs
+    share keeps the name of its first visit (e_v, or the socle).
+    """
+    arms = table.arms(v)
+    if not arms:
+        raise ProjectiveInput(f"vertex {v} has no outgoing arrows")
+    letters, nodes = [], {}
+    for idx, start, end in legs:
+        arrows = arms[idx].arrows
+        start, end = len(arrows[:start]), len(arrows[:end])
+        if not nodes:
+            nodes[arrows[:start]] = 0
+        step = 1 if end > start else -1
+        for j in range(start, end, step):
+            letters.append(Letter(arrows[min(j, j + step)], step < 0))
+            nodes[arrows[:j + step]] = len(letters)
+    if letters:
+        return StringWord(tuple(letters)), nodes
+    (path, _), = nodes.items()
+    return StringWord.trivial(table.quiver.target(path[-1]) if path else v), nodes
+
+
+def _quotient_walk(table: AlgebraTable, vertex: str):
+    """P_v / soc P_v: up arm 0 to e_v, then down arm 1 (or down the one arm)."""
+    if len(table.arms(vertex)) == 1:
+        return _arm_walk(table, vertex, [(0, 0, -1)])
+    return _arm_walk(table, vertex, [(0, -1, 0), (1, 0, -1)])
+
+
+def _rad_walk(table: AlgebraTable, vertex: str):
+    """rad P_v: down arm 0 to the socle, then up arm 1."""
+    legs = [(0, 1, None), (1, None, 1)]
+    return _arm_walk(table, vertex, legs[:len(table.arms(vertex))])
+
+
+def rad_mod_soc_walks(table: AlgebraTable, vertex: str):
+    """(word, nodes) of each uniserial summand of rad(P_v)/soc(P_v).
+
+    The summand of an arm of length at least 2 is its inner word: the arm
+    without its first and last arrows, trivial at the first arrow's target.
+    """
+    return [_arm_walk(table, vertex, [(idx, 1, -1)])
+            for idx, arm in enumerate(table.arms(vertex)) if arm.length >= 2]
+
+
 def proj_quotient_word(table: AlgebraTable, vertex: str) -> StringWord:
     """String word of P_v / soc P_v."""
-    arms = table.arms(vertex)
-    if not arms:
-        raise ProjectiveInput(f"vertex {vertex} has no outgoing arrows")
-    if len(arms) == 1:
-        arrows = arms[0].arrows[:-1]
-        if not arrows:
-            return StringWord.trivial(vertex)
-        return StringWord(tuple(Letter(a) for a in arrows))
-    a1, a2 = arms[0].arrows, arms[1].arrows
-    letters = [Letter(a1[j], True) for j in range(len(a1) - 2, -1, -1)]
-    letters += [Letter(a2[j]) for j in range(len(a2) - 1)]
-    return StringWord(tuple(letters))
-
-
-def _quotient_node(arms, idx: int, j: int) -> int:
-    """Node of proj_quotient_word at the length-j prefix of arm ``idx``.
-
-    With two arms the word climbs arm 0 back to the vertex, which is node
-    len(arm 0) - 1, and then descends arm 1.
-    """
-    if len(arms) == 1:
-        return j
-    top = len(arms[0].arrows) - 1
-    return top - j if idx == 0 else top + j
+    return _quotient_walk(table, vertex)[0]
 
 
 def rad_word(table: AlgebraTable, vertex: str) -> StringWord:
     """String word of rad P_v."""
-    arms = table.arms(vertex)
-    if not arms:
-        raise ProjectiveInput(f"vertex {vertex} has no outgoing arrows")
-    if len(arms) == 1:
-        arrows = arms[0].arrows[1:]
-        if not arrows:
-            return StringWord.trivial(table.quiver.target(arms[0].arrows[0]))
-        return StringWord(tuple(Letter(a) for a in arrows))
-    a1, a2 = arms[0].arrows, arms[1].arrows
-    letters = [Letter(a1[j]) for j in range(1, len(a1))]
-    letters += [Letter(a2[j], True) for j in range(len(a2) - 1, 0, -1)]
-    if not letters:
-        return StringWord.trivial(table.quiver.target(a1[0]))
-    return StringWord(tuple(letters))
+    return _rad_walk(table, vertex)[0]
 
 
 def _landmarks(table: AlgebraTable):
@@ -249,8 +267,7 @@ def ar_sequence(table: AlgebraTable, word: StringWord) -> ARSequence:
     q = table.quiver
     v = as_proj_quotient(table, word)
     if v is not None:
-        from .reps import decompose_rad_mod_soc
-        middles = [canonical_form(q, w) for w in decompose_rad_mod_soc(table, v)]
+        middles = [canonical_form(q, w) for w, _ in rad_mod_soc_walks(table, v)]
         return ARSequence(canonical_form(q, rad_word(table, v)), middles, v,
                           canonical_form(q, word))
     right, left = side_ops(table, word, "tau")
@@ -261,13 +278,8 @@ def ar_sequence(table: AlgebraTable, word: StringWord) -> ARSequence:
 
 # -- the canonical map to tau^{-1} and its cone ----------------------------
 
-class CanonicalMap(Record):
-    __slots__ = ("case",          # 'i' | 'ii' | 'iii' | "iii'" | 'iv' | 'iv-uniserial'
-                 "rep_map")       # RepMap from M to tau^{-1} M
-
-
 class ConeResult(Record):
-    __slots__ = ("case",
+    __slots__ = ("case",          # 'i' | 'ii' | 'iii' | "iii'" | 'iv' | 'iv-uniserial'
                  "summands")      # up to two StringWords
 
 
@@ -339,16 +351,10 @@ def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
             break
     if hit is None:
         raise NotDirected(f"no injective hull arm extends {piece}")
+    # climb the hull arm from the piece's top to e_t, then descend the other
     t, idx, arm = hit
-    arms = table.arms(t)
-    q_len = len(arm.arrows) - k
-    letters = [Letter(arm.arrows[j], True) for j in range(q_len - 2, -1, -1)]
-    if len(arms) == 2:
-        other = arms[1 - idx]
-        letters += [Letter(other.arrows[j]) for j in range(len(other.arrows) - 1)]
-    if not letters:
-        return StringWord.trivial(t)
-    return StringWord(tuple(letters))
+    legs = [(idx, -k - 1, 0), (1 - idx, 0, -1)]
+    return _arm_walk(table, t, legs[:len(table.arms(t))])[0]
 
 
 def _node_map(S, T, pairs, what: str, c=1):
@@ -383,36 +389,37 @@ def reversal_map(table: AlgebraTable, word: StringWord):
                      f"the reversal of {word}")
 
 
-def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord) -> CanonicalMap:
-    """The diagram-intersection morphism M -> tau^{-1}M with its case tag."""
+def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord):
+    """The diagram-intersection morphism M -> tau^{-1}M, a ``RepMap``.
+
+    ``cone_of_canonical_map`` names its case.
+    """
     _require_input(table, word)
     v = as_rad_of_projective(table, word)
     if v is not None:
         # rad P -> P/soc P killing all but the first arm: the image is one
         # indecomposable summand of rad P / soc P
-        arms = table.arms(v)
-        qword = proj_quotient_word(table, v)
-        M = string_module(table, rad_word(table, v))
-        # node i of rad P is the arm-0 prefix of length i + 1
-        fmap = _node_map(M, string_module(table, qword),
-                         ((M.node_positions[i], _quotient_node(arms, 0, i + 1))
-                          for i in range(len(arms[0].arrows) - 1)),
+        rad, rad_nodes = _rad_walk(table, v)
+        quotient, nodes = _quotient_walk(table, v)
+        M = string_module(table, rad)
+        first = table.arms(v)[0].arrows[0]
+        fmap = _node_map(M, string_module(table, quotient),
+                         ((M.node_positions[k], nodes.get(p))
+                          for p, k in rad_nodes.items() if p[0] == first),
                          f"the radical map at {v}")
         if not fmap.intertwines():
             raise RuntimeError(f"radical canonical map failed for {v}")
-        case = "iv-uniserial" if len(arms) == 1 else "iv"
-        return CanonicalMap(case, fmap)
+        return fmap
     surg = _two_sided(table, word, "tauinv")
     if isinstance(surg.word, EmptyWord):
         raise RuntimeError(f"tau-inverse of {word} is empty")
-    case = _classify(word, surg.right_kind, surg.left_kind)
     M = string_module(table, word)
     fmap = _node_map(M, string_module(table, surg.word),
                      ((pos, i + surg.shift) for i, pos in M.node_positions.items()),
                      f"the canonical map of {word}")
     if not fmap.intertwines():
         raise RuntimeError(f"canonical map construction failed for {word}")
-    return CanonicalMap(case, fmap)
+    return fmap
 
 
 def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
@@ -421,17 +428,12 @@ def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
     q = table.quiver
     v = as_rad_of_projective(table, word)
     if v is not None:
+        # each arm without its socle arrow, or the one arm and the simple
         arms = table.arms(v)
+        summands = [_arm_walk(table, v, [(idx, 0, -1)])[0] for idx in range(len(arms))]
         if len(arms) == 1:
-            summands = [proj_quotient_word(table, v), StringWord.trivial(v)]
-            case = "iv-uniserial"
-        else:
-            summands = []
-            for arm in arms:
-                arrows = arm.arrows[:-1]
-                summands.append(StringWord(tuple(Letter(a) for a in arrows))
-                                if arrows else StringWord.trivial(v))
-            case = "iv"
+            summands.append(StringWord.trivial(v))
+        case = "iv-uniserial" if len(arms) == 1 else "iv"
         return ConeResult(case, [canonical_form(q, s) for s in summands])
     right, left = side_ops(table, word, "tauinv")
     case = _classify(word, right.kind, left.kind)
@@ -615,10 +617,10 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
     middle.  For w ~ P_v/soc P_v the middles are the rad/soc summands and
     P_v, which maps onto P_v/soc P_v through its path basis; the left term
     rad P_v goes to its arm prefixes in P_v, scaled along the second arm
-    to meet the first at the socle, and to minus the same multiple of
-    their nodes in the rad/soc summands.
+    to meet the first at the socle, and to minus the same multiple of the
+    nodes with the same prefix in the rad/soc summands.
     """
-    from .reps import RepMap, _rad_mod_soc_words, projective, stack_maps, vstack_maps
+    from .reps import RepMap, projective, stack_maps, vstack_maps
     _require_input(table, word)
     f = table.field
     q = table.quiver
@@ -642,39 +644,36 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
                                            for j, pos in S.node_positions.items()), what)))
     else:
         arms = table.arms(v)
-        L = string_module(table, rad_word(table, v))
-        M = string_module(table, proj_quotient_word(table, v))
-        # node k of rad P_v is the prefix of length k + 1 of arm 0, then
-        # the word climbs arm 1 from the socle
-        prefixes = [(0, m) for m in range(1, len(arms[0].arrows) + 1)]
-        scale = [1]
+        rad, rad_nodes = _rad_walk(table, v)
+        quotient, nodes = _quotient_walk(table, v)
+        L, M = string_module(table, rad), string_module(table, quotient)
+        # each arm's scale, keyed by its first arrow, meets arm 0 at the socle
+        scale = {arms[0].arrows[0]: 1}
         if len(arms) == 2:
-            prefixes += [(1, m) for m in range(len(arms[1].arrows) - 1, 0, -1)]
-            scale.append(la.multiple_of(table.nf_vector(arms[0].arrows),
-                                        table.nf_vector(arms[1].arrows), f))
-            if not scale[1]:
+            c = la.multiple_of(table.nf_vector(arms[0].arrows),
+                               table.nf_vector(arms[1].arrows), f)
+            if not c:
                 raise RuntimeError(f"the arms at {v} do not meet in the socle")
-        # node j of a rad/soc summand is its arm's prefix of length j + 1
+            scale[arms[1].arrows[0]] = c
+        # a prefix path is one node of every word that visits it
         what = f"the rad/soc summand at {v}"
-        for idx, inner in _rad_mod_soc_words(table, v):
+        for inner, inner_nodes in rad_mod_soc_walks(table, v):
             S = string_module(table, inner)
-            parts.append((_node_map(L, S, ((L.node_positions[k], m - 1)
-                                           for k, (i, m) in enumerate(prefixes) if i == idx),
-                                    what, f.neg(scale[idx])),
-                          _node_map(S, M, ((pos, _quotient_node(arms, idx, j + 1))
-                                           for j, pos in S.node_positions.items()), what)))
+            c = scale[next(iter(inner_nodes))[0]]
+            parts.append((_node_map(L, S, ((L.node_positions[k], inner_nodes.get(p))
+                                           for p, k in rad_nodes.items()), what, f.neg(c)),
+                          _node_map(S, M, ((S.node_positions[j], nodes[p])
+                                           for p, j in inner_nodes.items()), what)))
         P = projective(table, v)
         blocks = {u: [None] * L.dims[u] for u in q.vertices}
-        for k, (idx, m) in enumerate(prefixes):
+        for p, k in rad_nodes.items():
             u, row = L.node_positions[k]
-            blocks[u][row] = _path_row(table, v, arms[idx].arrows[:m], u, scale[idx])
+            blocks[u][row] = _path_row(table, v, p, u, scale[p[0]])
         # P_v maps onto P_v/soc P_v through its path basis; the socle path
         # has no node and dies
         by_vertex = table.regular_action(v)[0]
-        node = {arm.arrows[:j]: _quotient_node(arms, idx, j)
-                for idx, arm in enumerate(arms) for j in range(len(arm.arrows))}
         parts.append((RepMap(L, P, blocks),
-                      _node_map(P, M, (((u, t), node.get(table.basis[b].arrows))
+                      _node_map(P, M, (((u, t), nodes.get(table.basis[b].arrows))
                                        for u in q.vertices
                                        for t, b in enumerate(by_vertex[u])),
                                 f"the projective at {v}")))

@@ -18,8 +18,10 @@ as ``reps.strip_projectives`` did before it read the rank of the socle
 line.  ``reference_tau_syzygy`` and ``reference_ar_exact`` are the
 ``tau-syzygy-oracle`` and ``ar-sequence-exactness`` sweep checks by
 kernels and an isomorphism search, as the sweep made them before it
-checked witnessed exact sequences.  ``top_dims``, ``cosyzygy`` and
-``stable_class_is_zero`` are module queries that only tests ask.
+checked witnessed exact sequences.  ``reference_deep_vertices`` scans a
+word for the nodes no arrow leaves, as ``bricks`` did before it read the
+deeps as the peaks of the word turned round.  ``top_dims``, ``cosyzygy``
+and ``stable_class_is_zero`` are module queries that only tests ask.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from biserial.linalg import Echelon, row_nullspace
 from biserial.reps import (_factoring_maps, _top_generators, direct_sum, hom,
                            injective_hull, is_isomorphic, kernel_of_map, projective,
                            stack_maps, syzygy)
-from biserial.strings import string_module
+from biserial.strings import node_vertices, string_module
 from biserial.translate import ar_right_map, tau
 
 
@@ -259,6 +261,22 @@ def reference_ar_exact(table, word) -> bool:
     K, _ = kernel_of_map(g)
     return g.is_surjective() and is_isomorphic(
         table, K, string_module(table, tau(table, word)))
+
+
+def reference_deep_vertices(quiver, word):
+    """Vertices of the deeps of the diagram, endpoints included, in order."""
+    verts = node_vertices(quiver, word)
+    if word.is_trivial():
+        return [word.vertex]
+    out = []
+    n = word.length
+    for i in range(n + 1):
+        # a deep: no arrow leaves z_i within the diagram
+        leaves = (i < n and not word.letters[i].inverse) or \
+                 (i >= 1 and word.letters[i - 1].inverse)
+        if not leaves:
+            out.append(verts[i])
+    return out
 
 
 def top_dims(M) -> dict:

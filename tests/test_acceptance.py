@@ -137,14 +137,14 @@ def test_criterion_3_ext_bound_and_cones(named_fixtures, random_pool):
     for name, table in [(n, t) for n, _, t in named_fixtures] + \
             [(n, t) for n, _, t, _ in random_pool[:3]]:
         for c in enumerate_strings(table, 8):
-            cm = canonical_map_to_tau_inv(table, c)
+            fmap = canonical_map_to_tau_inv(table, c)
             cone = cone_of_canonical_map(table, c)
             # structurally a sum of at most two maximal directed strings
             assert len(cone.summands) <= 2
             for s in cone.summands:
                 assert len(directed_runs(s)) <= 1, (name, str(c), str(s))
             reduced, _ = strip_projectives(table,
-                                           mapping_cone_rep(table, cm.rep_map))
+                                           mapping_cone_rep(table, fmap))
             expected = direct_sum(*[smod(table, s) for s in cone.summands])
             assert is_isomorphic(table, reduced, expected), (name, str(c))
             cones += 1

@@ -394,8 +394,8 @@ LAYERS_RUN = {
             ["checks", "normalizer"]),
     "hom": (["hom", "n2", "--from", "@1", "--to", "a"], ORACLE_LAYERS),
     "tau": (["tau", "n2", "--string", "a"], CALCULUS_LAYERS),
-    # "a" is P_1/soc P_1 on n2: the middle term rad/soc comes from reps
-    "ar": (["ar", "n2", "--string", "a"], [*CALCULUS_LAYERS, "reps"]),
+    # "a" is P_1/soc P_1 on n2: its middle term is read off the arms too
+    "ar": (["ar", "n2", "--string", "a"], CALCULUS_LAYERS),
     "ar-non-landmark": (["ar", "n2", "--string", "@1"], CALCULUS_LAYERS),
     "cone": (["cone", "n2", "--string", "a"], CALCULUS_LAYERS),
     "bricks": (["bricks", "n2", "--set", "@1,@2", "--max-len", "2"],
@@ -415,3 +415,14 @@ def test_each_subcommand_loads_only_its_layers(algs, argv, layers):
     assert code == 0 and json.loads(proc.stdout)
     assert loaded == sorted(BASE_LAYERS + layers)
     assert introspection == []
+
+
+def test_no_layer_loads_typing():
+    """Without a ``site`` that preloads it, the drivers and the calculus
+    import no ``typing``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(biserial.__file__).parents[1]))
+    probe = ("import sys, biserial.cli, biserial.translate, biserial.sweep; "
+             "print('typing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -295,7 +295,7 @@ def test_strip_projectives_splits_every_projective_summand(field):
 
 def _cones(t, max_len):
     """(word, mapping cone of its canonical map to tau^-1) for every string."""
-    return [(w, mapping_cone_rep(t, canonical_map_to_tau_inv(t, w).rep_map))
+    return [(w, mapping_cone_rep(t, canonical_map_to_tau_inv(t, w)))
             for w in enumerate_strings(t, max_len)]
 
 

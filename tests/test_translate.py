@@ -17,12 +17,12 @@ from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero, _tail,
                               node_vertices, reverse_word, right_op,
                               string_module, words_equal)
 from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
-                                _node_map, _quotient_node, ar_right_map,
-                                ar_sequence, canonical_map_to_tau_inv,
+                                _node_map, _quotient_walk, _rad_walk,
+                                ar_right_map, ar_sequence, canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
                                 cone_of_canonical_map, omega_sequence, omega_word,
-                                proj_quotient_word, rad_word, reversal_map, tau,
-                                tau_inv)
+                                proj_quotient_word, rad_mod_soc_walks, rad_word,
+                                reversal_map, tau, tau_inv)
 from table_reference import (cosyzygy, reference_ar_exact, reference_tau_syzygy,
                              stable_class_is_zero)
 
@@ -130,25 +130,22 @@ def test_period_one_string_exists_on_l2():
 
 def test_canonical_map_cases():
     t = build_table(alg_n2())
-    cm = canonical_map_to_tau_inv(t, word("a"))
-    assert cm.case == "iv-uniserial"
-    assert stable_class_is_zero(t, cm.rep_map)
-    cm2 = canonical_map_to_tau_inv(t, StringWord.trivial("1"))
-    assert cm2.case == "iii'"
-    assert stable_class_is_zero(t, cm2.rep_map)
+    assert cone_of_canonical_map(t, word("a")).case == "iv-uniserial"
+    assert stable_class_is_zero(t, canonical_map_to_tau_inv(t, word("a")))
+    assert cone_of_canonical_map(t, StringWord.trivial("1")).case == "iii'"
+    assert stable_class_is_zero(t, canonical_map_to_tau_inv(t, StringWord.trivial("1")))
     t2 = build_table(alg_l2())
-    cm3 = canonical_map_to_tau_inv(t2, word("a", "b-"))
-    assert cm3.case == "iv"
-    assert not stable_class_is_zero(t2, cm3.rep_map)
+    assert cone_of_canonical_map(t2, word("a", "b-")).case == "iv"
+    assert not stable_class_is_zero(t2, canonical_map_to_tau_inv(t2, word("a", "b-")))
 
 
 def test_stable_vanishing_iff_degenerate_case():
     for pres in (alg_n2(), alg_l2()):
         t = build_table(pres)
         for c in enumerate_strings(t, 6):
-            cm = canonical_map_to_tau_inv(t, c)
-            z = stable_class_is_zero(t, cm.rep_map)
-            assert z == (cm.case in ("iii'", "iv-uniserial")), (str(c), cm.case)
+            case = cone_of_canonical_map(t, c).case
+            z = stable_class_is_zero(t, canonical_map_to_tau_inv(t, c))
+            assert z == (case in ("iii'", "iv-uniserial")), (str(c), case)
 
 
 def test_cone_fixture_values():
@@ -167,14 +164,13 @@ def test_cone_matches_linear_algebra():
     for pres in (alg_n2(), alg_l2()):
         t = build_table(pres)
         for c in enumerate_strings(t, 6):
-            cm = canonical_map_to_tau_inv(t, c)
+            fmap = canonical_map_to_tau_inv(t, c)
             cone = cone_of_canonical_map(t, c)
-            assert cm.case == cone.case
             assert len(cone.summands) <= 2
             # the summands are (possibly trivial) directed strings
             for s in cone.summands:
                 assert len(directed_runs(s)) <= 1, (str(c), str(s))
-            reduced, _ = strip_projectives(t, mapping_cone_rep(t, cm.rep_map))
+            reduced, _ = strip_projectives(t, mapping_cone_rep(t, fmap))
             expected = direct_sum(*[string_module(t, s) for s in cone.summands])
             assert is_isomorphic(t, reduced, expected), str(c)
 
@@ -278,24 +274,31 @@ def test_warm_tails_agree_with_a_fresh_table(swept_tables, fixture):
 
 # -- node correspondences ----------------------------------------------------
 
-def test_quotient_node_places_every_arm_prefix():
-    """Each nonzero prefix of an arm sits on its own node of P_v/soc P_v."""
+def test_arm_walk_places_every_prefix_on_its_node():
+    """Each prefix an arm walk visits sits on one node, at the prefix's end,
+    of P_v/soc P_v, of rad P_v and of each rad/soc summand; rad P_v meets
+    its second arm at the socle node that arm 0 names."""
     checked = 0
     for t in pool_tables():
         q = t.quiver
         for v in (v for v in q.vertices if q.out_arrows[v]):
             arms = t.arms(v)
-            verts = node_vertices(q, proj_quotient_word(t, v))
-            nodes = {}
-            for idx, arm in enumerate(arms):
-                for j in range(len(arm.arrows)):
-                    node = _quotient_node(arms, idx, j)
-                    end = q.target(arm.arrows[j - 1]) if j else v
-                    assert 0 <= node < len(verts) and verts[node] == end, (v, idx, j)
-                    assert nodes.setdefault(arm.arrows[:j], node) == node
+            walks = [_quotient_walk(t, v), _rad_walk(t, v), *rad_mod_soc_walks(t, v)]
+            for w, nodes in walks:
+                verts = node_vertices(q, w)
+                for p, node in nodes.items():
+                    assert verts[node] == (q.target(p[-1]) if p else v), (v, str(w), p)
                     checked += 1
-            assert sorted(nodes.values()) == list(range(len(verts))), v
-    assert checked > 500
+                assert sorted(nodes.values()) == list(range(w.length + 1)), (v, str(w))
+            assert set(walks[0][1]) == {arm.arrows[:j] for arm in arms
+                                        for j in range(len(arm.arrows))}, v
+            rad, nodes = walks[1]
+            socle = nodes[arms[0].arrows]
+            assert socle == len(arms[0].arrows) - 1, v
+            if len(arms) == 2:
+                assert node_vertices(q, rad)[socle] == q.target(arms[1].arrows[-1]), v
+                assert arms[1].arrows not in nodes, v
+    assert checked > 1000
 
 
 def test_cone_tau_inverse_matches_the_canonical_map():
@@ -317,7 +320,7 @@ def test_cone_tau_inverse_matches_the_canonical_map():
                 continue
             for c in enumerate_strings(t, 4):
                 calculus = outcome(lambda: tau_inv(t, c))
-                mapped = outcome(lambda: canonical_map_to_tau_inv(t, c).rep_map.target)
+                mapped = outcome(lambda: canonical_map_to_tau_inv(t, c).target)
                 if isinstance(calculus, StringWord):
                     assert (mapped is string_module(t, calculus)
                             or mapped is string_module(t, reverse_word(calculus))), \

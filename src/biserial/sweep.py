@@ -18,12 +18,11 @@ from .checks import (check_one_in_one_out, check_special_biserial,
 from .core import AlgebraPresentation, build_table, check_selfinjective_symmetric
 from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
 from .normalizer import normalize
-from .reps import (direct_sum, exactness_defect, is_isomorphic, mapping_cone_rep,
-                   opposite_table, stable_hom_dim, strip_projectives)
+from .reps import exactness_defect, opposite_table, stable_hom_dim
 from .strings import (canonical_form, enumerate_strings, reverse_word,
-                      string_module as string_module_fn, words_equal)
-from .translate import (ar_right_map, canonical_map_to_tau_inv,
-                        check_tau_period_one_exclusions, cone_of_canonical_map,
+                      string_module as string_module_fn, word_key, words_equal)
+from .translate import (ar_right_map, check_tau_period_one_exclusions,
+                        cone_of_canonical_map, cone_pieces, cone_sequence,
                         omega_sequence, omega_word, reversal_map, tau, tau_inv)
 
 
@@ -53,7 +52,7 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
     with guarded("associativity"):
         table.certify()
         record("associativity", True)
-    # the injective hulls reuse the opposite table cached here
+    # the opposite presentation must give a table of the same dimension
     op = opposite_table(table)
     record("opposite-dimension", op.dim == table.dim, f"{op.dim} vs {table.dim}")
 
@@ -142,12 +141,21 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
         check_words("ar-sequence-exactness",
                     lambda w: exactness_defect(*ar_right_map(table, w)))
 
+        def by_key(words):
+            return sorted(words, key=lambda s: word_key(q, s))
+
         def cone_matches(w):
-            fmap = canonical_map_to_tau_inv(table, w)
-            cone = cone_of_canonical_map(table, w)
-            reduced, _ = strip_projectives(table, mapping_cone_rep(table, fmap))
-            expected = direct_sum(*[string_module_fn(table, s) for s in cone.summands])
-            return is_isomorphic(table, reduced, expected)
+            """The defect of the witnessed cone sequence, or a mismatch of its
+            pieces with the calculus's summands."""
+            defect = exactness_defect(*cone_sequence(table, w))
+            if defect:
+                return defect
+            pieces = by_key(cone_pieces(table, w))
+            summands = by_key(cone_of_canonical_map(table, w).summands)
+            if pieces != summands:
+                return (f"pieces {[str(s) for s in pieces]} != "
+                        f"summands {[str(s) for s in summands]}")
+            return ""
         check_words("cone-oracle", cone_matches)
 
         simples = [canonical_form(q, w) for w in words if w.is_trivial()]

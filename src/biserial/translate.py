@@ -8,13 +8,15 @@ summands and the cone's and Omega^{-1}'s pieces are walks along the
 arms of e_v A (``_arm_walk``), which name each node by its prefix path.
 The canonical diagram map M -> tau^{-1}M is a ``RepMap``; its mapping
 cone is returned as two explicit string words with the mono / epi /
-mixed / radical case.  Two exact sequences are built as pairs of maps,
-by node correspondence: ``omega_sequence`` gives
-0 -> Omega M -> P -> M -> 0 and ``ar_right_map`` the almost split
+mixed / radical case.  Three exact sequences are built as pairs of
+maps, by node correspondence: ``omega_sequence`` gives
+0 -> Omega M -> P -> M -> 0, ``ar_right_map`` the almost split
 sequence 0 -> tau M -> E -> M -> 0, both maps from one walk over the
-middle summands, so ``reps.exactness_defect`` can witness each.  The
-functions that build module maps import ``reps`` when they run, so tau,
-tau^{-1}, the cone and the AR sequences load no oracle.
+middle summands, and ``cone_sequence`` the sequence
+0 -> M -> tau^{-1}M (+) I -> C -> 0 whose right term C is the cone, so
+``reps.exactness_defect`` can witness each.  The functions that build
+module maps import ``reps`` when they run, so tau, tau^{-1}, the cone
+and the AR sequences load no oracle.
 """
 
 from __future__ import annotations
@@ -332,29 +334,34 @@ def _word_as_directed_path(table: AlgebraTable, word: StringWord):
     return arrows, word_target(q, word)
 
 
-def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
-    """Cosyzygy of a directed string, computed inside its injective hull."""
-    q = table.quiver
+def _hull_arm(table: AlgebraTable, piece: StringWord):
+    """(t, arm index, k) of the injective hull e_t A of a directed string.
+
+    The arm ends with the piece's k arrows and is longer than them, so the
+    piece sits in e_t A as the arm's last k + 1 prefixes.
+    """
     p_arrows, p_end = _word_as_directed_path(table, piece)
     k = len(p_arrows)
-    hit = None
-    for v in q.vertices:
+    for v in table.quiver.vertices:
         for idx, arm in enumerate(table.arms(v)):
             if k == 0:
                 if arm.target == p_end:
-                    hit = (v, idx, arm)
-                    break
+                    return v, idx, k
             elif len(arm.arrows) > k and arm.arrows[-k:] == p_arrows:
-                hit = (v, idx, arm)
-                break
-        if hit:
-            break
-    if hit is None:
-        raise NotDirected(f"no injective hull arm extends {piece}")
-    # climb the hull arm from the piece's top to e_t, then descend the other
-    t, idx, arm = hit
+                return v, idx, k
+    raise NotDirected(f"no injective hull arm extends {piece}")
+
+
+def _omega_inv_walk(table: AlgebraTable, t: str, idx: int, k: int):
+    """e_t A modulo the last k + 1 prefixes of arm idx: climb that arm from
+    the piece's top to e_t, then descend the other arm short of the socle."""
     legs = [(idx, -k - 1, 0), (1 - idx, 0, -1)]
-    return _arm_walk(table, t, legs[:len(table.arms(t))])[0]
+    return _arm_walk(table, t, legs[:len(table.arms(t))])
+
+
+def omega_inv_word(table: AlgebraTable, piece: StringWord) -> StringWord:
+    """Cosyzygy of a directed string, computed inside its injective hull."""
+    return _omega_inv_walk(table, *_hull_arm(table, piece))[0]
 
 
 def _node_map(S, T, pairs, what: str, c=1):
@@ -389,36 +396,49 @@ def reversal_map(table: AlgebraTable, word: StringWord):
                      f"the reversal of {word}")
 
 
+def _canonical_nodes(table: AlgebraTable, word: StringWord):
+    """(source, target, image, v) of the canonical map M -> tau^{-1}M by nodes.
+
+    Node i of the source word goes to node image[i] of the target word,
+    or to zero where image[i] is None.  At w ~ rad P_v (v is not None)
+    the source is the rad walk, w or its reverse, and the map to
+    P_v/soc P_v kills all but the first arm: its image is one
+    indecomposable summand of rad P / soc P.  Elsewhere node i goes to
+    node i + shift of the surgery word, when that node exists.
+    """
+    v = as_rad_of_projective(table, word)
+    if v is not None:
+        rad, rad_nodes = _rad_walk(table, v)
+        quotient, nodes = _quotient_walk(table, v)
+        first = table.arms(v)[0].arrows[0]
+        image = [None] * (rad.length + 1)
+        for p, k in rad_nodes.items():
+            if p[0] == first:
+                image[k] = nodes.get(p)
+        return rad, quotient, image, v
+    surg = _two_sided(table, word, "tauinv")
+    if isinstance(surg.word, EmptyWord):
+        raise RuntimeError(f"tau-inverse of {word} is empty")
+    n = surg.word.length
+    image = [i + surg.shift if 0 <= i + surg.shift <= n else None
+             for i in range(word.length + 1)]
+    return word, surg.word, image, None
+
+
 def canonical_map_to_tau_inv(table: AlgebraTable, word: StringWord):
     """The diagram-intersection morphism M -> tau^{-1}M, a ``RepMap``.
 
     ``cone_of_canonical_map`` names its case.
     """
     _require_input(table, word)
-    v = as_rad_of_projective(table, word)
-    if v is not None:
-        # rad P -> P/soc P killing all but the first arm: the image is one
-        # indecomposable summand of rad P / soc P
-        rad, rad_nodes = _rad_walk(table, v)
-        quotient, nodes = _quotient_walk(table, v)
-        M = string_module(table, rad)
-        first = table.arms(v)[0].arrows[0]
-        fmap = _node_map(M, string_module(table, quotient),
-                         ((M.node_positions[k], nodes.get(p))
-                          for p, k in rad_nodes.items() if p[0] == first),
-                         f"the radical map at {v}")
-        if not fmap.intertwines():
-            raise RuntimeError(f"radical canonical map failed for {v}")
-        return fmap
-    surg = _two_sided(table, word, "tauinv")
-    if isinstance(surg.word, EmptyWord):
-        raise RuntimeError(f"tau-inverse of {word} is empty")
-    M = string_module(table, word)
-    fmap = _node_map(M, string_module(table, surg.word),
-                     ((pos, i + surg.shift) for i, pos in M.node_positions.items()),
-                     f"the canonical map of {word}")
+    source, target, image, v = _canonical_nodes(table, word)
+    M = string_module(table, source)
+    what = f"the canonical map of {word}" if v is None else f"the radical map at {v}"
+    fmap = _node_map(M, string_module(table, target),
+                     ((M.node_positions[i], j) for i, j in enumerate(image)), what)
     if not fmap.intertwines():
-        raise RuntimeError(f"canonical map construction failed for {word}")
+        raise RuntimeError(f"canonical map construction failed for {word}" if v is None
+                           else f"radical canonical map failed for {v}")
     return fmap
 
 
@@ -450,16 +470,16 @@ def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
     return ConeResult(case, [canonical_form(q, s) for s in summands])
 
 
-# -- witnessed sequences: the syzygy and the almost split sequence ---------
+# -- witnessed sequences: the syzygy, the almost split sequence, the cone --
 
 def _path_row(table: AlgebraTable, v: str, arrows, vertex: str, c) -> dict:
     """c times the path ``arrows`` from v, as a row of e_v A at ``vertex``."""
-    if table.quiver.target(arrows[-1]) != vertex:
+    if (table.quiver.target(arrows[-1]) if arrows else v) != vertex:
         raise RuntimeError(f"node alignment failed at the path {' '.join(arrows)}")
     f = table.field
     by_vertex = table.regular_action(v)[0][vertex]
     pos = {b: t for t, b in enumerate(by_vertex)}
-    return {pos[b]: f.mul(c, x) for b, x in table.nf_vector(arrows).items()}
+    return {pos[b]: f.mul(c, x) for b, x in table.nf_vector(arrows, v).items()}
 
 
 def _offsets(modules, vertices) -> list:
@@ -679,6 +699,157 @@ def ar_right_map(table: AlgebraTable, word: StringWord):
                                 f"the projective at {v}")))
     g = vstack_maps([part for _, part in parts], M)
     return stack_maps([part for part, _ in parts], g.source), g
+
+
+def _segment(table: AlgebraTable, word: StringWord, lo: int, hi: int) -> StringWord:
+    """The subword of ``word`` from node lo to node hi."""
+    if hi > lo:
+        return StringWord(word.letters[lo:hi])
+    return StringWord.trivial(node_vertices(table.quiver, word)[lo])
+
+
+def _runs(nodes) -> list:
+    """(first, last) of each run of consecutive integers in sorted ``nodes``."""
+    runs = []
+    for i in nodes:
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return runs
+
+
+def _cone_nodes(table: AlgebraTable, word: StringWord):
+    """The canonical map by nodes with its kernel and cokernel runs.
+
+    Returns (source, target, image, kernels, cokernels).  Each kernel run
+    K of the source nodes that the map kills is a directed string with
+    hull e_t A; ``kernels`` holds (first, last, t, arm index, k, walk)
+    with the walk of Omega^{-1} K.  Each cokernel run Q of the target
+    nodes that the map misses is a summand of the target's quotient by
+    the image; ``cokernels`` holds (first, last, word).
+    """
+    source, target, image, _ = _canonical_nodes(table, word)
+    kernels = []
+    for lo, hi in _runs([i for i, j in enumerate(image) if j is None]):
+        t, idx, k = _hull_arm(table, _segment(table, source, lo, hi))
+        kernels.append((lo, hi, t, idx, k, _omega_inv_walk(table, t, idx, k)))
+    hit = set(image)
+    cokernels = [(lo, hi, _segment(table, target, lo, hi)) for lo, hi in
+                 _runs([j for j in range(target.length + 1) if j not in hit])]
+    return source, target, image, kernels, cokernels
+
+
+def cone_pieces(table: AlgebraTable, word: StringWord) -> list:
+    """Canonical words of the pieces of ``cone_sequence``'s right term, in order:
+    each Omega^{-1} K, then each Q."""
+    _require_input(table, word)
+    q = table.quiver
+    _, _, _, kernels, cokernels = _cone_nodes(table, word)
+    return ([canonical_form(q, walk[0]) for *_, walk in kernels]
+            + [canonical_form(q, piece) for _, _, piece in cokernels])
+
+
+def _carry(table: AlgebraTable, t: str, word: StringWord, images: dict, i: int, stop: int):
+    """Extend ``images`` from node i of ``word`` to node stop, one letter at a time.
+
+    An image is (path, c): c times an arm prefix of e_t A.  Across a letter
+    leaving the known node the image is multiplied by the letter's arrow;
+    across a letter entering it, it is the prefix one arrow shorter (at
+    the socle, along the arm that ends with the arrow), scaled so that the
+    arrow carries it back.  The walk stops at the first zero.
+    """
+    f = table.field
+    arms = [arm.arrows for arm in table.arms(t)]
+    path, c = images[i]
+    step = 1 if stop > i else -1
+    while i != stop:
+        letter = word.letters[min(i, i + step)]
+        a = letter.arrow
+        if (step > 0) != letter.inverse:
+            path += (a,)
+            if not any(arm[:len(path)] == path for arm in arms):
+                return
+        elif path and path[-1] == a:
+            path = path[:-1]
+        else:
+            other = next((arm for arm in arms if arm[-1] == a), None) if path in arms else None
+            if other is None:
+                raise RuntimeError(f"the hull map of {word} breaks at node {i + step}")
+            c = f.mul(c, la.multiple_of(table.nf_vector(path), table.nf_vector(other), f))
+            path = other[:-1]
+        i += step
+        images[i] = (path, c)
+
+
+def cone_sequence(table: AlgebraTable, word: StringWord):
+    """(F, G) of 0 -> M(w) -> M(tau^{-1} w) (+) sum_K I(K)
+    -> sum_K M(Omega^{-1} K) (+) sum_Q M(Q) -> 0.
+
+    K runs over the runs of nodes that the canonical node map f kills and
+    Q over those it misses (``_cone_nodes``).  F is (f, j_K, ...): j_K
+    sends K's nodes to the last prefixes of its hull arm in I(K) = e_t A
+    and is carried outward along w (``_carry``).  G takes I(K) onto
+    M(Omega^{-1} K) through the walk's prefix nodes, and M(tau^{-1} w)
+    onto each Q by its nodes and onto each M(Omega^{-1} K) by -h_K with
+    h_K f = g_K j_K: h_K is j_K on the image of f, carried onto the
+    missed nodes.  With I injective the sequence gives the triangle
+    M -> tau^{-1} M -> C -> Omega^{-1} M (Happel 1988), so exactness
+    witnesses C = sum M(piece) as the cone of f; no projective part is
+    left over.
+    """
+    from .reps import RepMap, direct_sum, projective
+    _require_input(table, word)
+    f = table.field
+    one, vertices = f.one, table.quiver.vertices
+    source, target, image, kernels, cokernels = _cone_nodes(table, word)
+    M, N = string_module(table, source), string_module(table, target)
+    hulls = [projective(table, t) for _, _, t, *_ in kernels]
+    pieces = ([string_module(table, walk[0]) for *_, walk in kernels]
+              + [string_module(table, piece) for _, _, piece in cokernels])
+    E, C = direct_sum(N, *hulls), direct_sum(*pieces)
+    e_off, c_off = _offsets([N, *hulls], vertices), _offsets(pieces, vertices)
+    F = {u: [{} for _ in range(M.dims[u])] for u in vertices}
+    for i, (u, row) in M.node_positions.items():
+        if image[i] is not None:
+            F[u][row][e_off[0][u] + N.node_positions[image[i]][1]] = one
+    G = {u: [{} for _ in range(N.dims[u])] for u in vertices}
+    for r, (lo, hi, piece) in enumerate(cokernels, len(kernels)):
+        for j in range(lo, hi + 1):
+            u, row = N.node_positions[j]
+            G[u][row][c_off[r][u] + pieces[r].node_positions[j - lo][1]] = one
+    for r, (lo, hi, t, idx, k, (_, walk_nodes)) in enumerate(kernels):
+        arm = table.arms(t)[idx].arrows
+        top = hi if hi > lo and source.letters[lo].inverse else lo
+        images = {i: (arm[:len(arm) - k + abs(i - top)], one) for i in range(lo, hi + 1)}
+        _carry(table, t, source, images, lo, 0)
+        _carry(table, t, source, images, hi, source.length)
+        for i, (path, c) in images.items():
+            u, row = M.node_positions[i]
+            F[u][row].update((e_off[r + 1][u] + s, x)
+                             for s, x in _path_row(table, t, path, u, c).items())
+        # g_K: each prefix with a node of Omega^{-1} K goes to its column of C
+        columns = {}
+        for path, node in walk_nodes.items():
+            u, row = pieces[r].node_positions[node]
+            columns[path] = c_off[r][u] + row
+        # -h_K: j_K on the image of f, carried onto the missed nodes
+        carried = {image[i]: im for i, im in images.items() if image[i] is not None}
+        for lo_q, hi_q, _ in cokernels:
+            if lo_q - 1 in carried:
+                _carry(table, t, target, carried, lo_q - 1, hi_q)
+            if hi_q + 1 in carried:
+                _carry(table, t, target, carried, hi_q + 1, lo_q)
+        for j, (path, c) in carried.items():
+            if path in columns:
+                u, row = N.node_positions[j]
+                G[u][row][columns[path]] = f.neg(c)
+        by_vertex = table.regular_action(t)[0]
+        for u in vertices:
+            for b in by_vertex[u]:
+                col = columns.get(table.basis[b].arrows)
+                G[u].append({} if col is None else {col: one})
+    return RepMap(M, E, F), RepMap(E, C, G)
 
 
 # -- tau-period-one exclusions ---------------------------------------------

@@ -18,21 +18,29 @@ as ``reps.strip_projectives`` did before it read the rank of the socle
 line.  ``reference_tau_syzygy`` and ``reference_ar_exact`` are the
 ``tau-syzygy-oracle`` and ``ar-sequence-exactness`` sweep checks by
 kernels and an isomorphism search, as the sweep made them before it
-checked witnessed exact sequences.  ``reference_deep_vertices`` scans a
+checked witnessed exact sequences, and ``reference_cone_matches`` is the
+``cone-oracle`` check by the cokernel of (f, iota) into tau^{-1}M (+) I(M),
+``strip_projectives`` and an isomorphism search, as the sweep made it
+before it checked ``translate.cone_sequence``.  ``reference_deep_vertices`` scans a
 word for the nodes no arrow leaves, as ``bricks`` did before it read the
 deeps as the peaks of the word turned round.  ``top_dims``, ``cosyzygy``
 and ``stable_class_is_zero`` are module queries that only tests ask.
+``random_presentation_text`` and ``nakayama`` make inputs.
 """
 
 import itertools
 import random
 
+from biserial.core import AlgebraPresentation, Quiver, ZeroRelation
+from biserial.fields import Field
 from biserial.linalg import Echelon, row_nullspace
 from biserial.reps import (_factoring_maps, _top_generators, direct_sum, hom,
-                           injective_hull, is_isomorphic, kernel_of_map, projective,
-                           stack_maps, syzygy)
+                           injective_hull, is_isomorphic, kernel_of_map,
+                           mapping_cone_rep, projective, stack_maps,
+                           strip_projectives, syzygy)
 from biserial.strings import node_vertices, string_module
-from biserial.translate import ar_right_map, tau
+from biserial.translate import (ar_right_map, canonical_map_to_tau_inv,
+                                cone_of_canonical_map, tau)
 
 
 def verify_associativity(table) -> bool:
@@ -263,6 +271,17 @@ def reference_ar_exact(table, word) -> bool:
         table, K, string_module(table, tau(table, word)))
 
 
+def reference_cone_matches(table, word) -> bool:
+    """Whether the cokernel of (f, iota): M -> tau^{-1}M (+) I(M), stripped
+    of its projective summands, is the sum of the cone's summands, by an
+    isomorphism search."""
+    fmap = canonical_map_to_tau_inv(table, word)
+    reduced, _ = strip_projectives(table, mapping_cone_rep(table, fmap))
+    expected = direct_sum(*[string_module(table, s)
+                            for s in cone_of_canonical_map(table, word).summands])
+    return is_isomorphic(table, reduced, expected)
+
+
 def reference_deep_vertices(quiver, word):
     """Vertices of the deeps of the diagram, endpoints included, in order."""
     verts = node_vertices(quiver, word)
@@ -388,3 +407,12 @@ ZERO_BEFORE_SUBSTITUTION_TEXT = (
     "field Q\nvertex 1\narrow y : 1 -> 1\narrow x : 1 -> 1\n"
     "rel x y = y x\nrel x y y = 0\n"
     + "".join(f"rel {' '.join(w)} = 0\n" for w in itertools.product("xy", repeat=4)))
+
+
+def nakayama(n: int, length: int, field: Field) -> AlgebraPresentation:
+    """The cyclic Nakayama algebra on n vertices with every path of the length zero."""
+    q = Quiver([str(i) for i in range(n)],
+               [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)])
+    rels = [ZeroRelation(q.path([f"a{(i + t) % n}" for t in range(length)]))
+            for i in range(n)]
+    return AlgebraPresentation(field, q, rels)

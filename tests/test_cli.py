@@ -319,7 +319,7 @@ def test_undecided_oracle_fails_one_sweep_check(capsys, algs, monkeypatch):
     code, out = run(capsys, "--json", "sweep", algs["l2"], "--max-len", "3")
     assert code == 0
     checks = [r["check"] for r in json.loads(out)["results"]]
-    monkeypatch.setattr("biserial.sweep.is_isomorphic", undecided)
+    monkeypatch.setattr("biserial.sweep.cone_sequence", undecided)
     code, out = run(capsys, "--json", "sweep", algs["l2"], "--max-len", "3")
     assert code == 1
     payload = json.loads(out)

@@ -19,6 +19,7 @@ from biserial.core import (AlgebraPresentation, Quiver, ZeroRelation,
 from biserial.fields import Field
 from biserial.instances import alg_a3z, alg_l2, alg_l2d, alg_n2
 from biserial.presentations import parse_presentation
+from table_reference import nakayama
 
 FIELDS = (Field(2), Field(3))
 
@@ -34,15 +35,6 @@ rel a0 a1 = a1 a0
 rel a0 a1 a0 = 0
 rel a1 a0 a1 = 0
 """
-
-
-def nakayama(n: int, length: int, field: Field) -> AlgebraPresentation:
-    """The cyclic Nakayama algebra on n vertices with every path of the length zero."""
-    q = Quiver([str(i) for i in range(n)],
-               [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)])
-    rels = [ZeroRelation(q.path([f"a{(i + t) % n}" for t in range(length)]))
-            for i in range(n)]
-    return AlgebraPresentation(field, q, rels)
 
 
 def disjoint_union(*parts: AlgebraPresentation) -> AlgebraPresentation:

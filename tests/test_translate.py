@@ -20,10 +20,12 @@ from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
                                 _node_map, _quotient_walk, _rad_walk,
                                 ar_right_map, ar_sequence, canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
-                                cone_of_canonical_map, omega_sequence, omega_word,
+                                cone_of_canonical_map, cone_pieces, cone_sequence,
+                                omega_sequence, omega_word,
                                 proj_quotient_word, rad_mod_soc_walks, rad_word,
                                 reversal_map, tau, tau_inv)
-from table_reference import (cosyzygy, reference_ar_exact, reference_tau_syzygy,
+from table_reference import (cosyzygy, nakayama, reference_ar_exact,
+                             reference_cone_matches, reference_tau_syzygy,
                              stable_class_is_zero)
 
 
@@ -432,6 +434,41 @@ def test_witnessed_checks_agree_with_the_hom_route():
     assert compared > 1800
 
 
+def witnessed_cone(t, c) -> bool:
+    """The cone-oracle verdict: the cone sequence is exact and its pieces
+    are the calculus's summands."""
+    return (not exactness_defect(*cone_sequence(t, c))
+            and Counter(cone_pieces(t, c)) == Counter(cone_of_canonical_map(t, c).summands))
+
+
+def test_witnessed_cone_agrees_with_the_cokernel_route():
+    """The witnessed cone sequence gives the verdict of the cokernel,
+    stripping and isomorphism check."""
+    compared = 0
+    for t in standard_tables(24):
+        for c in enumerate_strings(t, 4):
+            assert witnessed_cone(t, c) == reference_cone_matches(t, c), str(c)
+            compared += 1
+    assert compared > 1800
+
+
+def test_cone_sequence_is_exact_on_cyclic_nakayama_tables():
+    """On the cyclic Nakayama tables with 2 to 5 vertices and every path of
+    length 2 to 8 zero, symmetric or not, every cone sequence is exact
+    with the calculus's summands."""
+    checked = nonsymmetric = 0
+    for n in range(2, 6):
+        for length in range(2, 9):
+            t = build_table(nakayama(n, length, Field(3)))
+            for c in enumerate_strings(t, length):
+                assert exactness_defect(*cone_sequence(t, c)) == "", (n, length, str(c))
+                assert Counter(cone_pieces(t, c)) == Counter(
+                    cone_of_canonical_map(t, c).summands), (n, length, str(c))
+                checked += 1
+                nonsymmetric += length % n != 1
+    assert checked > 380 and nonsymmetric > 290
+
+
 def test_ar_sequence_at_every_projective_quotient():
     """The witnessed almost split sequence ending at each P_v/soc P_v, at
     every length, is exact through one middle term: the rad/soc summands
@@ -473,7 +510,7 @@ def test_exactness_defect_names_the_condition():
         exactness_defect(incl, omega_sequence(build_table(alg_n2()), word("a"))[1])
 
 
-WITNESSED = ("tau-syzygy-oracle", "ar-sequence-exactness")
+WITNESSED = ("tau-syzygy-oracle", "ar-sequence-exactness", "cone-oracle")
 
 
 @pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
@@ -481,14 +518,22 @@ def test_witnessed_checks_ask_no_oracle(fixture, monkeypatch):
     def asked(*args):
         raise AssertionError("an oracle was asked")
 
-    for name in ("hom", "is_isomorphic", "kernel_of_map", "syzygy"):
+    def sought(*args):
+        raise AssertionError("an isomorphism was sought")
+
+    for name in ("hom", "kernel_of_map", "syzygy", "mapping_cone_rep",
+                 "strip_projectives", "_hull_embedding"):
         monkeypatch.setattr(f"biserial.reps.{name}", asked)
-    monkeypatch.setattr("biserial.sweep.is_isomorphic", asked)
-    result = {r["check"]: r for r in biserial.sweep.run_sweep(fixture(), 4)["results"]}
+    for name in ("is_isomorphic", "find_isomorphism"):
+        monkeypatch.setattr(f"biserial.reps.{name}", sought)
+    results = biserial.sweep.run_sweep(fixture(), 4)["results"]
+    result = {r["check"]: r for r in results}
     for name in WITNESSED:
         assert result[name] == {"check": name, "pass": True, "detail": "[]"}
-    # the cone check still asks the oracle, so the patch took
-    assert "an oracle was asked" in result["cone-oracle"]["detail"]
+    # the bricks checks still solve Hom, so the patch took
+    assert "an oracle was asked" in result["simples-orthogonal-system"]["detail"]
+    # and no sweep check asks the isomorphism oracle
+    assert not any("an isomorphism was sought" in r["detail"] for r in results)
 
 
 def _failing_details(fixture):
@@ -526,3 +571,43 @@ def test_planted_left_map_sign_fails_the_ar_check_by_name(monkeypatch):
     failing = _failing_details(alg_l2)
     assert list(failing) == ["ar-sequence-exactness"]
     assert ": composite is not zero" in failing["ar-sequence-exactness"]
+
+
+def test_planted_wrong_summand_fails_the_cone_check_by_name(monkeypatch):
+    """A calculus summand swapped for a word of another module no longer
+    names a piece of the witnessed sequence."""
+    def wrong(table, word):
+        cone = cone_of_canonical_map(table, word)
+        first = cone.summands[0]
+        other = StringWord.trivial(next(v for v in table.quiver.vertices
+                                        if not words_equal(table.quiver, first,
+                                                           StringWord.trivial(v))))
+        return biserial.translate.ConeResult(cone.case, [other, *cone.summands[1:]])
+
+    monkeypatch.setattr(biserial.sweep, "cone_of_canonical_map", wrong)
+    failing = _failing_details(alg_l2)
+    assert list(failing) == ["cone-oracle"]
+    assert "] != summands [" in failing["cone-oracle"]
+    assert ": pieces [" in failing["cone-oracle"]
+
+
+def test_planted_hull_map_sign_fails_the_cone_check_by_name(monkeypatch):
+    """The first hull map j_K with its sign flipped is no longer cancelled
+    by h_K, so the composite of the cone sequence is not zero."""
+    def flipped(table, word):
+        F, G = cone_sequence(table, word)
+        kernels = biserial.translate._cone_nodes(table, word)[3]
+        if not kernels:
+            return F, G
+        N = string_module(table, tau_inv(table, word))
+        hull = projective(table, kernels[0][2])
+        neg = table.field.neg
+        blocks = {u: [{j: neg(x) if N.dims[u] <= j < N.dims[u] + hull.dims[u] else x
+                       for j, x in row.items()} for row in rows]
+                  for u, rows in F.blocks.items()}
+        return RepMap(F.source, F.target, blocks), G
+
+    monkeypatch.setattr(biserial.sweep, "cone_sequence", flipped)
+    failing = _failing_details(alg_l2)
+    assert list(failing) == ["cone-oracle"]
+    assert ": composite is not zero" in failing["cone-oracle"]

@@ -20,7 +20,7 @@ from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
 from .normalizer import normalize
 from .reps import exactness_defect, opposite_table, stable_hom_dim
 from .strings import (canonical_form, enumerate_strings, reverse_word,
-                      string_module as string_module_fn, word_key, words_equal)
+                      string_module as string_module_fn, words_equal)
 from .translate import (ar_right_map, check_tau_period_one_exclusions,
                         cone_of_canonical_map, cone_pieces, cone_sequence,
                         omega_sequence, omega_word, reversal_map, tau, tau_inv)
@@ -70,9 +70,9 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
 
         holds returns a bool, or a string naming what fails ("" when
         nothing does), which a listed check reports with the word.  An
-        exception fails only its word and is reported with it, so an
-        Undecided oracle verdict or a bug cannot abort the sweep.  Listed
-        checks report every failing word; the others only the exceptions.
+        exception fails only its word and is reported with it, so a domain
+        error or a bug cannot abort the sweep.  Listed checks report every
+        failing word; the others only the exceptions.
         """
         bad, errors = [], []
         for w in words:
@@ -141,21 +141,15 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
         check_words("ar-sequence-exactness",
                     lambda w: exactness_defect(*ar_right_map(table, w)))
 
-        def by_key(words):
-            return sorted(words, key=lambda s: word_key(q, s))
-
         def cone_matches(w):
             """The defect of the witnessed cone sequence, or a mismatch of its
             pieces with the calculus's summands."""
             defect = exactness_defect(*cone_sequence(table, w))
             if defect:
                 return defect
-            pieces = by_key(cone_pieces(table, w))
-            summands = by_key(cone_of_canonical_map(table, w).summands)
-            if pieces != summands:
-                return (f"pieces {[str(s) for s in pieces]} != "
-                        f"summands {[str(s) for s in summands]}")
-            return ""
+            pieces = sorted(str(s) for s in cone_pieces(table, w))
+            summands = sorted(str(s) for s in cone_of_canonical_map(table, w).summands)
+            return "" if pieces == summands else f"pieces {pieces} != summands {summands}"
         check_words("cone-oracle", cone_matches)
 
         simples = [canonical_form(q, w) for w in words if w.is_trivial()]

@@ -141,6 +141,33 @@ def test_canonical_map_cases():
     assert not stable_class_is_zero(t2, canonical_map_to_tau_inv(t2, word("a", "b-")))
 
 
+def test_canonical_map_that_does_not_intertwine_raises(monkeypatch):
+    """A node map that kills one of two neighbouring kept nodes is no
+    module map, and canonical_map_to_tau_inv says which branch built it."""
+    nodes = biserial.translate._canonical_nodes
+
+    def broken(table, w):
+        source, target, image, v = nodes(table, w)
+        hit = [i for i, j in enumerate(image) if j is not None]
+        return source, target, [None if i == hit[1] else j
+                                for i, j in enumerate(image)], v
+
+    def kept_twice(t, branch):
+        """The first word whose map keeps two nodes, in the radical branch or not."""
+        return next(c for c in enumerate_strings(t, 4)
+                    if sum(j is not None for j in nodes(t, c)[2]) >= 2
+                    and (nodes(t, c)[3] is not None) == branch)
+
+    # the arms of nakayama(2, 4) are long enough to keep two radical nodes
+    long_arms, l2 = build_table(nakayama(2, 4, Field(3))), build_table(alg_l2())
+    radical, plain = kept_twice(long_arms, True), kept_twice(l2, False)
+    monkeypatch.setattr(biserial.translate, "_canonical_nodes", broken)
+    with pytest.raises(RuntimeError, match="^radical canonical map failed for "):
+        canonical_map_to_tau_inv(long_arms, radical)
+    with pytest.raises(RuntimeError, match="^canonical map construction failed for "):
+        canonical_map_to_tau_inv(l2, plain)
+
+
 def test_stable_vanishing_iff_degenerate_case():
     for pres in (alg_n2(), alg_l2()):
         t = build_table(pres)

@@ -814,7 +814,7 @@ def cone_sequence(table: AlgebraTable, word: StringWord):
         if image[i] is not None:
             F[u][row][e_off[0][u] + N.node_positions[image[i]][1]] = one
     G = {u: [{} for _ in range(N.dims[u])] for u in vertices}
-    for r, (lo, hi, piece) in enumerate(cokernels, len(kernels)):
+    for r, (lo, hi, _) in enumerate(cokernels, len(kernels)):
         for j in range(lo, hi + 1):
             u, row = N.node_positions[j]
             G[u][row][c_off[r][u] + pieces[r].node_positions[j - lo][1]] = one

@@ -1,30 +1,64 @@
 """Orthogonal systems of stable bricks and s-projective bookkeeping.
 
 Members are canonical string words over a fixed table.  Stable brickness
-and orthogonality are decided by the stable-hom oracle; maximality is
-only ever certified up to an explicit length bound.
+and orthogonality are decided by ``stable_hom_of_words``: a pair with a
+simple side is read off the other word's peaks or deeps, which needs a
+selfinjective table, and any other pair goes to the stable-hom oracle.
+Maximality is only ever certified up to an explicit length bound.
 """
 
 from __future__ import annotations
 
 from .core import AlgebraTable, DomainError, Record
 from .linalg import multiple_of
-from .reps import stable_hom_dim
 from .strings import (Letter, StringWord, _can_append, canonical_form,
                       directed_runs, enumerate_strings, node_vertices,
-                      reverse_word, string_module, word_key, word_source,
-                      word_target, words_equal)
-from .translate import _peaks, ar_sequence, omega_word, tau, tau_inv
+                      reverse_word, string_module, validate_string, word_key,
+                      word_source, word_target, words_equal)
+from .translate import (_peaks, ar_sequence, omega_word,
+                        require_selfinjective_sb, tau, tau_inv)
 
 
 class BadSystemMember(DomainError):
     """A word that is not a member of the system."""
 
 
+def stable_hom_of_words(table: AlgebraTable, m: StringWord, n: StringWord) -> int:
+    """dim of the stable Hom from M(m) to M(n), for valid string words.
+
+    A pair with a simple side is read off the other word
+    (``_hom_with_simple``), which needs a selfinjective table; any other
+    pair goes to ``reps.stable_hom_dim`` on the string modules.
+    """
+    require_selfinjective_sb(table)
+    if m.is_trivial() or n.is_trivial():
+        return _hom_with_simple(table.quiver, m, n)
+    from .reps import stable_hom_dim
+    return stable_hom_dim(table, string_module(table, m), string_module(table, n))
+
+
+def _hom_with_simple(quiver, m: StringWord, n: StringWord) -> int:
+    """The stable Hom dimension from M(m) to M(n), one of them simple.
+
+    Over a selfinjective algebra no nonzero map from an indecomposable
+    non-projective M to a simple S_v, or from S_v to M, factors through a
+    projective: a map S_v -> P lands in soc P, and a map P -> M nonzero
+    there is injective, so P would split off M; the top is the dual case
+    (Auslander-Reiten-Smalo 1995).  So against n = S_v the dimension is
+    the number of peaks of m at v, from m = S_v the number of deeps of n
+    at v, and 0 when the simple is projective.
+    """
+    simple = n if n.is_trivial() else m
+    if not quiver.out_arrows[simple.vertex]:
+        return 0
+    if n.is_trivial():
+        return _peak_vertices(quiver, m).count(n.vertex)
+    return _deep_vertices(quiver, n).count(m.vertex)
+
+
 def is_stable_brick(table: AlgebraTable, word: StringWord) -> bool:
     """One-dimensional stable endomorphisms and tau-period > 1."""
-    M = string_module(table, word)
-    if stable_hom_dim(table, M, M) != 1:
+    if stable_hom_of_words(table, word, word) != 1:
         return False
     return not words_equal(table.quiver, tau(table, word), word)
 
@@ -42,13 +76,10 @@ def check_orthogonal_system(table: AlgebraTable, words):
     for w in canon:
         if not is_stable_brick(table, w):
             return False, ("not a stable brick", str(w))
-    mods = [string_module(table, w) for w in canon]
-    for i in range(len(mods)):
-        for j in range(len(mods)):
-            if i == j:
-                continue
-            if stable_hom_dim(table, mods[i], mods[j]) != 0:
-                return False, ("nonzero stable hom", str(canon[i]), str(canon[j]))
+    for i, m in enumerate(canon):
+        for j, n in enumerate(canon):
+            if i != j and stable_hom_of_words(table, m, n) != 0:
+                return False, ("nonzero stable hom", str(m), str(n))
     return True, None
 
 
@@ -56,14 +87,14 @@ def check_bounded_maximality(table: AlgebraTable, words, max_len: int):
     """Every candidate string up to max_len admits stable maps to and from
     the system.  Explicitly a bounded check, not a proof of maximality."""
     canon = [canonical_form(table.quiver, w) for w in words]
-    mods = [string_module(table, w) for w in canon]
+    for w in canon:
+        validate_string(table, w)
     for cand in enumerate_strings(table, max_len):
         if words_equal(table.quiver, tau(table, cand), cand):
             continue  # tau-period one, excluded from the quantifier
-        N = string_module(table, cand)
-        if not any(stable_hom_dim(table, m, N) > 0 for m in mods):
+        if not any(stable_hom_of_words(table, m, cand) > 0 for m in canon):
             return False, str(cand)
-        if not any(stable_hom_dim(table, N, m) > 0 for m in mods):
+        if not any(stable_hom_of_words(table, cand, m) > 0 for m in canon):
             return False, str(cand)
     return True, None
 

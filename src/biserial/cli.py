@@ -12,7 +12,8 @@ loads nothing more; ``check`` loads ``checks``; ``nodes`` ``nodes``;
 ``strings`` ``strings``; ``normalize`` and ``ssb`` ``checks`` and
 ``normalizer``; ``hom`` ``checks``, ``strings`` and ``reps``; ``tau``,
 ``ar`` and ``cone`` ``checks``, ``strings`` and ``translate``;
-``bricks`` loads those and ``bricks`` and ``reps``; ``sweep`` loads every layer but
+``bricks`` loads those and ``bricks``, and ``reps`` only for a pair of
+members neither of which is simple; ``sweep`` loads every layer but
 ``instances``.
 """
 

@@ -255,7 +255,7 @@ class AlgebraTable:
         self._run_verdicts = {}          # off_socle: arrow tuple -> bool
         self._valid_words = set()        # translate._require_input: words that passed
         self._string_modules = {}        # strings.string_module: word -> module
-        self._translates = {}            # translate.tau/tau_inv: (mode, word) -> word
+        self._translates = {}            # translate: (mode, word) -> tau/tau_inv/omega_word/_cone_nodes
         self._side_ops = {}              # strings.right_op/left_op: (side, mode, word, exclude) -> SideOp
         self._tails = {}                 # strings._tail: first letter of a hook or co-hook -> the run after it
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .bricks import (check_bounded_maximality, check_orthogonal_system,
-                     endpoint_multiplicity_check, verify_shape_lemmas)
+                     endpoint_multiplicity_check, stable_hom_of_words,
+                     verify_shape_lemmas)
 from .checks import (check_one_in_one_out, check_special_biserial,
                      is_local_nakayama)
 from .core import AlgebraPresentation, build_table, check_selfinjective_symmetric
 from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
 from .normalizer import normalize
-from .reps import exactness_defect, opposite_table, stable_hom_dim
+from .reps import exactness_defect, opposite_table
 from .strings import (canonical_form, enumerate_strings, reverse_word,
                       string_module as string_module_fn, words_equal)
 from .translate import (ar_right_map, check_tau_period_one_exclusions,
@@ -167,12 +168,9 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
             with guarded("stable-hom-bound"):
                 bound_bad = []
                 for m in simples:
-                    Tm = string_module_fn(table, tau_inv(table, m))
-                    total = sum(stable_hom_dim(table, Tm, string_module_fn(table, s))
+                    total = sum(stable_hom_of_words(table, tau_inv(table, m), s)
                                 for s in simples)
-                    dual = sum(stable_hom_dim(table,
-                                              string_module_fn(table, tau_inv(table, s)),
-                                              string_module_fn(table, m))
+                    dual = sum(stable_hom_of_words(table, tau_inv(table, s), m)
                                for s in simples)
                     if total > 2 or dual > 2:
                         bound_bad.append((str(m), total, dual))

@@ -727,8 +727,13 @@ def _cone_nodes(table: AlgebraTable, word: StringWord):
     hull e_t A; ``kernels`` holds (first, last, t, arm index, k, walk)
     with the walk of Omega^{-1} K.  Each cokernel run Q of the target
     nodes that the map misses is a summand of the target's quotient by
-    the image; ``cokernels`` holds (first, last, word).
+    the image; ``cokernels`` holds (first, last, word).  Memoized per
+    table, so callers must not change the result.
     """
+    key = ("cone", word)
+    out = table._translates.get(key)
+    if out is not None:
+        return out
     source, target, image, _ = _canonical_nodes(table, word)
     kernels = []
     for lo, hi in _runs([i for i, j in enumerate(image) if j is None]):
@@ -737,7 +742,8 @@ def _cone_nodes(table: AlgebraTable, word: StringWord):
     hit = set(image)
     cokernels = [(lo, hi, _segment(table, target, lo, hi)) for lo, hi in
                  _runs([j for j in range(target.length + 1) if j not in hit])]
-    return source, target, image, kernels, cokernels
+    out = table._translates[key] = (source, target, image, kernels, cokernels)
+    return out
 
 
 def cone_pieces(table: AlgebraTable, word: StringWord) -> list:

@@ -25,7 +25,8 @@ before it checked ``translate.cone_sequence``.  ``reference_deep_vertices`` scan
 word for the nodes no arrow leaves, as ``bricks`` did before it read the
 deeps as the peaks of the word turned round.  ``top_dims``, ``cosyzygy``
 and ``stable_class_is_zero`` are module queries that only tests ask.
-``random_presentation_text`` and ``nakayama`` make inputs.
+``random_presentation_text``, ``nakayama`` and ``socle_deformed`` make
+inputs.
 """
 
 import itertools
@@ -33,7 +34,9 @@ import random
 
 from biserial.core import AlgebraPresentation, Quiver, ZeroRelation
 from biserial.fields import Field
+from biserial.instances import random_standard_data
 from biserial.linalg import Echelon, row_nullspace
+from biserial.normalizer import build_from_standard_data
 from biserial.reps import (_factoring_maps, _top_generators, direct_sum, hom,
                            injective_hull, is_isomorphic, kernel_of_map,
                            mapping_cone_rep, projective, stack_maps,
@@ -416,3 +419,18 @@ def nakayama(n: int, length: int, field: Field) -> AlgebraPresentation:
     rels = [ZeroRelation(q.path([f"a{(i + t) % n}" for t in range(length)]))
             for i in range(n)]
     return AlgebraPresentation(field, q, rels)
+
+
+def socle_deformed(seed: int, field: Field):
+    """(presentation, deformations) of seeded standard data with a loop,
+    its chosen loops deformed by socle scalars drawn from the seed."""
+    quiver, pi, mult = random_standard_data(seed, require_loop=True)
+    rng = random.Random(seed + 101)
+    loops = [a.name for a in quiver.arrows
+             if a.source == a.target and pi[a.name] != a.name]
+    chosen = [l for l in loops if rng.random() < 0.8] or [loops[0]]
+    scalars = {l: rng.choice((1, 2, 3, -1)) for l in chosen}
+    defs = [(l, field.of(c)) for l, c in scalars.items() if field.of(c) != field.zero]
+    if not defs:
+        defs = [(chosen[0], field.one)]
+    return build_from_standard_data(quiver, pi, mult, defs, field), defs

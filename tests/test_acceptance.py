@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one summary line
 per criterion.  The randomized pools are seeded and deterministic.
 """
 
-import random
-
 import pytest
 
 import biserial.linalg as la
@@ -31,6 +29,7 @@ from biserial.translate import (LocalNakayamaExcluded, ar_right_map,
                                 canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
                                 cone_of_canonical_map, tau, tau_inv)
+from table_reference import socle_deformed
 
 MAX_LEN = 12
 
@@ -195,19 +194,8 @@ def test_criterion_5_endpoints_and_nodes(named_fixtures, random_pool):
 def test_criterion_6_normalizer():
     runs = []
     for seed in DEFORM_SEEDS:
-        quiver, pi, mult = random_standard_data(seed, require_loop=True)
-        rng = random.Random(seed + 101)
-        loops = [a.name for a in quiver.arrows
-                 if a.source == a.target and pi[a.name] != a.name]
-        chosen = [l for l in loops if rng.random() < 0.8] or [loops[0]]
-        scalars = {l: rng.choice((1, 2, 3, -1)) for l in chosen}
         for char in (0, 3, 2):
-            field = Field(char)
-            defs = [(l, field.of(c)) for l, c in scalars.items()
-                    if field.of(c) != field.zero]
-            if not defs:
-                defs = [(chosen[0], field.one)]
-            pres = build_from_standard_data(quiver, pi, mult, defs, field)
+            pres, defs = socle_deformed(seed, Field(char))
             table = build_table(pres)
             out = normalize(table)  # replay isomorphism verified inside
             base_table = build_table(out.base)

@@ -354,7 +354,7 @@ def test_sweep_check_exception_fails_only_that_check(monkeypatch):
     def broken(*args):
         raise ArithmeticError("stable hom broke")
 
-    monkeypatch.setattr("biserial.sweep.stable_hom_dim", broken)
+    monkeypatch.setattr("biserial.sweep.stable_hom_of_words", broken)
     payload = run_sweep(alg_l2(), 3)
     assert not payload["all_pass"]
     assert [r["check"] for r in payload["results"]] == checks
@@ -398,8 +398,9 @@ LAYERS_RUN = {
     "ar": (["ar", "n2", "--string", "a"], CALCULUS_LAYERS),
     "ar-non-landmark": (["ar", "n2", "--string", "@1"], CALCULUS_LAYERS),
     "cone": (["cone", "n2", "--string", "a"], CALCULUS_LAYERS),
+    # every member is simple, so Hom is read off the words without reps
     "bricks": (["bricks", "n2", "--set", "@1,@2", "--max-len", "2"],
-               ["bricks", *ORACLE_LAYERS, "translate"]),
+               ["bricks", *CALCULUS_LAYERS]),
 }
 
 

@@ -11,13 +11,14 @@ from biserial.instances import (alg_a3z, alg_l2, alg_l2d, alg_n2,
 from biserial.normalizer import build_from_standard_data
 from biserial.reps import (RepMap, decompose_rad_mod_soc, direct_sum, exactness_defect,
                            find_isomorphism, is_isomorphic, kernel_of_map,
-                           mapping_cone_rep, projective, strip_projectives, syzygy)
+                           mapping_cone_rep, projective, stable_hom_dim,
+                           strip_projectives, syzygy)
 from biserial.strings import (Letter, StringWord, SubwordInSocleOrZero, _tail,
                               canonical_form, enumerate_strings, left_op,
                               node_vertices, reverse_word, right_op,
                               string_module, words_equal)
 from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
-                                _node_map, _quotient_walk, _rad_walk,
+                                _cone_nodes, _node_map, _quotient_walk, _rad_walk,
                                 ar_right_map, ar_sequence, canonical_map_to_tau_inv,
                                 check_tau_period_one_exclusions,
                                 cone_of_canonical_map, cone_pieces, cone_sequence,
@@ -245,14 +246,15 @@ def test_ar_right_map_exact_and_almost_split():
 
 @pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
 def test_warm_translates_agree_with_a_fresh_table(swept_tables, fixture):
-    """tau, tau_inv and omega_word after a sweep equal their values on a cold table."""
+    """tau, tau_inv, omega_word and the cone's node sets after a sweep equal
+    their values on a cold table."""
     warm = swept_tables(fixture(), max_len=4)[0]
-    assert warm._translates
+    ops = {"tau": tau, "tauinv": tau_inv, "omega": omega_word, "cone": _cone_nodes}
+    assert {mode for mode, _ in warm._translates} == set(ops)
     for c in enumerate_strings(warm, 4):
         for x in (c, reverse_word(c)):
             for op in (tau, tau_inv):
                 assert op(warm, x) == op(build_table(fixture()), x), (op.__name__, str(x))
-    ops = {"tau": tau, "tauinv": tau_inv, "omega": omega_word}
     for (mode, x), value in warm._translates.items():
         assert value == ops[mode](build_table(fixture()), x)
 
@@ -542,25 +544,26 @@ WITNESSED = ("tau-syzygy-oracle", "ar-sequence-exactness", "cone-oracle")
 
 @pytest.mark.parametrize("fixture", [alg_n2, alg_l2], ids=lambda f: f.__name__)
 def test_witnessed_checks_ask_no_oracle(fixture, monkeypatch):
+    """Every sweep check passes with the Hom solver and the isomorphism
+    search patched to raise: the bricks checks read Hom with a simple off
+    the word."""
     def asked(*args):
         raise AssertionError("an oracle was asked")
 
-    def sought(*args):
-        raise AssertionError("an isomorphism was sought")
-
     for name in ("hom", "kernel_of_map", "syzygy", "mapping_cone_rep",
-                 "strip_projectives", "_hull_embedding"):
+                 "strip_projectives", "_hull_embedding", "is_isomorphic",
+                 "find_isomorphism"):
         monkeypatch.setattr(f"biserial.reps.{name}", asked)
-    for name in ("is_isomorphic", "find_isomorphism"):
-        monkeypatch.setattr(f"biserial.reps.{name}", sought)
     results = biserial.sweep.run_sweep(fixture(), 4)["results"]
     result = {r["check"]: r for r in results}
     for name in WITNESSED:
         assert result[name] == {"check": name, "pass": True, "detail": "[]"}
-    # the bricks checks still solve Hom, so the patch took
-    assert "an oracle was asked" in result["simples-orthogonal-system"]["detail"]
-    # and no sweep check asks the isomorphism oracle
-    assert not any("an isomorphism was sought" in r["detail"] for r in results)
+    assert [r for r in results if not r["pass"]] == []
+    # the patch took: the oracle itself solves Hom
+    t = build_table(fixture())
+    S = string_module(t, StringWord.trivial("1"))
+    with pytest.raises(AssertionError, match="an oracle was asked"):
+        stable_hom_dim(t, S, S)
 
 
 def _failing_details(fixture):

@@ -213,9 +213,9 @@ def test_the_reading_holds_on_selfinjective_deformed_tables():
     is selfinjective, as the theorem needs."""
     tables = []
     for t in deformed_tables():
+        simple = StringWord.trivial(t.quiver.vertices[0])
         with pytest.raises(NotSelfinjectiveSB):
-            stable_hom_of_words(t, StringWord.trivial(t.quiver.vertices[0]),
-                                StringWord.trivial(t.quiver.vertices[0]))
+            stable_hom_of_words(t, simple, simple)
         if check_selfinjective_symmetric(t).verdict != "not-selfinjective":
             tables.append(t)
     assert len(tables) >= 77

@@ -29,14 +29,14 @@ __version__ = "0.1.0"
 # defining module -> the public names it provides
 _LAZY = (
     ("core", ("AlgebraPresentation", "AlgebraTable", "Arrow", "EqualityRelation",
-              "InconsistentRelations", "NonAdmissible", "Path", "Quiver",
+              "InconsistentRelations", "Letter", "NonAdmissible", "Path", "Quiver",
               "SocleDeformation", "UnsupportedRelation", "ZeroRelation",
               "build_table", "check_selfinjective_symmetric",
               "opposite_presentation")),
     ("fields", ("Field", "QQ")),
     ("presentations", ("format_presentation", "load_presentation",
                        "parse_presentation")),
-    ("strings", ("EMPTY", "Letter", "StringWord", "canonical_form",
+    ("strings", ("EMPTY", "StringWord", "canonical_form",
                  "enumerate_strings", "is_band", "maximal_directed_extensions",
                  "string_module", "validate_string")),
     ("translate", ("ar_sequence", "canonical_map_to_tau_inv",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from .core import AlgebraTable, DomainError, Record
 from .linalg import multiple_of
-from .strings import (Letter, StringWord, _can_append, canonical_form,
-                      directed_runs, enumerate_strings, node_vertices,
-                      reverse_word, string_module, validate_string, word_key,
-                      word_source, word_target, words_equal)
+from .strings import (StringWord, _can_append, canonical_form, directed_runs,
+                      enumerate_strings, node_vertices, reverse_word,
+                      string_module, validate_string, word_key, word_source,
+                      word_target, words_equal)
 from .translate import (_peaks, ar_sequence, omega_word,
                         require_selfinjective_sb, tau, tau_inv)
 
@@ -170,7 +170,7 @@ def _deep_vertices(quiver, word: StringWord):
     turned round.
     """
     verts = node_vertices(quiver, word)
-    turned = StringWord(tuple(l.inv() for l in word.letters), word.vertex)
+    turned = StringWord(tuple(map(quiver.inverse.__getitem__, word.letters)), word.vertex)
     return [verts[i] for i, _, _ in _peaks(turned)]
 
 
@@ -181,16 +181,11 @@ def _peak_vertices(quiver, word: StringWord):
 
 def _maximal_directed(table: AlgebraTable, word: StringWord, side: str) -> bool:
     """Is the directed run touching the given end maximal as a string?"""
-    w = word if side == "right" else reverse_word(word)
     q = table.quiver
-    end = word_target(q, w)
-    if w.is_trivial():
-        cands = [Letter(a.name) for a in q.out_arrows[end]]
-        cands += [Letter(a.name, True) for a in q.in_arrows[end]]
-    elif w.letters[-1].inverse:
-        cands = [Letter(a.name, True) for a in q.in_arrows[end]]
-    else:
-        cands = [Letter(a.name) for a in q.out_arrows[end]]
+    w = word if side == "right" else reverse_word(q, word)
+    cands = q.letters_from[word_target(q, w)]
+    if w.letters:
+        cands = [c for c in cands if c.inverse == w.letters[-1].inverse]
     return not any(_can_append(table, w, c) for c in cands)
 
 

@@ -35,7 +35,7 @@ class CliError(DomainError):
 
 def parse_string_arg(quiver, text: str):
     """CLI string syntax: arrow ids with ^-1 suffixes, or @vertex."""
-    from .strings import Letter, StringWord
+    from .strings import StringWord
     text = text.strip()
     if text.startswith("@"):
         v = text[1:]
@@ -44,15 +44,13 @@ def parse_string_arg(quiver, text: str):
         return StringWord.trivial(v)
     letters = []
     for tok in text.split():
-        if tok.endswith("^-1"):
-            letters.append(Letter(tok[:-3], True))
-        else:
-            letters.append(Letter(tok))
+        inverse = tok.endswith("^-1")
+        arrow = tok[:-3] if inverse else tok
+        if arrow not in quiver.letters:
+            raise CliError(f"unknown arrow {arrow!r}")
+        letters.append(quiver.letters[arrow][inverse])
     if not letters:
         raise CliError("empty string argument")
-    for l in letters:
-        if l.arrow not in quiver.arrow_by_name:
-            raise CliError(f"unknown arrow {l.arrow!r}")
     return StringWord(tuple(letters))
 
 

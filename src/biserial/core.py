@@ -1,18 +1,22 @@
 """Quivers, path-algebra presentations and the finite-dimensional quotient.
 
-The table builder turns a presentation with relations of three kinds
-(zero paths, scaled equalities between parallel paths, and socle
-deformations of length-2 products) into an explicit basis of path
-classes with exact structure constants.  Normal forms are computed by a
-directed rewriting discipline; full Groebner machinery is deliberately
-out of scope.  Rewriting without completion can build a wrong table from
-a non-confluent presentation, so ``AlgebraTable.certify`` checks a built
+A quiver owns its letters (``Letter``: an arrow or its formal inverse),
+built once for the string calculus to look up.  The table builder turns
+a presentation with relations of three kinds (zero paths, scaled
+equalities between parallel paths, and socle deformations of length-2
+products) into an explicit basis of path classes with exact structure
+constants.  Normal forms are computed by a directed rewriting
+discipline; full Groebner machinery is deliberately out of scope.
+Rewriting without completion can build a wrong table from a
+non-confluent presentation, so ``AlgebraTable.certify`` checks a built
 table exactly on its right regular representation (``regular_action``,
 the one construction of the e_v A that the socle and ``reps.projective``
 share) and raises ``InconsistentRelations`` unless it is associative.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import DomainError
 from .fields import Field
@@ -90,8 +94,25 @@ class Arrow(Record, frozen=True):
         self.target = target
 
 
+class Letter(namedtuple("Letter", ("arrow", "inverse"), defaults=(False,))):
+    """An arrow or its formal inverse; an immutable tuple, hashed in C."""
+
+    __slots__ = ()
+
+    def inv(self) -> "Letter":
+        return Letter(self.arrow, not self.inverse)
+
+    def __str__(self) -> str:
+        return self.arrow + ("^-1" if self.inverse else "")
+
+
 class Quiver:
-    """A finite quiver. Arrow declaration order fixes all canonical orders."""
+    """A finite quiver. Arrow declaration order fixes all canonical orders.
+
+    It owns its letters: ``letters[a][inverse]`` is a letter of arrow a,
+    ``inverse`` maps each letter to its inverse, and ``letters_from`` a
+    vertex to the direct out-letters, then the inverse in-letters.
+    """
 
     def __init__(self, vertices, arrows):
         self.vertices = list(vertices)
@@ -109,6 +130,12 @@ class Quiver:
         self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
         self.out_arrows = {v: [a for a in self.arrows if a.source == v] for v in self.vertices}
         self.in_arrows = {v: [a for a in self.arrows if a.target == v] for v in self.vertices}
+        self.letters = {a.name: (Letter(a.name), Letter(a.name, True)) for a in self.arrows}
+        self.inverse = {l: m for pair in self.letters.values()
+                        for l, m in (pair, pair[::-1])}
+        self.letters_from = {v: (*[self.letters[a.name][0] for a in self.out_arrows[v]],
+                                 *[self.letters[a.name][1] for a in self.in_arrows[v]])
+                             for v in self.vertices}
 
     def source(self, arrow_name: str) -> str:
         return self.arrow_by_name[arrow_name].source
@@ -253,7 +280,7 @@ class AlgebraTable:
         self._landmark_words = None      # translate._landmarks
         self._arms = {}                  # arms: vertex -> tuple of paths
         self._run_verdicts = {}          # off_socle: arrow tuple -> bool
-        self._valid_words = set()        # translate._require_input: words that passed
+        self._valid_words = set()        # translate._require_input, strings.enumerate_strings: valid words
         self._string_modules = {}        # strings.string_module: word -> module
         self._translates = {}            # translate: (mode, word) -> tau/tau_inv/omega_word/_cone_nodes
         self._side_ops = {}              # strings.right_op/left_op: (side, mode, word, exclude) -> SideOp

@@ -3,14 +3,16 @@
 A string is a reduced walk of arrows and formal inverses whose directed
 runs avoid the socle; trivial strings carry a base vertex.  The hook and
 co-hook surgeries that drive the translation calculus also live here, as
-one-sided operations with alignment metadata.
+one-sided operations with alignment metadata.  Letters are the quiver's
+own (``core.Letter``, re-exported here): reversal, enumeration and the
+surgeries look them up, and ``make_word`` builds their words.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import AlgebraTable, DomainError, Quiver, Record
+from .core import AlgebraTable, DomainError, Letter, Quiver, Record
 
 
 class StringError(DomainError):
@@ -27,18 +29,6 @@ class InverseAdjacent(StringError):
 
 class SubwordInSocleOrZero(StringError):
     pass
-
-
-class Letter(namedtuple("Letter", ("arrow", "inverse"), defaults=(False,))):
-    """An arrow or its formal inverse; an immutable tuple, hashed in C."""
-
-    __slots__ = ()
-
-    def inv(self) -> "Letter":
-        return Letter(self.arrow, not self.inverse)
-
-    def __str__(self) -> str:
-        return self.arrow + ("^-1" if self.inverse else "")
 
 
 class StringWord(namedtuple("StringWord", ("letters", "vertex"), defaults=(None,))):
@@ -64,6 +54,11 @@ class StringWord(namedtuple("StringWord", ("letters", "vertex"), defaults=(None,
         if self.is_trivial():
             return f"@{self.vertex}"
         return " ".join(str(l) for l in self.letters)
+
+
+def make_word(letters: tuple) -> StringWord:
+    """A nontrivial word, skipping the Python-level namedtuple ``__new__``."""
+    return tuple.__new__(StringWord, (letters, None))
 
 
 class EmptyWord:
@@ -101,10 +96,13 @@ def word_target(quiver: Quiver, word: StringWord) -> str:
     return word.vertex if word.is_trivial() else letter_target(quiver, word.letters[-1])
 
 
-def reverse_word(word: StringWord) -> StringWord:
-    if word.is_trivial():
-        return word
-    return StringWord(tuple([Letter(a, not inv) for a, inv in reversed(word.letters)]))
+def reverse_letters(quiver: Quiver, letters: tuple) -> tuple:
+    """The letters of the walk run backwards: each one's inverse, last first."""
+    return tuple(map(quiver.inverse.__getitem__, reversed(letters)))
+
+
+def reverse_word(quiver: Quiver, word: StringWord) -> StringWord:
+    return make_word(reverse_letters(quiver, word.letters)) if word.letters else word
 
 
 def directed_runs(word: StringWord):
@@ -121,12 +119,6 @@ def directed_runs(word: StringWord):
     return runs
 
 
-def run_path_arrows(word: StringWord, start: int, end: int, inverse: bool):
-    """Arrows of a directed run, read in arrow direction."""
-    arrows = [l.arrow for l in word.letters[start:end + 1]]
-    return tuple(reversed(arrows)) if inverse else tuple(arrows)
-
-
 def validate_string(table: AlgebraTable, word: StringWord) -> StringWord:
     """Check all string axioms against the table; return the word."""
     q = table.quiver
@@ -140,10 +132,10 @@ def validate_string(table: AlgebraTable, word: StringWord) -> StringWord:
     for a, b in zip(word.letters, word.letters[1:]):
         if letter_target(q, a) != letter_source(q, b):
             raise BadComposition(f"letters {a} and {b} do not compose")
-        if b == a.inv():
+        if b == q.inverse[a]:
             raise InverseAdjacent(f"letters {a} {b} cancel")
     for start, end, inverse in directed_runs(word):
-        arrows = run_path_arrows(word, start, end, inverse)
+        arrows = tuple(l.arrow for l in word.letters[start:end + 1])[::-1 if inverse else 1]
         if not table.off_socle(arrows):
             raise SubwordInSocleOrZero(
                 f"directed subword {' '.join(arrows)} is zero or lies in the socle")
@@ -177,10 +169,10 @@ def canonical_form(quiver: Quiver, word) -> StringWord:
     for a, b in zip(letters, reversed(letters)):
         if a.arrow != b.arrow:
             index = quiver.arrow_index
-            return word if index[a.arrow] < index[b.arrow] else reverse_word(word)
+            return word if index[a.arrow] < index[b.arrow] else reverse_word(quiver, word)
         if a.inverse == b.inverse:
             # same arrow: the direct letter has the smaller key
-            return reverse_word(word) if a.inverse else word
+            return reverse_word(quiver, word) if a.inverse else word
     return word
 
 
@@ -242,12 +234,11 @@ def string_module(table: AlgebraTable, word: StringWord):
 
 
 def _can_append(table: AlgebraTable, word: StringWord, letter: Letter) -> bool:
-    q = table.quiver
-    if word_target(q, word) != letter_source(q, letter):
-        return False
+    """Does the word followed by ``letter``, drawn from ``quiver.letters_from``
+    at its end, stay a string: no cancellation, the trailing run off the socle?"""
     letters = word.letters
     arrow, inverse = letter
-    if letters and letters[-1] == (arrow, not inverse):
+    if letters and letters[-1] == table.quiver.inverse[letter]:
         return False
     # only the trailing run changes: read it off the letters, in arrow direction
     i = len(letters)
@@ -260,12 +251,12 @@ def _can_append(table: AlgebraTable, word: StringWord, letter: Letter) -> bool:
     return table.off_socle(tuple(run))
 
 
-def append_letter(word: StringWord, letter: Letter) -> StringWord:
-    return StringWord(word.letters + (letter,))
-
-
 def enumerate_strings(table: AlgebraTable, max_len: int):
-    """All canonical valid strings of length <= max_len, sorted and unique."""
+    """All canonical valid strings of length <= max_len, sorted and unique.
+
+    Each is recorded as validated: ``_can_append`` checks every axiom on
+    what a letter changes, and the reverse of a string is a string.
+    """
     q = table.quiver
     frontier = [StringWord.trivial(v) for v in q.vertices]
     found = set(frontier)
@@ -273,16 +264,14 @@ def enumerate_strings(table: AlgebraTable, max_len: int):
     while frontier and length < max_len:
         nxt = []
         for w in frontier:
-            end = word_target(q, w)
-            candidates = [Letter(a.name) for a in q.out_arrows[end]]
-            candidates += [Letter(a.name, True) for a in q.in_arrows[end]]
-            for letter in candidates:
+            for letter in q.letters_from[word_target(q, w)]:
                 if _can_append(table, w, letter):
-                    w2 = append_letter(w, letter)
+                    w2 = make_word(w.letters + (letter,))
                     nxt.append(w2)
                     found.add(canonical_form(q, w2))
         frontier = nxt
         length += 1
+    table._valid_words |= found
     return sorted(found, key=lambda c: word_key(q, c))
 
 
@@ -299,10 +288,10 @@ def is_band(table: AlgebraTable, word: StringWord) -> bool:
         if n % d == 0 and letters == letters[d:] + letters[:d]:
             return False  # proper power
     for r in range(n):
-        rot = StringWord(letters[r:] + letters[:r])
+        rot = make_word(letters[r:] + letters[:r])
         if not is_valid_string(table, rot):
             return False
-    if not is_valid_string(table, StringWord(letters + letters)):
+    if not is_valid_string(table, make_word(letters + letters)):
         return False
     return True
 
@@ -332,14 +321,13 @@ def _attach(table: AlgebraTable, word: StringWord, inverse: bool, exclude=None):
     other, if valid: a co-hook (direct letter, inverse climb) or a hook
     (inverse letter, direct descent)."""
     q = table.quiver
-    for a in (q.in_arrows if inverse else q.out_arrows)[word_target(q, word)]:
-        if word.is_trivial() and a.name == exclude:
+    for first in q.letters_from[word_target(q, word)]:
+        if first.inverse != inverse or (not word.letters and first.arrow == exclude):
             continue
-        first = Letter(a.name, inverse)
         if not _can_append(table, word, first):
             continue
         segment = (first, *_tail(table, first))
-        return SideOp(StringWord(word.letters + segment),
+        return SideOp(make_word(word.letters + segment),
                       "hook" if inverse else "cohook", segment)
     return None
 
@@ -353,13 +341,11 @@ def _tail(table: AlgebraTable, first: Letter) -> tuple:
     tail = table._tails.get(first)
     if tail is None:
         q = table.quiver
-        steps = q.out_arrows if first.inverse else q.in_arrows
-        w = StringWord((first,))
+        w = make_word((first,))
         while True:
-            for b in steps[word_target(q, w)]:
-                cand = Letter(b.name, not first.inverse)
-                if _can_append(table, w, cand):
-                    w = append_letter(w, cand)
+            for cand in q.letters_from[word_target(q, w)]:
+                if cand.inverse != first.inverse and _can_append(table, w, cand):
+                    w = make_word(w.letters + (cand,))
                     break
             else:
                 break
@@ -367,26 +353,19 @@ def _tail(table: AlgebraTable, first: Letter) -> tuple:
     return tail
 
 
-def _truncate(word: StringWord, quiver: Quiver, keep: int):
-    """First ``keep`` letters as a word (trivial at z_keep... z_0 base)."""
-    if keep == 0:
-        return StringWord.trivial(word_source(quiver, word))
-    return StringWord(word.letters[:keep])
-
-
 def _delete(table: AlgebraTable, word: StringWord, inverse: bool) -> SideOp:
     """Remove the last letter of the given direction and the run after it:
     a hook (inverse letter, direct run) or a co-hook (direct letter,
     inverse run)."""
     kind = "hook-delete" if inverse else "cohook-delete"
-    m = None
-    for i in range(word.length - 1, -1, -1):
-        if word.letters[i].inverse == inverse:
-            m = i
-            break
+    letters = word.letters
+    m = next((i for i in range(len(letters) - 1, -1, -1) if letters[i].inverse == inverse),
+             None)
     if m is None:
-        return SideOp(EMPTY, kind, word.letters)
-    return SideOp(_truncate(word, table.quiver, m), kind, word.letters[m:])
+        return SideOp(EMPTY, kind, letters)
+    # the first m letters, or the trivial word at the source when m is 0
+    kept = make_word(letters[:m]) if m else StringWord.trivial(word_source(table.quiver, word))
+    return SideOp(kept, kind, letters[m:])
 
 
 def right_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> SideOp:
@@ -409,10 +388,11 @@ def left_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> S
     key = ("left", mode, word, exclude)
     op = table._side_ops.get(key)
     if op is None:
-        res = right_op(table, reverse_word(word), mode, exclude)
-        out_word = res.word if isinstance(res.word, EmptyWord) else reverse_word(res.word)
-        segment = tuple(l.inv() for l in reversed(res.segment))
-        op = table._side_ops[key] = SideOp(out_word, res.kind, segment)
+        q = table.quiver
+        res = right_op(table, reverse_word(q, word), mode, exclude)
+        out_word = res.word if isinstance(res.word, EmptyWord) else reverse_word(q, res.word)
+        op = table._side_ops[key] = SideOp(out_word, res.kind,
+                                           reverse_letters(q, res.segment))
     return op
 
 

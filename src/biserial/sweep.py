@@ -92,7 +92,7 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
 
     check_words("canonical-idempotent",
                 lambda w: canonical_form(q, canonical_form(q, w)) == canonical_form(q, w)
-                and words_equal(q, w, reverse_word(w)), listed=False)
+                and words_equal(q, w, reverse_word(q, w)), listed=False)
     check_words("string-dimension",
                 lambda w: string_module_fn(table, w).total_dim == w.length + 1,
                 listed=False)

@@ -24,10 +24,10 @@ from __future__ import annotations
 from . import linalg as la
 from .checks import check_special_biserial, is_local_nakayama
 from .core import AlgebraTable, DomainError, Record, check_selfinjective_symmetric
-from .strings import (EMPTY, EmptyWord, Letter, StringWord, canonical_form,
-                      directed_runs, left_op, letter_target, node_vertices,
-                      reverse_word, right_op, side_ops, string_module,
-                      validate_string, word_key, word_source, word_target,
+from .strings import (EMPTY, EmptyWord, StringWord, canonical_form, directed_runs,
+                      left_op, letter_target, make_word, node_vertices,
+                      reverse_letters, reverse_word, right_op, side_ops,
+                      string_module, validate_string, word_key, word_target,
                       words_equal)
 
 
@@ -71,6 +71,7 @@ def _arm_walk(table: AlgebraTable, v: str, legs):
     arms = table.arms(v)
     if not arms:
         raise ProjectiveInput(f"vertex {v} has no outgoing arrows")
+    letters_of = table.quiver.letters
     letters, nodes = [], {}
     for idx, start, end in legs:
         arrows = arms[idx].arrows
@@ -79,10 +80,10 @@ def _arm_walk(table: AlgebraTable, v: str, legs):
             nodes[arrows[:start]] = 0
         step = 1 if end > start else -1
         for j in range(start, end, step):
-            letters.append(Letter(arrows[min(j, j + step)], step < 0))
+            letters.append(letters_of[arrows[min(j, j + step)]][step < 0])
             nodes[arrows[:j + step]] = len(letters)
     if letters:
-        return StringWord(tuple(letters)), nodes
+        return make_word(tuple(letters)), nodes
     (path, _), = nodes.items()
     return StringWord.trivial(table.quiver.target(path[-1]) if path else v), nodes
 
@@ -285,24 +286,20 @@ class ConeResult(Record):
                  "summands")      # up to two StringWords
 
 
-def _single_run(word: StringWord) -> bool:
-    return len(directed_runs(word)) <= 1
-
-
 def _classify(word, right_kind, left_kind) -> str:
     kinds = (right_kind, left_kind)
     if kinds == ("hook", "hook"):
         return "i"
     if kinds == ("cohook-delete", "cohook-delete"):
         return "ii"
-    return "iii'" if _single_run(word) else "iii"
+    return "iii'" if len(directed_runs(word)) <= 1 else "iii"
 
 
 def _added_piece(segment, quiver) -> StringWord:
     """The new maximal directed string carried by a hook added on the right."""
     rest = segment[1:]
     if rest:
-        return StringWord(tuple(rest))
+        return make_word(rest)
     return StringWord.trivial(letter_target(quiver, segment[0]))
 
 
@@ -328,10 +325,8 @@ def _word_as_directed_path(table: AlgebraTable, word: StringWord):
     if len(dirs) != 1:
         raise NotDirected(f"{word} is not a directed string")
     if word.letters[0].inverse:
-        arrows = tuple(l.arrow for l in reversed(word.letters))
-        return arrows, word_source(q, word)
-    arrows = tuple(l.arrow for l in word.letters)
-    return arrows, word_target(q, word)
+        word = reverse_word(q, word)
+    return tuple(l.arrow for l in word.letters), word_target(q, word)
 
 
 def _hull_arm(table: AlgebraTable, piece: StringWord):
@@ -391,7 +386,7 @@ def reversal_map(table: AlgebraTable, word: StringWord):
     """
     n = word.length
     M = string_module(table, word)
-    return _node_map(M, string_module(table, reverse_word(word)),
+    return _node_map(M, string_module(table, reverse_word(table.quiver, word)),
                      ((pos, n - i) for i, pos in M.node_positions.items()),
                      f"the reversal of {word}")
 
@@ -459,10 +454,10 @@ def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
     case = _classify(word, right.kind, left.kind)
     # the left piece is the right piece of the reversed word: summands are
     # canonical, and omega_inv_word reads a directed word either way
-    mirrored = tuple(l.inv() for l in reversed(left.segment))
+    mirrored = reverse_letters(q, left.segment)
     summands = []
     for w, kind, segment in ((word, right.kind, right.segment),
-                             (reverse_word(word), left.kind, mirrored)):
+                             (reverse_word(q, word), left.kind, mirrored)):
         if kind == "hook":
             summands.append(_added_piece(segment, q))
         else:
@@ -533,6 +528,7 @@ def _omega_walk(table: AlgebraTable, word: StringWord):
     neighbours by the letters beta_{i-1}[r]^-1 and alpha_i[l].
     """
     q = table.quiver
+    letters_of = q.letters      # arrow -> (direct letter, inverse letter)
     letters = word.letters
     vertices = node_vertices(q, word)
     out, peaks, marks = [], [], {}
@@ -550,18 +546,18 @@ def _omega_walk(table: AlgebraTable, word: StringWord):
             marks[0] = [(i, alpha[:l + 1] if alpha else beta, 1)]
         else:
             j, prev_beta, prev_r = previous
-            out.append(Letter(prev_beta[prev_r], True))
+            out.append(letters_of[prev_beta[prev_r]][1])
             marks[len(out)] = [(j, prev_beta[:prev_r], 1), (i, alpha[:l], -1)]
-            out.append(Letter(alpha[l]))
+            out.append(letters_of[alpha[l]][0])
         if alpha:
-            out += [Letter(a) for a in alpha[l + 1:]]
+            out += [letters_of[a][0] for a in alpha[l + 1:]]
         if beta:
             for k in range(len(beta) - 1, r, -1):
-                out.append(Letter(beta[k], True))
+                out.append(letters_of[beta[k]][1])
                 marks[len(out)] = [(i, beta[:k], 1)]
         previous = (i, beta, r)
     if out:
-        return StringWord(tuple(out)), peaks, marks
+        return make_word(tuple(out)), peaks, marks
     (_, arrows, _), = marks[0]
     return StringWord.trivial(q.target(arrows[-1])), peaks, marks
 

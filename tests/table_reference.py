@@ -23,7 +23,9 @@ checked witnessed exact sequences, and ``reference_cone_matches`` is the
 ``strip_projectives`` and an isomorphism search, as the sweep made it
 before it checked ``translate.cone_sequence``.  ``reference_deep_vertices`` scans a
 word for the nodes no arrow leaves, as ``bricks`` did before it read the
-deeps as the peaks of the word turned round.  ``top_dims``, ``cosyzygy``
+deeps as the peaks of the word turned round.  ``reference_reverse_word``
+and ``reference_letters_from`` build every letter afresh, as ``strings``
+did before the quiver owned its letters.  ``top_dims``, ``cosyzygy``
 and ``stable_class_is_zero`` are module queries that only tests ask.
 ``random_presentation_text``, ``nakayama`` and ``socle_deformed`` make
 inputs.
@@ -41,7 +43,7 @@ from biserial.reps import (_factoring_maps, _top_generators, direct_sum, hom,
                            injective_hull, is_isomorphic, kernel_of_map,
                            mapping_cone_rep, projective, stack_maps,
                            strip_projectives, syzygy)
-from biserial.strings import node_vertices, string_module
+from biserial.strings import Letter, StringWord, node_vertices, string_module
 from biserial.translate import (ar_right_map, canonical_map_to_tau_inv,
                                 cone_of_canonical_map, tau)
 
@@ -299,6 +301,20 @@ def reference_deep_vertices(quiver, word):
         if not leaves:
             out.append(verts[i])
     return out
+
+
+def reference_reverse_word(word):
+    """The walk run backwards, each letter built as the inverse of one."""
+    if word.is_trivial():
+        return word
+    return StringWord(tuple([Letter(a, not inv) for a, inv in reversed(word.letters)]))
+
+
+def reference_letters_from(quiver, vertex) -> list:
+    """The letters leaving a vertex, in the order enumeration tries them:
+    direct letters of the out-arrows, then inverse letters of the in-arrows."""
+    return ([Letter(a.name) for a in quiver.out_arrows[vertex]]
+            + [Letter(a.name, True) for a in quiver.in_arrows[vertex]])
 
 
 def top_dims(M) -> dict:

@@ -247,7 +247,7 @@ def test_criterion_8_string_basics(named_fixtures):
             assert canonical_form(q, cc) == cc
             M = smod(table, c)
             assert M.total_dim == c.length + 1
-            assert is_isomorphic(table, M, smod(table, reverse_word(c)))
+            assert is_isomorphic(table, M, smod(table, reverse_word(q, c)))
             count += 1
     print(f"\nACCEPTANCE 8 PASS canonical forms, reverse isomorphisms and "
           f"dimensions on {count} strings; exactly 4 strings over ALG-N2")

@@ -12,6 +12,8 @@ from biserial.strings import (BadComposition, InverseAdjacent, Letter,
                               reverse_word, string_module, validate_string,
                               word_key, words_equal)
 
+from table_reference import reference_letters_from, reference_reverse_word
+
 
 def w(*tokens):
     letters = []
@@ -62,32 +64,86 @@ def test_canonical_form():
 
 def reference_canonical_form(quiver, word):
     """The definition: the smaller of the word and its reverse by word_key."""
-    rev = reverse_word(word)
+    rev = reverse_word(quiver, word)
     return word if word_key(quiver, word) <= word_key(quiver, rev) else rev
 
 
-def canonical_form_tables():
-    """The fixtures, and the standard algebras of seeds 0-59 over F3 up to dimension 40."""
+def standard_tables(fields):
+    """The fixtures, and the standard algebras of seeds 0-59 over the given
+    fields up to dimension 40."""
     for make in (alg_n2, alg_l2, alg_l2d, alg_a3z):
         yield build_table(make())
     for seed in range(60):
-        table = build_table(build_from_standard_data(*random_standard_data(seed), [],
-                                                     Field(3)))
-        if table.dim <= 40:
-            yield table
+        data = random_standard_data(seed)
+        for field in fields:
+            table = build_table(build_from_standard_data(*data, [], field))
+            if table.dim <= 40:
+                yield table
+
+
+LETTER_FIELDS = (Field(0), Field(2), Field(3))
 
 
 def test_canonical_form_matches_the_reference():
     compared, differ = 0, []
-    for t in canonical_form_tables():
+    for t in standard_tables((Field(3),)):
         q = t.quiver
         for c in enumerate_strings(t, 6):
-            for x in (c, reverse_word(c)):
+            for x in (c, reverse_word(q, c)):
                 compared += 1
                 if canonical_form(q, x) != reference_canonical_form(q, x):
                     differ.append(str(x))
     assert compared >= 8000
     assert differ == []
+
+
+def test_interned_letters_are_the_old_letters():
+    """The quiver's letters, the letters leaving each vertex in their order,
+    and reversal through the quiver's inverses equal letters built afresh."""
+    compared = 0
+    for t in standard_tables(LETTER_FIELDS):
+        q = t.quiver
+        for v in q.vertices:
+            assert list(q.letters_from[v]) == reference_letters_from(q, v), v
+        assert len(q.inverse) == 2 * len(q.arrows)
+        for l, m in q.inverse.items():
+            assert m == l.inv() and q.inverse[m] is l
+            assert q.letters[l.arrow][l.inverse] is l
+        for c in enumerate_strings(t, 6):
+            for x in (c, reference_reverse_word(c)):
+                rev = reverse_word(q, x)
+                assert repr(rev) == repr(reference_reverse_word(x)), str(x)
+                assert reverse_word(q, rev) == x, str(x)
+                compared += 1
+    assert compared >= 25000
+
+
+def test_interned_letters_print_hash_and_compare_as_fresh_ones():
+    q = build_table(alg_l2()).quiver
+    for l in q.inverse:
+        fresh = Letter(l.arrow, l.inverse)
+        assert type(l) is Letter and l is not fresh
+        assert l == fresh and hash(l) == hash(fresh) and {fresh: 1}[l] == 1
+        assert (str(l), repr(l)) == (str(fresh), repr(fresh))
+    a, a_inv = q.letters["a"]
+    assert (str(a), repr(a)) == ("a", "Letter(arrow='a', inverse=False)")
+    assert (str(a_inv), repr(a_inv)) == ("a^-1", "Letter(arrow='a', inverse=True)")
+
+
+def test_enumerated_words_are_recorded_valid():
+    """enumerate_strings records exactly its words as validated, and each one
+    and its reverse pass validate_string on a fresh table."""
+    recorded = 0
+    for t in standard_tables(LETTER_FIELDS):
+        assert not t._valid_words
+        words = enumerate_strings(t, 6)
+        assert t._valid_words == set(words)
+        fresh = build_table(t.pres)
+        for c in t._valid_words:
+            validate_string(fresh, c)
+            validate_string(fresh, reverse_word(fresh.quiver, c))
+            recorded += 1
+    assert recorded >= 12000
 
 
 def test_letters_and_words_are_immutable_tuples():
@@ -102,8 +158,9 @@ def test_letters_and_words_are_immutable_tuples():
     assert (str(e), repr(e)) == ("@1", "StringWord(letters=(), vertex='1')")
     for x, y in ((a, Letter("a", False)), (c, w("a", "b-")), (e, StringWord((), "1"))):
         assert x == y and hash(x) == hash(y) and x is not y
-    assert len({c, w("a", "b-"), reverse_word(reverse_word(c))}) == 1
-    assert a != a.inv() and c != reverse_word(c) and e != StringWord.trivial("2")
+    q = build_table(alg_n2()).quiver
+    assert len({c, w("a", "b-"), reverse_word(q, reverse_word(q, c))}) == 1
+    assert a != a.inv() and c != reverse_word(q, c) and e != StringWord.trivial("2")
     for obj, attr in ((a, "inverse"), (c, "letters"), (e, "vertex")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
@@ -206,8 +263,8 @@ def test_extension_commutation():
 def test_reverse_is_involution():
     t = build_table(alg_l2())
     for word in enumerate_strings(t, 5):
-        assert reverse_word(reverse_word(word)) == word
-        assert words_equal(t.quiver, word, reverse_word(word))
+        assert reverse_word(t.quiver, reverse_word(t.quiver, word)) == word
+        assert words_equal(t.quiver, word, reverse_word(t.quiver, word))
 
 
 # -- the per-table string-module cache ------------------------------------
@@ -257,7 +314,8 @@ def test_string_module_is_shared():
     t = build_table(alg_l2())
     for word in enumerate_strings(t, 4):
         assert string_module(t, word) is string_module(t, word)
-        assert string_module(t, reverse_word(word)) is string_module(t, reverse_word(word))
+        rev = reverse_word(t.quiver, word)
+        assert string_module(t, rev) is string_module(t, reverse_word(t.quiver, word))
     assert string_module(build_table(alg_l2()), w("a")) is not string_module(t, w("a"))
 
 
@@ -280,6 +338,6 @@ def test_invalid_word_raises_on_every_call():
     raise_each()
     for word in enumerate_strings(t, 4):
         string_module(t, word)
-        string_module(t, reverse_word(word))
+        string_module(t, reverse_word(t.quiver, word))
     raise_each()
     assert all(word not in t._string_modules for word, _ in invalid)

@@ -252,7 +252,7 @@ def test_warm_translates_agree_with_a_fresh_table(swept_tables, fixture):
     ops = {"tau": tau, "tauinv": tau_inv, "omega": omega_word, "cone": _cone_nodes}
     assert {mode for mode, _ in warm._translates} == set(ops)
     for c in enumerate_strings(warm, 4):
-        for x in (c, reverse_word(c)):
+        for x in (c, reverse_word(warm.quiver, c)):
             for op in (tau, tau_inv):
                 assert op(warm, x) == op(build_table(fixture()), x), (op.__name__, str(x))
     for (mode, x), value in warm._translates.items():
@@ -354,7 +354,7 @@ def test_cone_tau_inverse_matches_the_canonical_map():
                 mapped = outcome(lambda: canonical_map_to_tau_inv(t, c).target)
                 if isinstance(calculus, StringWord):
                     assert (mapped is string_module(t, calculus)
-                            or mapped is string_module(t, reverse_word(calculus))), \
+                            or mapped is string_module(t, reverse_word(t.quiver, calculus))), \
                         (seed, field, str(c))
                 else:
                     assert mapped is calculus, (seed, field, str(c))
@@ -368,7 +368,7 @@ def test_cone_does_not_depend_on_the_reading_direction():
     for t in pool_tables():
         for c in enumerate_strings(t, 6):
             cone = cone_of_canonical_map(t, c)
-            mirror = cone_of_canonical_map(t, reverse_word(c))
+            mirror = cone_of_canonical_map(t, reverse_word(t.quiver, c))
             assert cone.case == mirror.case, str(c)
             assert Counter(cone.summands) == Counter(mirror.summands), str(c)
             compared += 1
@@ -393,6 +393,39 @@ def test_invalid_word_raises_on_every_translate_call():
         tau(t, bad)
 
 
+def test_invalid_word_raises_after_enumeration(monkeypatch):
+    """enumerate_strings records its words valid, so _require_input does
+    not validate them again; any other word is validated on first use, and
+    an invalid one raises on every call."""
+    validated = []
+    real = biserial.translate.validate_string
+    monkeypatch.setattr(biserial.translate, "validate_string",
+                        lambda table, w: validated.append(w) or real(table, w))
+    t = build_table(alg_n2())
+    words = enumerate_strings(t, 4)
+    assert set(words) == t._valid_words
+    bad, reversed_a = word("a", "b"), word("a-")  # ab lies in the socle
+    calls = (tau, tau_inv, ar_sequence, canonical_map_to_tau_inv,
+             cone_of_canonical_map, ar_right_map)
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(SubwordInSocleOrZero):
+                call(t, bad)
+    assert bad not in t._valid_words
+    assert validated == [bad] * 2 * len(calls)
+    validated.clear()
+    for c in words:
+        first = [call(t, c) for call in calls]
+        assert [call(t, c) for call in calls][:2] == first[:2]
+    assert validated == []
+    assert reversed_a not in words
+    first = [call(t, reversed_a) for call in calls]
+    assert validated == [reversed_a] and reversed_a in t._valid_words
+    assert [call(t, reversed_a) for call in calls][:2] == first[:2]
+    with pytest.raises(SubwordInSocleOrZero):
+        tau(t, bad)
+
+
 FIXTURES = (alg_n2, alg_l2, alg_l2d, alg_a3z)
 FIELDS = (Field(0), Field(2), Field(3), Field(5))
 
@@ -413,7 +446,7 @@ def test_reversal_map_is_the_reverse_isomorphism(fixture, field):
     words = enumerate_strings(t, 4)
     planted = 0
     for c in words:
-        M, R = string_module(t, c), string_module(t, reverse_word(c))
+        M, R = string_module(t, c), string_module(t, reverse_word(t.quiver, c))
         g = reversal_map(t, c)
         assert (g.source, g.target) == (M, R)
         assert g.intertwines() and g.is_bijective(), str(c)

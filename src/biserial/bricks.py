@@ -13,7 +13,7 @@ from .core import AlgebraTable, DomainError, Record
 from .linalg import multiple_of
 from .strings import (StringWord, _can_append, canonical_form, directed_runs,
                       enumerate_strings, node_vertices, reverse_word,
-                      string_module, validate_string, word_key, word_source,
+                      string_module, validate_string, word_source,
                       word_target, words_equal)
 from .translate import (_peaks, ar_sequence, omega_word,
                         require_selfinjective_sb, tau, tau_inv)
@@ -70,8 +70,7 @@ def check_orthogonal_system(table: AlgebraTable, words):
     pair.
     """
     canon = [canonical_form(table.quiver, w) for w in words]
-    keys = [word_key(table.quiver, w) for w in canon]
-    if len(set(keys)) != len(keys):
+    if len(set(canon)) != len(canon):
         return False, ("duplicate member",)
     for w in canon:
         if not is_stable_brick(table, w):
@@ -109,8 +108,7 @@ def s_projective(table: AlgebraTable, system, member: StringWord) -> SProjective
     """The s-projective cover data of a system member."""
     q = table.quiver
     member = canonical_form(q, member)
-    keys = {word_key(q, canonical_form(q, w)) for w in system}
-    if word_key(q, member) not in keys:
+    if member not in {canonical_form(q, w) for w in system}:
         raise BadSystemMember(f"{member} is not a system member")
     n_word = tau_inv(table, omega_word(table, member))
     seq = ar_sequence(table, n_word)

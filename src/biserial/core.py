@@ -268,7 +268,6 @@ class AlgebraTable:
         self._rules_from = self._index_rules()   # arrow -> rules starting with it
         self._build_basis()
         self._socle = None
-        self._socle_spaces = None
         # caches filled on first use by the functions named.  A table does
         # not change once built, so no entry goes stale; entries are shared
         # and read-only, and an input that raises is never stored.
@@ -615,7 +614,6 @@ class AlgebraTable:
         if self._socle is not None:
             return self._socle
         out = {}
-        spaces = {}
         for v in self.quiver.vertices:
             by_vertex, mats = self.regular_action(v)
             pos = {i: t for t, i in enumerate(self.by_source[v])}
@@ -627,27 +625,16 @@ class AlgebraTable:
                         columns.setdefault(k, {})[pos[i]] = c
                 equations.extend(columns.values())
             out[v] = sparse_nullspace(equations, len(pos), self.field)
-            spaces[v] = Echelon(self.field, out[v])
         self._socle = out
-        self._socle_spaces = spaces
         return out
 
     def socle_dims(self) -> dict:
         return {v: len(rows) for v, rows in self.socle().items()}
 
     def in_socle(self, vec: dict) -> bool:
-        """Is a basis-indexed vector in the right socle?"""
-        if not vec:
-            return True
-        self.socle()
-        by_v = {}
-        for i, c in vec.items():
-            by_v.setdefault(self.basis[i].source, {})[i] = c
-        for v, part in by_v.items():
-            pos = {b: t for t, b in enumerate(self.by_source[v])}
-            if self._socle_spaces[v].reduce({pos[i]: c for i, c in part.items()}):
-                return False
-        return True
+        """Is a basis-indexed vector in the right socle: does every arrow kill it?"""
+        return not any(self.mult_vec(vec, self.nf_vector((a.name,)))
+                       for a in self.quiver.arrows)
 
     def off_socle(self, arrows: tuple) -> bool:
         """Is the path nonzero and outside the socle?  Memoized per table."""

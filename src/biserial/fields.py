@@ -39,10 +39,6 @@ class Field:
             raise FieldError(f"characteristic must be 0 or prime, got {characteristic}")
         self.char = characteristic
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.char == 0 else f"prime-field({self.char})"
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.char == other.char
 

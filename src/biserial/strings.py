@@ -96,13 +96,11 @@ def word_target(quiver: Quiver, word: StringWord) -> str:
     return word.vertex if word.is_trivial() else letter_target(quiver, word.letters[-1])
 
 
-def reverse_letters(quiver: Quiver, letters: tuple) -> tuple:
-    """The letters of the walk run backwards: each one's inverse, last first."""
-    return tuple(map(quiver.inverse.__getitem__, reversed(letters)))
-
-
 def reverse_word(quiver: Quiver, word: StringWord) -> StringWord:
-    return make_word(reverse_letters(quiver, word.letters)) if word.letters else word
+    """The walk run backwards: each letter's inverse, last first."""
+    if not word.letters:
+        return word
+    return make_word(tuple(map(quiver.inverse.__getitem__, reversed(word.letters))))
 
 
 def directed_runs(word: StringWord):
@@ -302,10 +300,11 @@ class SideOp(Record, frozen=True):
     """Result of a one-sided surgery with alignment metadata.
 
     kind: 'cohook' | 'hook' (letters attached) or 'hook-delete' |
-    'cohook-delete' (letters removed).  For attachments, ``segment`` holds
-    the attached letters in word order; for deletions it holds the removed
-    letters.  ``word`` is the resulting word or EMPTY.  Results are
-    memoized per table and shared, so callers must not change them.
+    'cohook-delete' (letters removed).  ``segment`` holds the attached or
+    removed letters in the order of the word the right surgery ran on:
+    for ``right_op`` the word itself, for ``left_op`` its reverse.
+    ``word`` is the resulting word or EMPTY.  Results are memoized per
+    table and shared, so callers must not change them.
     """
 
     __slots__ = ("word", "kind", "segment")
@@ -384,15 +383,15 @@ def right_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> 
 
 
 def left_op(table: AlgebraTable, word: StringWord, mode: str, exclude=None) -> SideOp:
-    """The ^l(-) surgery, by reversal of the right one.  Memoized per table."""
+    """The ^l(-) surgery, by reversal of the right one; the segment stays
+    as the right one gave it.  Memoized per table."""
     key = ("left", mode, word, exclude)
     op = table._side_ops.get(key)
     if op is None:
         q = table.quiver
         res = right_op(table, reverse_word(q, word), mode, exclude)
         out_word = res.word if isinstance(res.word, EmptyWord) else reverse_word(q, res.word)
-        op = table._side_ops[key] = SideOp(out_word, res.kind,
-                                           reverse_letters(q, res.segment))
+        op = table._side_ops[key] = SideOp(out_word, res.kind, res.segment)
     return op
 
 

@@ -20,11 +20,12 @@ from .core import AlgebraPresentation, build_table, check_selfinjective_symmetri
 from .nodes import detect_nodes, nonprojective_simple_count, split_nodes
 from .normalizer import normalize
 from .reps import exactness_defect, opposite_table
-from .strings import (canonical_form, enumerate_strings, reverse_word,
-                      string_module as string_module_fn, words_equal)
-from .translate import (ar_right_map, check_tau_period_one_exclusions,
-                        cone_of_canonical_map, cone_pieces, cone_sequence,
-                        omega_sequence, omega_word, reversal_map, tau, tau_inv)
+from .strings import (canonical_form, directed_runs, enumerate_strings, node_vertices,
+                      reverse_word, string_module as string_module_fn, words_equal)
+from .translate import (_cone_nodes, ar_right_map, ar_sequence, as_rad_of_projective,
+                        check_tau_period_one_exclusions, cone_of_canonical_map,
+                        cone_pieces, cone_sequence, omega_sequence, omega_word,
+                        reversal_map, tau, tau_inv)
 
 
 def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
@@ -139,18 +140,51 @@ def run_sweep(pres: AlgebraPresentation, max_len: int = 12) -> dict:
         else:
             skip("tau-syzygy-oracle", "table not symmetric")
 
-        check_words("ar-sequence-exactness",
-                    lambda w: exactness_defect(*ar_right_map(table, w)))
+        def ar_matches(w):
+            """The defect of the witnessed almost split sequence, or a term whose
+            dimension vector is not that of ar_sequence's words, counted off
+            their node vertices (and the paths of e_v A in a projective middle)."""
+            f, g = ar_right_map(table, w)
+            defect = exactness_defect(f, g)
+            if defect:
+                return defect
+            seq = ar_sequence(table, w)
+            middle = [u for x in seq.middle_strings for u in node_vertices(q, x)]
+            if seq.middle_projective is not None:
+                middle += [table.basis[b].target for b in table.by_source[seq.middle_projective]]
+            for name, module, nodes in (("left", f.source, node_vertices(q, seq.left)),
+                                        ("middle", g.source, middle),
+                                        ("right", g.target, node_vertices(q, seq.right))):
+                if module.dims != {u: nodes.count(u) for u in q.vertices}:
+                    return f"{name} term has dimensions {module.dims}, ar_sequence's nodes {nodes}"
+            return ""
+        check_words("ar-sequence-exactness", ar_matches)
+
+        def cone_case(w):
+            """The cone's case read off its node map: rad P_v is iv (iv-uniserial
+            with one arm), no kernel run i, no cokernel run ii, and otherwise
+            iii' or iii by the directed runs of w."""
+            v = as_rad_of_projective(table, w)
+            if v is not None:
+                return "iv" if len(table.arms(v)) == 2 else "iv-uniserial"
+            kernels, cokernels = _cone_nodes(table, w)[3:]
+            if kernels and cokernels:
+                return "iii'" if len(directed_runs(w)) <= 1 else "iii"
+            return "ii" if kernels else "i"
 
         def cone_matches(w):
             """The defect of the witnessed cone sequence, or a mismatch of its
-            pieces with the calculus's summands."""
+            pieces or its case with the calculus's cone."""
             defect = exactness_defect(*cone_sequence(table, w))
             if defect:
                 return defect
+            cone = cone_of_canonical_map(table, w)
             pieces = sorted(str(s) for s in cone_pieces(table, w))
-            summands = sorted(str(s) for s in cone_of_canonical_map(table, w).summands)
-            return "" if pieces == summands else f"pieces {pieces} != summands {summands}"
+            summands = sorted(str(s) for s in cone.summands)
+            if pieces != summands:
+                return f"pieces {pieces} != summands {summands}"
+            expected = cone_case(w)
+            return "" if cone.case == expected else f"case {cone.case} != {expected} by nodes"
         check_words("cone-oracle", cone_matches)
 
         simples = [canonical_form(q, w) for w in words if w.is_trivial()]

@@ -26,8 +26,8 @@ from .checks import check_special_biserial, is_local_nakayama
 from .core import AlgebraTable, DomainError, Record, check_selfinjective_symmetric
 from .strings import (EMPTY, EmptyWord, StringWord, canonical_form, directed_runs,
                       left_op, letter_target, make_word, node_vertices,
-                      reverse_letters, reverse_word, right_op, side_ops,
-                      string_module, validate_string, word_key, word_target,
+                      reverse_word, right_op, side_ops,
+                      string_module, validate_string, word_target,
                       words_equal)
 
 
@@ -128,22 +128,20 @@ def _landmarks(table: AlgebraTable):
         rads = {}
         # an arrow-less vertex has a simple projective and no landmarks
         for v in (v for v in q.vertices if q.out_arrows[v]):
-            quotients[word_key(q, canonical_form(q, proj_quotient_word(table, v)))] = v
-            rads[word_key(q, canonical_form(q, rad_word(table, v)))] = v
+            quotients[canonical_form(q, proj_quotient_word(table, v))] = v
+            rads[canonical_form(q, rad_word(table, v))] = v
         table._landmark_words = (quotients, rads)
     return table._landmark_words
 
 
 def as_proj_quotient(table: AlgebraTable, word: StringWord):
     """Vertex v with word ~ P_v/soc P_v, or None."""
-    q = table.quiver
-    return _landmarks(table)[0].get(word_key(q, canonical_form(q, word)))
+    return _landmarks(table)[0].get(canonical_form(table.quiver, word))
 
 
 def as_rad_of_projective(table: AlgebraTable, word: StringWord):
     """Vertex v with word ~ rad P_v, or None."""
-    q = table.quiver
-    return _landmarks(table)[1].get(word_key(q, canonical_form(q, word)))
+    return _landmarks(table)[1].get(canonical_form(table.quiver, word))
 
 
 # -- two-sided surgery ----------------------------------------------------
@@ -156,12 +154,10 @@ class Surgery(Record):
     deletes letters, so a node survives iff its target index is in range.
     """
 
-    __slots__ = ("word", "right_kind", "left_kind", "shift")
+    __slots__ = ("word", "shift")
 
-    def __init__(self, word, right_kind: str, left_kind: str, shift: int = 0):
+    def __init__(self, word, shift: int = 0):
         self.word = word                # StringWord or EMPTY
-        self.right_kind = right_kind
-        self.left_kind = left_kind
         self.shift = shift              # letters attached on the left minus letters deleted there
 
 
@@ -184,12 +180,11 @@ def _two_sided(table: AlgebraTable, word: StringWord, mode: str):
     def route(first, then):
         """``first``, then the other side's surgery on its result."""
         if isinstance(first.word, EmptyWord):
-            return Surgery(EMPTY, right.kind, left.kind)
+            return Surgery(EMPTY)
         if first.word.is_trivial() and not word.is_trivial():
             return None
         second = then(table, first.word, mode)
-        r, l = (first, second) if then is left_op else (second, first)
-        return Surgery(second.word, r.kind, l.kind, _left_shift(l))
+        return Surgery(second.word, _left_shift(second if then is left_op else first))
 
     candidates = [r for r in (route(right, left_op), route(left, right_op))
                   if r is not None]
@@ -295,25 +290,14 @@ def _classify(word, right_kind, left_kind) -> str:
     return "iii'" if len(directed_runs(word)) <= 1 else "iii"
 
 
-def _added_piece(segment, quiver) -> StringWord:
-    """The new maximal directed string carried by a hook added on the right."""
+def _run_after(segment, quiver) -> StringWord:
+    """The letters of a surgery segment after its first, as a directed word
+    (trivial at the first letter's end when none follow): the new string a
+    hook adds, or the kernel piece a co-hook deletion removes."""
     rest = segment[1:]
     if rest:
         return make_word(rest)
     return StringWord.trivial(letter_target(quiver, segment[0]))
-
-
-def _deleted_piece(word: StringWord, segment, quiver) -> StringWord:
-    """The kernel piece of a right co-hook deletion, as a directed string word.
-
-    A successful deletion removes one direct letter plus the trailing
-    inverse run; the run (without the direct letter's node) is the kernel
-    piece.  When no direct letter exists the deletion empties the diagram
-    and the whole word is the piece.
-    """
-    if segment and not segment[0].inverse:
-        return _added_piece(segment, quiver)
-    return word
 
 
 def _word_as_directed_path(table: AlgebraTable, word: StringWord):
@@ -453,15 +437,12 @@ def cone_of_canonical_map(table: AlgebraTable, word: StringWord) -> ConeResult:
     right, left = side_ops(table, word, "tauinv")
     case = _classify(word, right.kind, left.kind)
     # the left piece is the right piece of the reversed word: summands are
-    # canonical, and omega_inv_word reads a directed word either way
-    mirrored = reverse_letters(q, left.segment)
+    # canonical, and omega_inv_word reads a directed word either way; a
+    # deletion that empties the word has the whole word as its kernel piece
     summands = []
-    for w, kind, segment in ((word, right.kind, right.segment),
-                             (reverse_word(q, word), left.kind, mirrored)):
-        if kind == "hook":
-            summands.append(_added_piece(segment, q))
-        else:
-            summands.append(omega_inv_word(table, _deleted_piece(w, segment, q)))
+    for w, op in ((word, right), (reverse_word(q, word), left)):
+        piece = w if isinstance(op.word, EmptyWord) else _run_after(op.segment, q)
+        summands.append(piece if op.kind == "hook" else omega_inv_word(table, piece))
     return ConeResult(case, [canonical_form(q, s) for s in summands])
 
 

@@ -27,14 +27,14 @@ deeps as the peaks of the word turned round.  ``reference_reverse_word``
 and ``reference_letters_from`` build every letter afresh, as ``strings``
 did before the quiver owned its letters.  ``top_dims``, ``cosyzygy``
 and ``stable_class_is_zero`` are module queries that only tests ask.
-``random_presentation_text``, ``nakayama`` and ``socle_deformed`` make
-inputs.
+``random_presentation_text``, ``nakayama``, ``quantum_exterior`` and
+``socle_deformed`` make inputs.
 """
 
 import itertools
 import random
 
-from biserial.core import AlgebraPresentation, Quiver, ZeroRelation
+from biserial.core import AlgebraPresentation, EqualityRelation, Quiver, ZeroRelation
 from biserial.fields import Field
 from biserial.instances import random_standard_data
 from biserial.linalg import Echelon, row_nullspace
@@ -435,6 +435,19 @@ def nakayama(n: int, length: int, field: Field) -> AlgebraPresentation:
     rels = [ZeroRelation(q.path([f"a{(i + t) % n}" for t in range(length)]))
             for i in range(n)]
     return AlgebraPresentation(field, q, rels)
+
+
+def quantum_exterior(q, field: Field) -> AlgebraPresentation:
+    """The quantum exterior algebra k<a, b>/(a a, b b, a b - q b a) on one vertex.
+
+    It is selfinjective with socle a b, and for q not 1 not symmetric:
+    the socle paths a b and b a of its two arms differ by the ratio q.
+    """
+    quiver = Quiver(["1"], [("a", "1", "1"), ("b", "1", "1")])
+    path = quiver.path
+    return AlgebraPresentation(field, quiver, [
+        ZeroRelation(path(["a", "a"])), ZeroRelation(path(["b", "b"])),
+        EqualityRelation(path(["a", "b"]), q, path(["b", "a"]))])
 
 
 def socle_deformed(seed: int, field: Field):

@@ -52,12 +52,11 @@ def test_records_compare_hash_and_print_like_dataclasses():
     assert repr(op) == ("SideOp(word=<empty>, kind='hook-delete', "
                         "segment=(Letter(arrow='a', inverse=False),))")
     assert hash(op) == hash(SideOp(EMPTY, "hook-delete", (Letter("a"),)))
-    assert repr(Surgery(EMPTY, "hook", "cohook")) == (
-        "Surgery(word=<empty>, right_kind='hook', left_kind='cohook', shift=0)")
+    assert repr(Surgery(EMPTY)) == "Surgery(word=<empty>, shift=0)"
     report = SymmetryReport("symmetric", {0: 1})
     assert repr(report) == "SymmetryReport(verdict='symmetric', form={0: 1})"
     assert report == SymmetryReport("symmetric", {0: 1})
-    for record in (report, Surgery(EMPTY, "hook", "cohook"), RepMap(None, None, {}),
+    for record in (report, Surgery(EMPTY), RepMap(None, None, {}),
                    AlgebraPresentation(Field(3), Quiver(["1"], []), [])):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)

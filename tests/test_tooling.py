@@ -7,7 +7,8 @@ a domain error (exit 1), so every exception class the library defines
 must derive from it.  Table-level caches live in one place: every private
 attribute the library reads or writes on a table is declared in
 AlgebraTable.__init__, and every one on a module in ModuleRep.__init__;
-no module binds a mutable container that could serve as a second cache.
+README's Caches table names exactly the caches AlgebraTable.__init__
+declares; no module binds a mutable container that could serve as a second cache.
 No module imports a name it never reads, no function takes a parameter
 it never reads, and no private function or method is left without a
 caller; a public function has a caller in the library, a span in the
@@ -17,11 +18,13 @@ package resolves its public names on first access.
 """
 
 import ast
+import copy
 import importlib
 import importlib.util
 import inspect
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +37,7 @@ from biserial.fields import Field
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 LIBRARY = Path(biserial.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def load_tracer():
@@ -64,18 +68,28 @@ def test_every_library_exception_is_a_domain_error():
     assert [cls for cls in defined if not issubclass(cls, DomainError)] == []
 
 
+def _class(tree, cls_name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == cls_name)
+
+
+def _init(cls):
+    return next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+
+
+def _init_attributes(cls):
+    """Attributes a class assigns on self in __init__."""
+    return {node.attr for node in ast.walk(_init(cls))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
 def _declared(tree, cls_name):
     """Private attributes a class assigns in __init__, and its methods."""
-    cls = next(node for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef) and node.name == cls_name)
-    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
-    init = next(node for node in cls.body
-                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-    for node in ast.walk(init):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
-                and isinstance(node.value, ast.Name) and node.value.id == "self":
-            names.add(node.attr)
-    return names
+    cls = _class(tree, cls_name)
+    return ({node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            | _init_attributes(cls))
 
 
 def _private_uses(tree):
@@ -123,6 +137,33 @@ def test_private_caches_are_declared_in_init():
     # the scan sees the caches the calculus and the oracle fill
     assert {("table", "_string_modules"), ("table", "_translates"),
             ("module", "_hom_to_projective")} <= seen
+
+
+# built once from the relations, so not caches (README says so below its table)
+RULE_TABLES = {"_zero_rules", "_subst_rules", "_deformations", "_rules_from"}
+
+
+def _cache_table_mismatch(cls, readme):
+    """The names that only one of the table's __init__ and README's Caches
+    table declares; a row's names are the backticked ones in its first cell."""
+    section = readme.split("\n## Caches\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name for line in section.splitlines() if line.startswith("| `")
+              for name in re.findall(r"`(\w+)`", line.split("|")[1])}
+    declared = {a for a in _init_attributes(cls) if a.startswith("_")} - RULE_TABLES
+    return declared ^ listed
+
+
+def test_readme_cache_table_matches_the_table_caches():
+    table = _class(ast.parse((LIBRARY / "core.py").read_text(encoding="utf-8")),
+                   "AlgebraTable")
+    readme = README.read_text(encoding="utf-8")
+    assert _cache_table_mismatch(table, readme) == set()
+    # planted: a row README drops, and a cache __init__ adds
+    assert _cache_table_mismatch(table, readme.replace("| `_tails` |", "| tails |")) == {
+        "_tails"}
+    grown = copy.deepcopy(table)
+    _init(grown).body.append(ast.parse("self._socle_spaces = None").body[0])
+    assert _cache_table_mismatch(grown, readme) == {"_socle_spaces"}
 
 
 MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "bytearray", "defaultdict",

@@ -1,7 +1,9 @@
+import sys
 from collections import Counter
 
 import pytest
 
+import biserial.linalg
 import biserial.sweep
 import biserial.translate
 from biserial.core import build_table
@@ -25,7 +27,7 @@ from biserial.translate import (LocalNakayamaExcluded, NotSelfinjectiveSB,
                                 omega_sequence, omega_word,
                                 proj_quotient_word, rad_mod_soc_walks, rad_word,
                                 reversal_map, tau, tau_inv)
-from table_reference import (cosyzygy, nakayama, reference_ar_exact,
+from table_reference import (cosyzygy, nakayama, quantum_exterior, reference_ar_exact,
                              reference_cone_matches, reference_tau_syzygy,
                              stable_class_is_zero)
 
@@ -674,3 +676,69 @@ def test_planted_hull_map_sign_fails_the_cone_check_by_name(monkeypatch):
     failing = _failing_details(alg_l2)
     assert list(failing) == ["cone-oracle"]
     assert ": composite is not zero" in failing["cone-oracle"]
+
+
+def test_planted_wrong_case_fails_the_cone_check_by_name(monkeypatch):
+    """A cone whose case is not the one its node map gives fails by name."""
+    def relabelled(table, word):
+        cone = cone_of_canonical_map(table, word)
+        return biserial.translate.ConeResult("ii" if cone.case == "i" else "i", cone.summands)
+
+    monkeypatch.setattr(biserial.sweep, "cone_of_canonical_map", relabelled)
+    failing = _failing_details(alg_l2)
+    assert list(failing) == ["cone-oracle"]
+    assert " by nodes" in failing["cone-oracle"]
+
+
+def test_planted_wrong_middle_fails_the_ar_check_by_name(monkeypatch):
+    """An AR sequence that drops its middle strings no longer has the
+    dimensions of the witnessed middle term."""
+    def dropped(table, word):
+        seq = ar_sequence(table, word)
+        return biserial.translate.ARSequence(seq.left, [], seq.middle_projective, seq.right)
+
+    monkeypatch.setattr(biserial.sweep, "ar_sequence", dropped)
+    failing = _failing_details(alg_l2)
+    assert list(failing) == ["ar-sequence-exactness"]
+    assert ": middle term has dimensions " in failing["ar-sequence-exactness"]
+
+
+# -- a socle ratio other than 1 ----------------------------------------------
+
+@pytest.mark.parametrize("q, char", [(2, 0), (-1, 0), ("1/2", 0), (2, 3), (2, 5), (3, 5)])
+def test_quantum_exterior_sweep_passes(q, char):
+    """A selfinjective table that is not symmetric: a b = q b a, so the
+    socle paths of the two arms differ by q, not 1."""
+    results = biserial.sweep.run_sweep(quantum_exterior(q, Field(char)), 6)["results"]
+    assert [r["check"] for r in results if not r["pass"]] == []
+    assert [r["check"] for r in results if r["detail"].startswith("skipped")] == [
+        "tau-syzygy-oracle", "normalizer"]
+
+
+def _plant_unit_ratio(monkeypatch, caller):
+    """Make every nonzero ratio that ``caller`` reads off multiple_of a 1."""
+    real = biserial.linalg.multiple_of
+
+    def planted(x, y, f):
+        c = real(x, y, f)
+        return f.one if c and sys._getframe(1).f_code.co_name == caller else c
+
+    monkeypatch.setattr(biserial.linalg, "multiple_of", planted)
+
+
+def test_planted_unit_arm_ratio_fails_the_ar_check_by_name(monkeypatch):
+    """rad P_v reaches e_v A along the second arm scaled by the socle ratio;
+    scaled by 1 instead, the left map is no module map."""
+    _plant_unit_ratio(monkeypatch, "ar_right_map")
+    failing = _failing_details(lambda: quantum_exterior(2, Field(0)))
+    assert list(failing) == ["ar-sequence-exactness"]
+    assert "a^-1 b: left map does not intertwine" in failing["ar-sequence-exactness"]
+
+
+def test_planted_unit_carry_ratio_fails_the_cone_check_by_name(monkeypatch):
+    """A hull map carried round the socle keeps the ratio of the two arms;
+    without it, the left map of the cone sequence is no module map."""
+    _plant_unit_ratio(monkeypatch, "_carry")
+    failing = _failing_details(lambda: quantum_exterior(2, Field(0)))
+    assert list(failing) == ["cone-oracle"]
+    assert "a b^-1: left map does not intertwine" in failing["cone-oracle"]
